@@ -135,10 +135,19 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # analyze
 
+def _read_trace(path):
+    """A PSD trace whose metadata has what the sideband analysis needs."""
+    trace = io.read_psd_csv(path)
+    if trace.meta.get("channel") != CAL_CHANNEL and "het_freq_hz" not in trace.meta:
+        raise ConfigError(f"{path}: trace metadata lacks het_freq_hz; "
+                          f"missing or incomplete sidecar {io.sidecar_path(path)}")
+    return trace
+
+
 def _load_traces(paths):
     traces = []
     for path in sorted(paths):
-        trace = io.read_psd_csv(path)
+        trace = _read_trace(path)
         if trace.meta.get("channel") == CAL_CHANNEL:
             continue
         traces.append((path, trace))
@@ -157,7 +166,7 @@ def _write_plot_data(out_dir, trace_path, trace, resp, occ):
     freq = trace.freq_hz
     vals = trace.values if resp is None else \
         trace.values / detector_gain(resp, TWO_PI * freq)
-    rows = []
+    f_cols, d_cols, m_cols = [], [], []
     for fit in (occ.stokes_fit, occ.anti_fit):
         if fit is None:
             continue
@@ -166,14 +175,18 @@ def _write_plot_data(out_dir, trace_path, trace, resp, occ):
         mask = (freq >= lo) & (freq <= hi)
         model = fit.offset + (fit.area / math.pi) * (fit.linewidth_fwhm / 2.0) \
             / ((freq[mask] - fit.center) ** 2 + (fit.linewidth_fwhm / 2.0) ** 2)
-        for f, d, m in zip(freq[mask], vals[mask], model):
-            rows.append((f, d, m, d - m))
-    rows.sort()
+        f_cols.append(freq[mask])
+        d_cols.append(vals[mask])
+        m_cols.append(model)
+    f, d, m = (np.concatenate(c or [np.empty(0)])
+               for c in (f_cols, d_cols, m_cols))
+    r = d - m
+    order = np.lexsort((r, m, d, f))  # rows sorted as tuples, freq first
     stem = os.path.splitext(os.path.basename(trace_path))[0]
-    lines = ["freq_hz,data,fit,residual"]
-    lines += [f"{f:.17g},{d:.17g},{m:.17g},{r:.17g}" for f, d, m, r in rows]
-    io.atomic_write_text(os.path.join(out_dir, f"{stem}.plotdata.csv"),
-                         "\n".join(lines) + "\n")
+    io.atomic_write_text(
+        os.path.join(out_dir, f"{stem}.plotdata.csv"),
+        "freq_hz,data,fit,residual\n"
+        + io.format_csv_rows(f[order], d[order], m[order], r[order]))
 
 
 def cmd_analyze(args) -> int:
@@ -290,7 +303,7 @@ def cmd_scanfit(args) -> int:
     shot = dark = None
     traces = []
     for path in paths:
-        trace = io.read_psd_csv(path)
+        trace = _read_trace(path)
         if trace.meta.get("channel") == CAL_CHANNEL:
             if trace.meta.get("kind") == "shot":
                 shot = trace

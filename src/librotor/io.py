@@ -11,6 +11,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -95,12 +96,40 @@ def sha256_file(path: str) -> str:
 # ---------------------------------------------------------------------------
 # PSD CSV + sidecar
 
+PSD_HEADER = "freq_hz,psd"
+
+# Every float in a CSV file is written with this format: 17 significant
+# digits, so that parsing gives back the same double.
+_FLOAT = "%.17g"
+
+# One-entry cache: (copy of the last grid written, its row template
+# "<freq>,%.17g\n...").  All traces of a scan and both calibration traces
+# share one grid, so its frequency column is formatted once.  Keyed by
+# content, not identity, since callers may reuse an array; read once and
+# replaced in one assignment, so no grid is paired with another's template.
+_psd_row_template = (np.empty(0), "")
+
+
+def format_csv_rows(*columns) -> str:
+    """Equal-length float columns as CSV rows, one newline-terminated line
+    per row, every value in the shared 17-digit format."""
+    row = ",".join([_FLOAT] * len(columns)) + "\n"
+    return row * len(columns[0]) % tuple(np.column_stack(columns).ravel().tolist())
+
+
+def _psd_rows(freq: np.ndarray, values: np.ndarray) -> str:
+    global _psd_row_template
+    grid, template = _psd_row_template
+    if not np.array_equal(grid, freq):
+        template = (f"{_FLOAT},%{_FLOAT}\n" * freq.size) % tuple(freq.tolist())
+        _psd_row_template = (freq.copy(), template)
+    return template % tuple(values.tolist())
+
+
 def write_psd_csv(path: str, trace: PsdTrace) -> None:
     """CSV trace plus a <name>.meta.json sidecar carrying trace.meta."""
-    lines = [PSD_MAGIC, "freq_hz,psd"]
-    for f, v in zip(trace.freq_hz, trace.values):
-        lines.append(f"{f:.17g},{v:.17g}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    text = f"{PSD_MAGIC}\n{PSD_HEADER}\n" + _psd_rows(trace.freq_hz, trace.values)
+    atomic_write_text(path, text)
     atomic_write_text(sidecar_path(path), format_json(dict(trace.meta)))
 
 
@@ -109,15 +138,26 @@ def sidecar_path(csv_path: str) -> str:
     return base + ".meta.json"
 
 
-def read_psd_csv(path: str) -> PsdTrace:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != PSD_MAGIC:
-        raise ConfigError(f"{path}: missing '{PSD_MAGIC}' header")
+def _parse_rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Bulk parse of two-column data lines; ValueError on any bad line."""
+    with warnings.catch_warnings():
+        # no data rows: rejected by PsdTrace's bin count, not warned about
+        warnings.simplefilter("ignore", UserWarning)
+        rows = np.loadtxt(lines, delimiter=",", comments="#", ndmin=2)
+    if rows.shape[1:] != (2,):
+        raise ValueError("expected 2 columns")
+    freqs, vals = rows.T.copy()
+    return freqs, vals
+
+
+def _parse_rows_by_line(path: str, lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Line-by-line parse of everything after the magic line: names the
+    first malformed row, and accepts what the bulk parse does not
+    (whitespace-only lines, a header line after a comment)."""
     freqs, vals = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         line = line.strip()
-        if not line or line.startswith("#") or line == "freq_hz,psd":
+        if not line or line.startswith("#") or line == PSD_HEADER:
             continue
         parts = line.split(",")
         try:
@@ -127,13 +167,33 @@ def read_psd_csv(path: str) -> PsdTrace:
             vals.append(float(parts[1]))
         except ValueError:
             raise ConfigError(f"{path}: malformed CSV row at line {lineno}") from None
+    return np.asarray(freqs), np.asarray(vals)
+
+
+def read_psd_csv(path: str) -> PsdTrace:
+    """Trace from a PSD CSV; the header line after the magic line is
+    optional.  Metadata comes from the sidecar when there is one."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0].strip() != PSD_MAGIC:
+        raise ConfigError(f"{path}: missing '{PSD_MAGIC}' header")
+    body = lines[2:] if len(lines) > 1 and lines[1].strip() == PSD_HEADER else lines[1:]
+    try:
+        freqs, vals = _parse_rows(body)
+    except ValueError:
+        freqs, vals = _parse_rows_by_line(path, lines)
     meta = {}
     side = sidecar_path(path)
     if os.path.exists(side):
-        with open(side, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
+        try:
+            with open(side, "r", encoding="utf-8") as fh:
+                meta = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{side}: malformed sidecar JSON: {exc}") from None
+        if not isinstance(meta, dict):
+            raise ConfigError(f"{side}: sidecar must hold a JSON object")
     try:
-        return PsdTrace(np.asarray(freqs), np.asarray(vals), meta)
+        return PsdTrace(freqs, vals, meta)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

@@ -38,6 +38,8 @@ class PsdTrace:
         vals = np.asarray(self.values, dtype=float)
         if freq.ndim != 1 or freq.shape != vals.shape or freq.size < 16:
             raise ValueError("freq_hz and values must be equal-length 1-d arrays, >= 16 bins")
+        if not (np.isfinite(freq).all() and np.isfinite(vals).all()):
+            raise ValueError("freq_hz and values must be finite")
         if np.any(np.diff(freq) <= 0):
             raise ValueError("freq_hz must be strictly increasing")
         if np.any(vals < 0):

@@ -189,6 +189,15 @@ def sim_dir(tmp_path, config_path):
     return out
 
 
+def write_small_trace(tmp_path):
+    freq = np.linspace(4e6, 6e6, 64)
+    trace = PsdTrace(freq, np.ones(64), {"het_freq_hz": 5e6, "averages": 100,
+                                         "channel": "cavity_y"})
+    path = str(tmp_path / "small.csv")
+    io.write_psd_csv(path, trace)
+    return path
+
+
 class TestAnalyze:
     def test_round_trip_within_3_sigma(self, tmp_path, sim_dir):
         out = str(tmp_path / "results.json")
@@ -235,6 +244,34 @@ class TestAnalyze:
         assert main(["analyze", "--traces", bad,
                      "--out", str(tmp_path / "o.json")]) == 2
         assert "line 3" in capsys.readouterr().err
+
+    def test_nan_bin_exit_2(self, tmp_path, capsys):
+        path = write_small_trace(tmp_path)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        lines[10] = lines[10].split(",")[0] + ",nan"
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        assert main(["analyze", "--traces", path,
+                     "--out", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert "small.csv" in err and "finite" in err
+
+    def test_malformed_sidecar_exit_2(self, tmp_path, capsys):
+        path = write_small_trace(tmp_path)
+        with open(io.sidecar_path(path), "w") as fh:
+            fh.write('{"het_freq_hz": 5e6,')
+        assert main(["analyze", "--traces", path,
+                     "--out", str(tmp_path / "o.json")]) == 2
+        assert "small.meta.json" in capsys.readouterr().err
+
+    def test_missing_sidecar_exit_2(self, tmp_path, capsys):
+        path = write_small_trace(tmp_path)
+        os.remove(io.sidecar_path(path))
+        assert main(["analyze", "--traces", path,
+                     "--out", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert "small.csv" in err and "het_freq_hz" in err
 
     def test_all_failures_exit_3(self, tmp_path, capsys):
         """A trace whose 'anti-Stokes' outweighs its Stokes peak is

@@ -53,6 +53,15 @@ class TestPsdTrace:
             PsdTrace(f[::-1], np.ones(32), {})
         with pytest.raises(ValueError):
             PsdTrace(f[:8], np.ones(8), {})
+        for bad in (math.nan, math.inf, -math.inf):
+            vals = np.ones(32)
+            vals[5] = bad
+            with pytest.raises(ValueError, match="finite"):
+                PsdTrace(f, vals, {})
+            freq = f.copy()
+            freq[5] = bad
+            with pytest.raises(ValueError, match="finite"):
+                PsdTrace(freq, np.ones(32), {})
 
     def test_default_grid(self):
         grid = default_grid(HET, TWO_PI * 1e6, n_bins=1024, span_factor=1.5)

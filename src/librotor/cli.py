@@ -17,18 +17,16 @@ from . import __version__, io
 from .errors import ConfigError, LibrotorError, UnderdeterminedScanError
 from .geometry import DampingMeasurement, classify
 from .noise import detector_gain
-from .physics import OpticalSetup
-from .spectrum import PsdTrace, default_grid, scan_series
-from .thermometry import (METHOD_DIFFCAL, METHOD_RATIO, _auto_hint,
-                          analyze_scan, calibrate_c, calibrate_response,
-                          extract_occupation)
-
-TWO_PI = 2.0 * math.pi
+from .physics import TWO_PI, OpticalSetup
+from .spectrum import (PsdTrace, default_grid, lorentzian, periodogram_draw,
+                       scan_series)
+from .thermometry import (CHANNEL_MODE, METHOD_DIFFCAL, METHOD_RATIO,
+                          _auto_hint, analyze_scan, calibrate_c,
+                          calibrate_response, fit_sideband_pair,
+                          occupation_from_fits)
 
 # Trace channel used for calibration (shot / dark) spectra.
 CAL_CHANNEL = "calibration"
-
-_CHANNEL_MODES = {"cavity_y": ("alpha",), "cavity_z": ("beta",)}
 
 
 def _warn(msg: str) -> None:
@@ -59,12 +57,7 @@ def _calibration_traces(noise, grid_hz, averages, het_freq_hz, seed):
     traces = []
     for name, mean, sub_seed in (("shot", shot_mean, 9001),
                                  ("dark", dark_mean, 9002)):
-        if math.isinf(averages):
-            vals = mean.copy()
-        else:
-            rng = np.random.default_rng(seed + sub_seed)
-            vals = mean * rng.gamma(shape=averages, scale=1.0 / averages,
-                                    size=mean.size)
+        vals = periodogram_draw(mean, averages, seed + sub_seed)
         meta = {"detuning_hz": None, "het_freq_hz": het_freq_hz,
                 "averages": averages, "seed": seed + sub_seed,
                 "channel": CAL_CHANNEL, "kind": name}
@@ -93,8 +86,8 @@ def cmd_simulate(args) -> int:
     outputs = []
     summary = []
     for channel in synth["channels"]:
-        labels = _CHANNEL_MODES.get(channel, ("alpha", "beta"))
-        modes = [modes_by_label[lab] for lab in labels]
+        label = CHANNEL_MODE.get(channel)
+        modes = [modes_by_label[label]] if label else [mode_alpha, mode_beta]
         points = scan_series(modes, optics, noise, None, grid,
                              synth["averages"], synth["het_freq_hz"],
                              synth["detunings_hz"],
@@ -168,18 +161,14 @@ def _write_plot_data(out_dir, trace_path, trace, resp, occ):
         trace.values / detector_gain(resp, TWO_PI * freq)
     f_cols, d_cols, m_cols = [], [], []
     for fit in (occ.stokes_fit, occ.anti_fit):
-        if fit is None:
-            continue
         lo = fit.center - 5.0 * fit.linewidth_fwhm
         hi = fit.center + 5.0 * fit.linewidth_fwhm
         mask = (freq >= lo) & (freq <= hi)
-        model = fit.offset + (fit.area / math.pi) * (fit.linewidth_fwhm / 2.0) \
-            / ((freq[mask] - fit.center) ** 2 + (fit.linewidth_fwhm / 2.0) ** 2)
         f_cols.append(freq[mask])
         d_cols.append(vals[mask])
-        m_cols.append(model)
-    f, d, m = (np.concatenate(c or [np.empty(0)])
-               for c in (f_cols, d_cols, m_cols))
+        m_cols.append(lorentzian(freq[mask], fit.center, fit.linewidth_fwhm,
+                                 fit.area, fit.offset))
+    f, d, m = (np.concatenate(c) for c in (f_cols, d_cols, m_cols))
     r = d - m
     order = np.lexsort((r, m, d, f))  # rows sorted as tuples, freq first
     stem = os.path.splitext(os.path.basename(trace_path))[0]
@@ -201,15 +190,21 @@ def cmd_analyze(args) -> int:
     method = METHOD_DIFFCAL if args.method == "diffcal" else METHOD_RATIO
     out_dir = os.path.dirname(os.path.abspath(args.out))
 
+    # Each sideband pair is fitted once; both estimators read its areas.
+    pairs = []
+    for _, trace in traces:
+        try:
+            pairs.append(fit_sideband_pair(trace, resp, _auto_hint(trace)))
+        except LibrotorError as exc:
+            pairs.append(exc)
+
     c_pair = None
     if method == METHOD_DIFFCAL:
         records = []
-        for _, trace in traces:
+        for pair in (p for p in pairs if isinstance(p, tuple)):
             try:
-                occ = extract_occupation(trace, resp, _auto_hint(trace),
-                                         method=METHOD_RATIO)
-                records.append((occ.areas[0][0], occ.areas[0][1],
-                                occ.areas[1][0], occ.areas[1][1]))
+                occ = occupation_from_fits(*pair, METHOD_RATIO)
+                records.append((*occ.areas[0], *occ.areas[1]))
             except LibrotorError:
                 pass
         if len(records) < 2:
@@ -223,13 +218,14 @@ def cmd_analyze(args) -> int:
 
     entries = []
     failures = 0
-    for path, trace in traces:
+    for (path, trace), pair in zip(traces, pairs):
         entry = {"file": os.path.basename(path),
                  "detuning_hz": trace.meta.get("detuning_hz"),
                  "channel": trace.meta.get("channel")}
         try:
-            occ = extract_occupation(trace, resp, _auto_hint(trace),
-                                     c_override=c_pair, method=method)
+            if isinstance(pair, LibrotorError):
+                raise pair
+            occ = occupation_from_fits(*pair, method, c_pair)
             entry.update({
                 "n": occ.n, "n_err": occ.n_err,
                 "ground_state_prob": occ.ground_state_prob,
@@ -333,6 +329,7 @@ def cmd_scanfit(args) -> int:
             "n_best": mode.n_best, "n_best_err": mode.n_best_err,
             "best_detuning_hz": mode.best_detuning_hz,
             "inertia_kg_m2": mode.inertia,
+            "error": mode.error,
             "derived": None if derived is None else {
                 "sigma_rad": derived.sigma,
                 "temperature_k": derived.temperature,

@@ -12,13 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import physics
 from .errors import DegenerateFitError, UnderdeterminedScanError
 from .spectrum import PsdTrace, lorentzian
 
 XTOL = 1e-10
 FTOL = 1e-12
 MAX_ITER = 200
-TWO_PI = 2.0 * math.pi
+
+# Scan-fit residual clipping: points beyond CLIP_SIGMA are dropped and the
+# fit repeated, at most MAX_CLIP_ROUNDS times.
+CLIP_SIGMA = 5.0
+MAX_CLIP_ROUNDS = 2
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +93,25 @@ def levenberg_marquardt(model, jacobian, x, y, p0, weights=None,
     return p, cov, converged, cost
 
 
+def linear_lstsq(design, y, w=None):
+    """Weighted linear least squares for y ~ design @ p.
+
+    Returns (p, covariance) with covariance (D^T W D)^-1; with unit weights
+    (w None) it is scaled by the reduced chi-square.
+    """
+    wd = design * (np.ones_like(y) if w is None else w)[:, None]
+    a_mat = wd.T @ design
+    try:
+        params = np.linalg.solve(a_mat, wd.T @ y)
+        cov = np.linalg.inv(a_mat)
+    except np.linalg.LinAlgError:
+        raise DegenerateFitError("degenerate fit window") from None
+    if w is None:
+        resid = y - design @ params
+        cov = cov * float(np.sum(resid ** 2)) / max(y.size - design.shape[1], 1)
+    return params, cov
+
+
 # ---------------------------------------------------------------------------
 # Lorentzian peak fits
 
@@ -102,6 +126,7 @@ class LorentzianFit:
     covariance: np.ndarray
     converged: bool
     residual_rms: float
+    pinned: bool = False  # center and width fixed, only area and offset fitted
 
     def errors(self) -> np.ndarray:
         return np.sqrt(np.maximum(np.diag(self.covariance), 0.0))
@@ -231,61 +256,62 @@ def _prepare_scan_points(points, min_points=4):
     return x, y, w
 
 
-def _clipped_fit(model, jac, x, y, w, p0, clip_sigma=5.0, max_rounds=2,
-                 min_points=4):
-    """Weighted LM with iterative residual clipping (the scan fits may see
-    occasional wild linewidth points)."""
+def _clipped_fit(solve, model, x, y, w, p0=None, min_points=4):
+    """Weighted fit with iterative residual clipping (the scan fits may see
+    occasional wild linewidth points).  solve(mask, p) fits the points under
+    mask, starting from p, and returns (params, covariance, converged)."""
     mask = np.ones_like(x, dtype=bool)
-    p = np.asarray(p0, float)
-    for round_idx in range(max_rounds + 1):
+    p = p0
+    for round_idx in range(MAX_CLIP_ROUNDS + 1):
         if np.count_nonzero(mask) < min_points:
             raise UnderdeterminedScanError("underdetermined scan: fewer than "
                                            f"{min_points} inliers")
-        wm = None if w is None else w[mask]
-        p, cov, converged, cost = levenberg_marquardt(model, jac, x[mask],
-                                                      y[mask], p, wm)
+        p, cov, converged = solve(mask, p)
         resid = y - model(x, p)
         if w is not None:
             sig = 1.0 / np.sqrt(w)
         else:
             sig = np.full_like(y, max(np.std(resid[mask]), 1e-300))
-        new_mask = np.abs(resid / sig) <= clip_sigma
-        if round_idx == max_rounds or np.array_equal(new_mask, mask):
+        new_mask = np.abs(resid / sig) <= CLIP_SIGMA
+        if round_idx == MAX_CLIP_ROUNDS or np.array_equal(new_mask, mask):
             break
         mask = new_mask
     resid_final = y - model(x, p)
     return p, cov, converged, resid_final, mask
 
 
-def _lw_factory(omega, kappa):
-    half2 = (kappa / 2.0) ** 2
+def _clipped_lm(model, jac, x, y, w, p0):
+    def solve(mask, p):
+        wm = None if w is None else w[mask]
+        return levenberg_marquardt(model, jac, x[mask], y[mask], p, wm)[:3]
 
+    return _clipped_fit(solve, model, x, y, w, np.asarray(p0, float))
+
+
+def _lw_factory(omega, kappa):
     def model(det, p):
         g, gamma0 = p
-        den = (half2 + (omega + det) ** 2) * (half2 + (omega - det) ** 2)
-        return gamma0 + 4.0 * g * g * omega * det * kappa / den
+        return gamma0 + physics.backaction(g, omega, kappa, det, omega)[0]
 
     def jac(det, p):
-        g, gamma0 = p
-        den = (half2 + (omega + det) ** 2) * (half2 + (omega - det) ** 2)
+        g, _ = p
         out = np.empty((det.size, 2))
-        out[:, 0] = 8.0 * g * omega * det * kappa / den
+        # the damping is |g|^2 times its unit-coupling value
+        out[:, 0] = 2.0 * g * physics.backaction(1.0, omega, kappa, det, omega)[0]
         out[:, 1] = 1.0
         return out
 
     return model, jac
 
 
-def fit_scan_linewidth(points, omega: float, kappa: float,
-                       clip_sigma: float = 5.0, max_clip_rounds: int = 2) -> ScanFitResult:
+def fit_scan_linewidth(points, omega: float, kappa: float) -> ScanFitResult:
     """Fit gamma_eff(Delta) measured at omega with free (|g|, gamma_intrinsic)."""
     x, y, w = _prepare_scan_points(points)
     model, jac = _lw_factory(omega, kappa)
     span = np.ptp(y)
     g0 = math.sqrt(max(span, abs(np.max(y))) * kappa) / 2.0
     p0 = [max(g0, kappa * 1e-3), max(float(np.min(y)), 0.0)]
-    p, cov, converged, resid, mask = _clipped_fit(model, jac, x, y, w, p0,
-                                                  clip_sigma, max_clip_rounds)
+    p, cov, converged, resid, mask = _clipped_lm(model, jac, x, y, w, p0)
     return ScanFitResult(g_abs=abs(float(p[0])), omega_bare=omega,
                          gamma_intrinsic=float(p[1]), covariance=cov,
                          residuals=resid, inlier_mask=mask, converged=converged)
@@ -294,21 +320,17 @@ def fit_scan_linewidth(points, omega: float, kappa: float,
 def _freq_factory(kappa):
     half2 = (kappa / 2.0) ** 2
 
-    def shift(det, g, om0):
-        num = half2 - om0 * om0 + det * det
-        den = (half2 + (om0 + det) ** 2) * (half2 + (om0 - det) ** 2)
-        return 4.0 * g * g * om0 * det * num / den
-
     def model(det, p):
         g, om0 = p
-        return np.sqrt(np.maximum(om0 * om0 - shift(det, g, om0), 0.0))
+        shift = physics.backaction(g, om0, kappa, det, om0)[1]
+        return np.sqrt(np.maximum(om0 * om0 - shift, 0.0))
 
     def jac(det, p):
         g, om0 = p
         num = half2 - om0 * om0 + det * det
         d1 = half2 + (om0 + det) ** 2
         d2 = half2 + (om0 - det) ** 2
-        s_val = 4.0 * g * g * om0 * det * num / (d1 * d2)
+        s_val = physics.backaction(g, om0, kappa, det, om0)[1]
         val = np.sqrt(np.maximum(om0 * om0 - s_val, 1e-300))
         ds_dg = 2.0 * s_val / g
         # d(s)/d(om0) via logarithmic derivative of each factor
@@ -319,65 +341,38 @@ def _freq_factory(kappa):
         out[:, 1] = (2.0 * om0 - ds_dom) / (2.0 * val)
         return out
 
-    return shift, model, jac
+    return model, jac
 
 
-def fit_scan_frequency(points, kappa: float, clip_sigma: float = 5.0,
-                       max_clip_rounds: int = 2) -> ScanFitResult:
+def fit_scan_frequency(points, kappa: float) -> ScanFitResult:
     """Fit the optical-spring curve Omega_eff(Delta) with free (|g|, Omega_bare)."""
     x, y, w = _prepare_scan_points(points)
-    _, model, jac = _freq_factory(kappa)
+    model, jac = _freq_factory(kappa)
     p0 = [kappa * 0.1, float(np.max(y))]
-    p, cov, converged, resid, mask = _clipped_fit(model, jac, x, y, w, p0,
-                                                  clip_sigma, max_clip_rounds)
+    p, cov, converged, resid, mask = _clipped_lm(model, jac, x, y, w, p0)
     return ScanFitResult(g_abs=abs(float(p[0])), omega_bare=float(p[1]),
                          covariance=cov, residuals=resid, inlier_mask=mask,
                          converged=converged)
 
 
-def _occ_factory(omega, kappa, g_fixed):
-    half2 = (kappa / 2.0) ** 2
-
-    def rates(det, g):
-        g2 = g * g
-        a_minus = g2 * kappa / (half2 + (det - omega) ** 2)
-        a_plus = g2 * kappa / (half2 + (det + omega) ** 2)
-        return a_minus, a_plus
-
-    def model(det, p):
-        gamma, n_phi = p
-        am, ap = rates(det, g_fixed)
-        return (gamma + ap) / (am - ap) + n_phi
-
-    def jac(det, p):
-        am, ap = rates(det, g_fixed)
-        out = np.empty((det.size, 2))
-        out[:, 0] = 1.0 / (am - ap)
-        out[:, 1] = 1.0
-        return out
-
-    return rates, model, jac
-
-
 def fit_occupation_curve(points, omega: float, kappa: float,
-                         g_fixed: float,
-                         clip_sigma: float = 5.0,
-                         max_clip_rounds: int = 2) -> ScanFitResult:
+                         g_fixed: float) -> ScanFitResult:
     """Fit n(Delta) with free (Gamma_total, n_phase) at a pinned coupling.
 
     The coupling must come from the linewidth (or spring) fit: in the
     occupation model Gamma and |g| only enter through Gamma/|g|^2 plus a
     parameter-free offset, so freeing |g| here would make the problem
     structurally unidentifiable.  Points where the model has no net cooling
-    are rejected up front.
+    are rejected up front.  With |g| pinned the model
+    n = Gamma / (A- - A+) + n_phase + A+ / (A- - A+) is linear in
+    (Gamma, n_phase) and is solved in closed form.
     """
     if g_fixed is None or g_fixed <= 0:
         raise ValueError("fit_occupation_curve needs a pinned |g| > 0 (the "
                          "heating rate is only identifiable as Gamma/|g|^2 "
                          "otherwise)")
     x, y, w = _prepare_scan_points(points)
-    rates, model, jac = _occ_factory(omega, kappa, g_fixed)
-    am, ap = rates(x, g_fixed)
+    am, ap = physics.cavity_rates(g_fixed, omega, kappa, x)
     valid = am > ap
     if np.count_nonzero(valid) < 4:
         raise UnderdeterminedScanError("underdetermined scan: fewer than 4 "
@@ -385,10 +380,18 @@ def fit_occupation_curve(points, omega: float, kappa: float,
     x, y = x[valid], y[valid]
     if w is not None:
         w = w[valid]
-    gamma0 = max(float(np.min(y)) * float(np.max(am - ap)), 1e-3)
-    p0 = [gamma0, 0.0]
-    p, cov, converged, resid, mask = _clipped_fit(model, jac, x, y, w, p0,
-                                                  clip_sigma, max_clip_rounds)
+    net = am[valid] - ap[valid]
+    design = np.column_stack([1.0 / net, np.ones_like(net)])
+    offset = ap[valid] / net
+
+    def model(_, p):
+        return design @ p + offset
+
+    def solve(mask, _):
+        wm = None if w is None else w[mask]
+        return (*linear_lstsq(design[mask], y[mask] - offset[mask], wm), True)
+
+    p, cov, converged, resid, mask = _clipped_fit(solve, model, x, y, w)
     return ScanFitResult(g_abs=g_fixed, omega_bare=omega,
                          gamma_total_heating=float(p[0]), n_phase=float(p[1]),
                          covariance=cov, residuals=resid, inlier_mask=mask,

@@ -30,7 +30,6 @@ class DampingMeasurement:
     gamma_y: float
     sigma_x: float = 0.0
     sigma_y: float = 0.0
-    pressure_mbar: float | None = None
 
     def __post_init__(self):
         if self.gamma_x <= 0 or self.gamma_y <= 0:

@@ -20,10 +20,8 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError
 from .noise import NoiseProfile
-from .physics import GAMMA_HALF_PI, GAMMA_ZERO, OpticalSetup, RotorModel, build_modes
+from .physics import TWO_PI, GAMMA_HALF_PI, OpticalSetup, RotorModel, build_modes
 from .spectrum import CHANNELS, ORIENT_LO_BLUE, ORIENT_LO_RED, PsdTrace
-
-TWO_PI = 2.0 * math.pi
 
 PSD_MAGIC = "# librotor-psd v1"
 RESULTS_SCHEMA = "librotor-results/1"
@@ -105,7 +103,8 @@ _FLOAT = "%.17g"
 # One-entry cache: (copy of the last grid written, its row template
 # "<freq>,%.17g\n...").  All traces of a scan and both calibration traces
 # share one grid, so its frequency column is formatted once.  Keyed by
-# content, not identity, since callers may reuse an array; read once and
+# exact bits, not identity, since callers may reuse an array, and not by
+# value, since 0.0 == -0.0 but they print differently; read once and
 # replaced in one assignment, so no grid is paired with another's template.
 _psd_row_template = (np.empty(0), "")
 
@@ -120,7 +119,7 @@ def format_csv_rows(*columns) -> str:
 def _psd_rows(freq: np.ndarray, values: np.ndarray) -> str:
     global _psd_row_template
     grid, template = _psd_row_template
-    if not np.array_equal(grid, freq):
+    if grid.tobytes() != freq.tobytes():
         template = (f"{_FLOAT},%{_FLOAT}\n" * freq.size) % tuple(freq.tolist())
         _psd_row_template = (freq.copy(), template)
     return template % tuple(values.tolist())
@@ -173,8 +172,11 @@ def _parse_rows_by_line(path: str, lines: list[str]) -> tuple[np.ndarray, np.nda
 def read_psd_csv(path: str) -> PsdTrace:
     """Trace from a PSD CSV; the header line after the magic line is
     optional.  Metadata comes from the sidecar when there is one."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
     if not lines or lines[0].strip() != PSD_MAGIC:
         raise ConfigError(f"{path}: missing '{PSD_MAGIC}' header")
     body = lines[2:] if len(lines) > 1 and lines[1].strip() == PSD_HEADER else lines[1:]
@@ -319,10 +321,7 @@ class RunConfig:
                 detuning=TWO_PI * det,
                 wavelength=_req(sec, "wavelength_m", "optics"),
                 pol_angle_phi=sec.get("pol_angle_phi_rad", 0.0),
-                n_cav=sec.get("n_cav", 0.0),
-                finesse=sec.get("finesse"), fsr_hz=sec.get("fsr_hz"),
-                waist_x=sec.get("waist_x_m"), waist_y=sec.get("waist_y_m"),
-                waist_cav=sec.get("waist_cav_m"))
+                n_cav=sec.get("n_cav", 0.0))
         except ValueError as exc:
             raise ConfigError(f"optics: {exc}") from None
 
@@ -369,17 +368,6 @@ class RunConfig:
         sec.setdefault("area_scale_c", 1.0)
         sec.setdefault("channels", ["backscatter_y"])
         sec.setdefault("write_calibration", True)
-        return sec
-
-    def analysis(self) -> dict:
-        sec = dict(self.data.get("analysis", {}))
-        sec.setdefault("method", "ratio")
-        if sec["method"] == "diffcal":
-            sec["method"] = "difference_calibrated"
-        sec.setdefault("window_halfwidth_hz", 50e3)
-        sec.setdefault("clip_sigma", 5.0)
-        sec.setdefault("max_clip_rounds", 2)
-        sec.setdefault("temperature_method", "bose")
         return sec
 
 

@@ -14,6 +14,8 @@ from scipy.constants import epsilon_0, hbar, k as k_B
 
 from .errors import LibrotorError, NoNetCoolingError, SpringInstabilityError
 
+TWO_PI = 2.0 * math.pi
+
 GAMMA_ZERO = "gamma_zero"
 GAMMA_HALF_PI = "gamma_half_pi"
 
@@ -64,7 +66,7 @@ class OpticalSetup:
     """Tweezer and cavity drive parameters.
 
     Field amplitudes are complex (V/m); kappa and detuning are angular
-    (rad/s).  Finesse, FSR, and waists are carried as metadata only.
+    (rad/s).
     """
 
     e_tw0: complex
@@ -74,11 +76,6 @@ class OpticalSetup:
     wavelength: float
     pol_angle_phi: float = 0.0
     n_cav: float = 0.0
-    finesse: float | None = None
-    fsr_hz: float | None = None
-    waist_x: float | None = None
-    waist_y: float | None = None
-    waist_cav: float | None = None
 
     def __post_init__(self):
         if self.kappa <= 0:
@@ -92,7 +89,7 @@ class OpticalSetup:
 
     @property
     def omega_laser(self) -> float:
-        return 2.0 * math.pi * 299792458.0 / self.wavelength
+        return TWO_PI * 299792458.0 / self.wavelength
 
 
 @dataclass(frozen=True)
@@ -156,14 +153,18 @@ def libration_frequencies(rotor: RotorModel, optics: OpticalSetup) -> tuple[floa
     return out[0], out[1]
 
 
+def zero_point_amplitude(inertia, omega):
+    """Ground-state angular width sqrt(hbar / 2 I Omega) in rad."""
+    return math.sqrt(hbar / (2.0 * inertia * omega))
+
+
 def zero_point_amplitudes(rotor: RotorModel, freqs: tuple[float, float]) -> tuple[float, float]:
-    """Ground-state angular widths sqrt(hbar / 2 I Omega) for both modes."""
+    """Ground-state angular widths of both modes."""
     (_, i_al), (_, i_be) = rotor.branch_axes()
     om_a, om_b = freqs
     if om_a <= 0 or om_b <= 0:
         raise ValueError("frequencies must be > 0")
-    return (math.sqrt(hbar / (2.0 * i_al * om_a)),
-            math.sqrt(hbar / (2.0 * i_be * om_b)))
+    return zero_point_amplitude(i_al, om_a), zero_point_amplitude(i_be, om_b)
 
 
 def coupling_rates(rotor: RotorModel, optics: OpticalSetup,
@@ -183,25 +184,41 @@ def coupling_rates(rotor: RotorModel, optics: OpticalSetup,
     return zpf_a * k_alpha / hbar, zpf_b * k_beta / hbar
 
 
-def pump_rate(rotor: RotorModel, optics: OpticalSetup) -> complex:
-    """Cavity pump rate eta = -eps0 chi_a V E_c(0) E_tw*(0) sin(phi) / 4 hbar."""
-    return (-epsilon_0 * rotor.chi_a * rotor.volume
-            * optics.e_cav0 * optics.e_tw0.conjugate()
-            * math.sin(optics.pol_angle_phi) / (4.0 * hbar))
+def cavity_rates(g, omega, kappa, detuning):
+    """(A_minus, A_plus): anti-Stokes (cooling) and Stokes (heating) rates.
+
+    A^pm = |g|^2 kappa / ((kappa/2)^2 + (Delta pm Omega)^2), with the
+    anti-Stokes rate taking the (Delta - Omega) denominator.  Any argument
+    may be a numpy array.
+    """
+    g2 = abs(g) ** 2
+    half2 = (kappa / 2.0) ** 2
+    a_minus = g2 * kappa / (half2 + (detuning - omega) ** 2)
+    a_plus = g2 * kappa / (half2 + (detuning + omega) ** 2)
+    return a_minus, a_plus
+
+
+def backaction(g, omega, kappa, detuning, omega_eval):
+    """(optical damping, spring shift of Omega^2) at omega_eval, in rad/s
+    and rad^2/s^2.  Any argument may be a numpy array.
+
+    Both share 4 |g|^2 Omega Delta / D with
+    D = ((kappa/2)^2 + (omega + Delta)^2) ((kappa/2)^2 + (omega - Delta)^2);
+    the damping multiplies it by kappa, the shift by
+    (kappa/2)^2 - omega^2 + Delta^2.
+    """
+    g2 = abs(g) ** 2
+    half2 = (kappa / 2.0) ** 2
+    den = ((half2 + (omega_eval + detuning) ** 2)
+           * (half2 + (omega_eval - detuning) ** 2))
+    pref = 4.0 * g2 * omega * detuning
+    return (pref * kappa / den,
+            pref * (half2 - omega_eval ** 2 + detuning ** 2) / den)
 
 
 def sideband_rates(mode: LibrationMode, optics: OpticalSetup) -> tuple[float, float]:
-    """(A_minus, A_plus): anti-Stokes (cooling) and Stokes (heating) rates.
-
-    A_mu^pm = |g|^2 kappa / ((kappa/2)^2 + (Delta pm Omega)^2), with the
-    anti-Stokes rate taking the (Delta - Omega) denominator.
-    """
-    g2 = abs(mode.g) ** 2
-    kap = optics.kappa
-    half2 = (kap / 2.0) ** 2
-    a_minus = g2 * kap / (half2 + (optics.detuning - mode.omega) ** 2)
-    a_plus = g2 * kap / (half2 + (optics.detuning + mode.omega) ** 2)
-    return a_minus, a_plus
+    """(A_minus, A_plus) of one mode under one drive; see cavity_rates."""
+    return cavity_rates(mode.g, mode.omega, optics.kappa, optics.detuning)
 
 
 def steady_state_occupation(mode: LibrationMode, optics: OpticalSetup,
@@ -243,24 +260,15 @@ def minimum_occupation(kappa: float, omega: float, form: str = "paper") -> float
 def effective_linewidth(mode: LibrationMode, optics: OpticalSetup,
                         omega_eval: float) -> float:
     """Cavity-broadened motional linewidth gamma_eff(omega) in rad/s."""
-    g2 = abs(mode.g) ** 2
-    kap, det = optics.kappa, optics.detuning
-    half2 = (kap / 2.0) ** 2
-    den = ((half2 + (omega_eval + det) ** 2)
-           * (half2 + (omega_eval - det) ** 2))
-    return mode.gamma_intrinsic + 4.0 * g2 * mode.omega * det * kap / den
+    return mode.gamma_intrinsic + backaction(mode.g, mode.omega, optics.kappa,
+                                             optics.detuning, omega_eval)[0]
 
 
 def effective_frequency(mode: LibrationMode, optics: OpticalSetup,
                         omega_eval: float) -> float:
     """Optical-spring-shifted mode frequency Omega_eff(omega) in rad/s."""
-    g2 = abs(mode.g) ** 2
-    kap, det = optics.kappa, optics.detuning
-    half2 = (kap / 2.0) ** 2
-    den = ((half2 + (omega_eval + det) ** 2)
-           * (half2 + (omega_eval - det) ** 2))
-    shift = 4.0 * g2 * mode.omega * det * (half2 - omega_eval ** 2 + det ** 2) / den
-    radicand = mode.omega ** 2 - shift
+    radicand = mode.omega ** 2 - backaction(mode.g, mode.omega, optics.kappa,
+                                            optics.detuning, omega_eval)[1]
     if radicand <= 0:
         raise SpringInstabilityError("spring instability: radicand not positive")
     return math.sqrt(radicand)
@@ -320,7 +328,7 @@ def derived_scalars(mode: LibrationMode, n: float, inertia: float,
         raise ValueError("n must be >= 0")
     sigma = mode.zpf * math.sqrt(2.0 * n + 1.0)
     temp = mode_temperature(mode.omega, n, temperature_method)
-    t_rev = 2.0 * math.pi * inertia / hbar
+    t_rev = TWO_PI * inertia / hbar
     j_mean = math.sqrt(k_B * temp * inertia) / hbar
     return DerivedScalars(sigma=sigma, temperature=temp, t_rev=t_rev, j_mean=j_mean)
 

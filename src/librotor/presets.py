@@ -14,16 +14,13 @@ from dataclasses import dataclass
 from scipy.constants import epsilon_0, hbar
 
 from .noise import NoiseProfile, phase_noise_psd
-from .physics import (LibrationMode, OpticalSetup, RotorModel, build_modes,
-                      libration_frequencies)
-
-TWO_PI = 2.0 * math.pi
+from .physics import (TWO_PI, LibrationMode, OpticalSetup, RotorModel,
+                      build_modes, cavity_rates,
+                      moment_of_inertia_from_coupling, zero_point_amplitude)
 
 KAPPA = TWO_PI * 32.4e3  # rad/s
 WAVELENGTH = 1550e-9
 HET_FREQ_HZ = 4.99814e6
-FINESSE = 300_000.0
-FSR_HZ = 9.72e9
 
 
 @dataclass(frozen=True)
@@ -53,16 +50,13 @@ def _tweezer_field(omega_alpha, dchi_a, inertia_b, volume):
 
 
 def _cavity_field(g_target, omega_alpha, dchi_a, inertia_b, volume, e_tw):
-    zpf = math.sqrt(hbar / (2.0 * inertia_b * omega_alpha))
-    k_needed = hbar * g_target / zpf
+    k_needed = hbar * g_target / zero_point_amplitude(inertia_b, omega_alpha)
     return k_needed / (epsilon_0 * volume / 4.0 * dchi_a * e_tw)
 
 
 def _g_for_occupation(n_target, gamma_heating, omega, kappa, detuning):
     """Coupling magnitude that lands the steady state at n_target."""
-    half2 = (kappa / 2.0) ** 2
-    q_minus = kappa / (half2 + (detuning - omega) ** 2)
-    q_plus = kappa / (half2 + (detuning + omega) ** 2)
+    q_minus, q_plus = cavity_rates(1.0, omega, kappa, detuning)
     g2 = gamma_heating / (n_target * (q_minus - q_plus) - q_plus)
     if g2 <= 0:
         raise ValueError("occupation target unreachable at this detuning")
@@ -104,8 +98,7 @@ def cluster_1d(detuning_hz: float = 1042e3) -> Scenario:
     optics = OpticalSetup(e_tw0=complex(e_tw), e_cav0=complex(e_cav),
                           kappa=KAPPA, detuning=detuning,
                           wavelength=WAVELENGTH, pol_angle_phi=0.0,
-                          n_cav=1e8, finesse=FINESSE, fsr_hz=FSR_HZ,
-                          waist_x=1.17e-6, waist_y=0.98e-6, waist_cav=94e-6)
+                          n_cav=1e8)
     mode_alpha, mode_beta = build_modes(
         rotor, optics,
         gamma_thermal=(gamma_thermal, gamma_thermal),
@@ -155,20 +148,18 @@ def dumbbell_2d(detuning_hz: float = 984e3) -> Scenario:
     e_tw = _tweezer_field(omega_alpha, chi_c - chi_a, inertia_b, volume)
     e_cav = _cavity_field(g_alpha, omega_alpha, chi_c - chi_a, inertia_b,
                           volume, e_tw)
+    optics = OpticalSetup(e_tw0=complex(e_tw), e_cav0=complex(e_cav),
+                          kappa=KAPPA, detuning=detuning,
+                          wavelength=WAVELENGTH, pol_angle_phi=0.0,
+                          n_cav=n_cav)
     # I_a and chi_b follow from the beta-mode targets with the shared fields
-    inertia_a = (8.0 * hbar * g_beta ** 2 * e_tw ** 2
-                 / (omega_beta ** 3 * e_cav ** 2))
+    inertia_a = moment_of_inertia_from_coupling(g_beta, omega_beta, optics, "a")
     dchi_b = 2.0 * inertia_a * omega_beta ** 2 / (epsilon_0 * volume * e_tw ** 2)
     chi_b = chi_c - dchi_b
 
     rotor = RotorModel(inertia_a=inertia_a, inertia_b=inertia_b,
                        inertia_c=0.4e-32, chi_a=chi_a, chi_b=chi_b,
                        chi_c=chi_c, volume=volume)
-    optics = OpticalSetup(e_tw0=complex(e_tw), e_cav0=complex(e_cav),
-                          kappa=KAPPA, detuning=detuning,
-                          wavelength=WAVELENGTH, pol_angle_phi=0.0,
-                          n_cav=n_cav, finesse=FINESSE, fsr_hz=FSR_HZ,
-                          waist_cav=94e-6)
     mode_alpha, mode_beta = build_modes(
         rotor, optics,
         gamma_thermal=(gamma_alpha - gamma_recoil, gamma_beta - gamma_recoil),

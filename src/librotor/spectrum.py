@@ -12,9 +12,7 @@ from . import physics
 from .errors import NoNetCoolingError, SidebandOutsideBandError
 from .noise import (DetectorResponse, NoiseProfile, cavity_noise_background,
                     detector_gain, phase_noise_psd)
-from .physics import LibrationMode, OpticalSetup
-
-TWO_PI = 2.0 * math.pi
+from .physics import TWO_PI, LibrationMode, OpticalSetup
 
 CHANNELS = ("backscatter_y", "cavity_y", "cavity_z", "split_x", "split_y")
 
@@ -110,6 +108,16 @@ def mean_psd(specs, noise: NoiseProfile, resp: DetectorResponse | None,
     return noise.dark_level + gain * optical
 
 
+def periodogram_draw(mean: np.ndarray, averages: float, seed: int) -> np.ndarray:
+    """Averaged-periodogram values around a mean PSD: Gamma-distributed per
+    bin with shape = averages (relative std 1/sqrt(averages)); averages =
+    inf yields a copy of the mean."""
+    if math.isinf(averages):
+        return mean.copy()
+    rng = np.random.default_rng(seed)
+    return mean * rng.gamma(shape=averages, scale=1.0 / averages, size=mean.size)
+
+
 def synthesize_psd(specs, noise: NoiseProfile, resp: DetectorResponse | None,
                    grid_hz: np.ndarray, averages: float,
                    het_freq_hz: float, seed: int | None = None,
@@ -118,20 +126,15 @@ def synthesize_psd(specs, noise: NoiseProfile, resp: DetectorResponse | None,
                    detuning_hz: float | None = None) -> PsdTrace:
     """Synthesize one averaged-periodogram PSD trace.
 
-    Per-bin values are Gamma-distributed around the deterministic mean with
-    shape = averages (relative std 1/sqrt(averages)); averages = inf yields
-    the mean itself.  Identical seed and parameters give bit-identical traces.
+    Values are drawn around the deterministic mean by periodogram_draw.
+    Identical seed and parameters give bit-identical traces.
     """
     if averages < 1:
         raise ValueError("averages must be >= 1")
     if channel not in CHANNELS:
         raise ValueError(f"unknown channel {channel!r}")
     mean = mean_psd(specs, noise, resp, grid_hz, het_freq_hz, sideband_orientation)
-    if math.isinf(averages):
-        values = mean.copy()
-    else:
-        rng = np.random.default_rng(noise.seed if seed is None else seed)
-        values = mean * rng.gamma(shape=averages, scale=1.0 / averages, size=mean.size)
+    values = periodogram_draw(mean, averages, noise.seed if seed is None else seed)
     meta = {
         "detuning_hz": detuning_hz,
         "het_freq_hz": het_freq_hz,

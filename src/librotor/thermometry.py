@@ -16,12 +16,13 @@ from .errors import (CalibrationError, DegenerateFitError, LibrotorError,
                      UnderdeterminedScanError, UnphysicalAsymmetryError)
 from .fitting import (LorentzianFit, ScanFitResult, fit_lorentzian,
                       fit_occupation_curve, fit_scan_frequency,
-                      fit_scan_linewidth, lorentzian)
+                      fit_scan_linewidth, linear_lstsq, lorentzian)
 from .noise import DetectorResponse, detector_gain
-from .physics import DerivedScalars, LibrationMode, OpticalSetup
+from .physics import TWO_PI, DerivedScalars, LibrationMode, OpticalSetup
 from .spectrum import ORIENT_LO_BLUE, PsdTrace
 
-TWO_PI = 2.0 * math.pi
+# Half-width (Hz) of the window each sideband peak is fitted in.
+WINDOW_HALFWIDTH_HZ = 50e3
 
 METHOD_RATIO = "ratio"
 METHOD_DIFFCAL = "difference_calibrated"
@@ -40,8 +41,8 @@ class OccupationResult:
     areas: tuple[tuple[float, float], tuple[float, float]]  # (stokes, anti) as (value, err)
     ground_state_prob: float
     method: str
-    stokes_fit: LorentzianFit | None = None
-    anti_fit: LorentzianFit | None = None
+    stokes_fit: LorentzianFit
+    anti_fit: LorentzianFit
 
 
 def calibrate_response(shot_trace: PsdTrace, dark_trace: PsdTrace) -> DetectorResponse:
@@ -72,20 +73,10 @@ def _constrained_area_fit(freq, vals, center, fwhm, averages):
     """Linear weighted LSQ for (area, offset) with the peak shape pinned."""
     shape = lorentzian(freq, center, fwhm, 1.0)
     design = np.column_stack([shape, np.ones_like(freq)])
-    w = np.ones_like(vals)
-    params = None
-    for _ in range(2):
-        wd = design * w[:, None]
-        a_mat = wd.T @ design
-        params = np.linalg.solve(a_mat, wd.T @ vals)
-        if averages is None:
-            break
-        model = design @ params
-        w = averages / np.maximum(model, np.percentile(vals, 5)) ** 2
-    cov = np.linalg.inv(a_mat)
-    if averages is None:
-        resid = vals - design @ params
-        cov = cov * float(np.sum(resid ** 2)) / max(vals.size - 2, 1)
+    params, cov = linear_lstsq(design, vals)
+    if averages is not None:
+        w = averages / np.maximum(design @ params, np.percentile(vals, 5)) ** 2
+        params, cov = linear_lstsq(design, vals, w)
     full_cov = np.zeros((4, 4))
     full_cov[2, 2] = cov[0, 0]
     full_cov[3, 3] = cov[1, 1]
@@ -94,13 +85,12 @@ def _constrained_area_fit(freq, vals, center, fwhm, averages):
     return LorentzianFit(center=center, linewidth_fwhm=fwhm,
                          area=float(params[0]), offset=float(params[1]),
                          covariance=full_cov, converged=True,
-                         residual_rms=float(np.sqrt(np.mean(resid ** 2))))
+                         residual_rms=float(np.sqrt(np.mean(resid ** 2))),
+                         pinned=True)
 
 
 def fit_sideband_pair(trace: PsdTrace, resp: DetectorResponse | None,
-                      mode_freq_hint_hz: float,
-                      window_halfwidth_hz: float = 50e3,
-                      ) -> tuple[LorentzianFit, LorentzianFit]:
+                      mode_freq_hint_hz: float) -> tuple[LorentzianFit, LorentzianFit]:
     """Gain-correct the trace and fit the Stokes and anti-Stokes peaks.
 
     Each sideband gets its own local offset.  When the free anti-Stokes fit
@@ -125,7 +115,7 @@ def fit_sideband_pair(trace: PsdTrace, resp: DetectorResponse | None,
     sign = -1.0 if orientation == ORIENT_LO_BLUE else 1.0
     f_stokes = het - sign * mode_freq_hint_hz
     f_anti = het + sign * mode_freq_hint_hz
-    hw = window_halfwidth_hz
+    hw = WINDOW_HALFWIDTH_HZ
 
     stokes = fit_lorentzian(corrected, (f_stokes - hw, f_stokes + hw),
                             averages=averages)
@@ -179,31 +169,29 @@ def _occupation_from_areas(a_s, err_s, a_as, err_as, method, c, c_err):
     return n, max(math.sqrt(var), 1e-300), c
 
 
-def extract_occupation(trace: PsdTrace, resp: DetectorResponse | None,
-                       mode_freq_hint_hz: float,
-                       c_override: tuple[float, float] | float | None = None,
-                       method: str = METHOD_RATIO,
-                       window_halfwidth_hz: float = 50e3) -> OccupationResult:
-    """Full single-trace pipeline: gain correction, sideband-pair fit, and
-    occupation with first-order error propagation.
+def occupation_from_fits(stokes: LorentzianFit, anti: LorentzianFit,
+                         method: str = METHOD_RATIO,
+                         c: tuple[float, float] | float | None = None,
+                         ) -> OccupationResult:
+    """Occupation with first-order error propagation from a fitted sideband
+    pair.
 
     method 'ratio' uses n = A_aS / (A_S - A_aS); 'difference_calibrated'
-    needs a supplied C and uses n = (A_S + A_aS - C) / 2C.
+    needs a supplied C (a value or a (value, error) pair) and uses
+    n = (A_S + A_aS - C) / 2C.
     """
     if method not in (METHOD_RATIO, METHOD_DIFFCAL):
         raise ValueError(f"unknown method {method!r}")
-    if method == METHOD_DIFFCAL and c_override is None:
+    if method == METHOD_DIFFCAL and c is None:
         raise ValueError("difference_calibrated method requires a C value")
-    stokes, anti = fit_sideband_pair(trace, resp, mode_freq_hint_hz,
-                                     window_halfwidth_hz)
     err_s = stokes.errors()[2]
     err_as = anti.errors()[2]
-    if c_override is None:
+    if c is None:
         c, c_err = 0.0, 0.0
-    elif isinstance(c_override, tuple):
-        c, c_err = c_override
+    elif isinstance(c, tuple):
+        c, c_err = c
     else:
-        c, c_err = float(c_override), 0.0
+        c, c_err = float(c), 0.0
     n, n_err, c_used = _occupation_from_areas(stokes.area, err_s, anti.area,
                                               err_as, method, c, c_err)
     return OccupationResult(n=n, n_err=n_err, c_factor=c_used,
@@ -211,6 +199,16 @@ def extract_occupation(trace: PsdTrace, resp: DetectorResponse | None,
                                    (anti.area, float(err_as))),
                             ground_state_prob=1.0 / (n + 1.0), method=method,
                             stokes_fit=stokes, anti_fit=anti)
+
+
+def extract_occupation(trace: PsdTrace, resp: DetectorResponse | None,
+                       mode_freq_hint_hz: float,
+                       c_override: tuple[float, float] | float | None = None,
+                       method: str = METHOD_RATIO) -> OccupationResult:
+    """Full single-trace pipeline: gain correction, sideband-pair fit, and
+    occupation (see occupation_from_fits)."""
+    stokes, anti = fit_sideband_pair(trace, resp, mode_freq_hint_hz)
+    return occupation_from_fits(stokes, anti, method, c_override)
 
 
 @dataclass(frozen=True)
@@ -263,18 +261,24 @@ class TraceAnalysis:
 
 @dataclass(frozen=True)
 class ModeScanReport:
+    """Scan analysis of one channel.  A channel with too few analyzable
+    traces keeps only its per-trace results and the reason in `error`
+    (n_best is None exactly then); `error` also says why a scan fit was
+    skipped."""
+
     label: str
     channel: str
     traces: list[TraceAnalysis]
-    c_cal: CFactor | None
-    frequency_fit: ScanFitResult | None
-    linewidth_fit: ScanFitResult | None
-    occupation_fit: ScanFitResult | None
-    inertia: float | None
-    derived: DerivedScalars | None
-    n_best: float | None
-    n_best_err: float | None
-    best_detuning_hz: float | None
+    c_cal: CFactor | None = None
+    frequency_fit: ScanFitResult | None = None
+    linewidth_fit: ScanFitResult | None = None
+    occupation_fit: ScanFitResult | None = None
+    inertia: float | None = None
+    derived: DerivedScalars | None = None
+    n_best: float | None = None
+    n_best_err: float | None = None
+    best_detuning_hz: float | None = None
+    error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -299,135 +303,120 @@ def _axis_for_label(label: str) -> str:
 
 def analyze_scan(traces, setup: OpticalSetup,
                  resp: DetectorResponse | None = None,
-                 mode_hints: dict[str, float] | None = None,
-                 method: str = METHOD_DIFFCAL,
-                 window_halfwidth_hz: float = 50e3,
-                 temperature_method: str = "bose",
-                 clip_sigma: float = 5.0,
-                 max_clip_rounds: int = 2) -> ScanReport:
+                 method: str = METHOD_DIFFCAL) -> ScanReport:
     """End-to-end analysis of a detuning scan.
 
     Traces are grouped by detection channel (one librational mode per cavity
     channel).  Per-trace sideband fits feed the C calibration, the
     occupation extraction, and the three scan fits; the coupling from the
     linewidth fit then gives the moment of inertia and derived scalars.
+    UnderdeterminedScanError is raised only when no channel has enough
+    analyzable traces.
     """
     by_channel: dict[str, list[PsdTrace]] = {}
     for tr in traces:
         by_channel.setdefault(tr.meta.get("channel", "backscatter_y"), []).append(tr)
-
-    reports = []
-    for channel, ch_traces in sorted(by_channel.items()):
-        ch_traces = sorted(ch_traces, key=lambda t: t.meta.get("detuning_hz") or 0.0)
-        label = CHANNEL_MODE.get(channel, "alpha")
-        if mode_hints and channel in mode_hints:
-            hint = mode_hints[channel]
-        else:
-            hint = _auto_hint(ch_traces[0])
-
-        pair_fits = []
-        analyses = []
-        for tr in ch_traces:
-            det_hz = tr.meta.get("detuning_hz")
-            try:
-                occ = extract_occupation(tr, resp, hint, method=METHOD_RATIO,
-                                         window_halfwidth_hz=window_halfwidth_hz)
-                pair_fits.append((tr, occ))
-                analyses.append(TraceAnalysis(det_hz, channel, label, occ))
-            except LibrotorError as exc:
-                analyses.append(TraceAnalysis(det_hz, channel, label, None,
-                                              error=str(exc)))
-        if len(pair_fits) < 4:
-            raise UnderdeterminedScanError(
-                f"underdetermined scan: only {len(pair_fits)} analyzable traces "
-                f"on channel {channel}")
-
-        c_cal = calibrate_c([(o.areas[0][0], o.areas[0][1],
-                              o.areas[1][0], o.areas[1][1])
-                             for _, o in pair_fits])
-
-        if method == METHOD_DIFFCAL:
-            analyses = []
-            pair_fits2 = []
-            for tr in ch_traces:
-                det_hz = tr.meta.get("detuning_hz")
-                try:
-                    occ = extract_occupation(tr, resp, hint,
-                                             c_override=(c_cal.c, c_cal.c_err),
-                                             method=METHOD_DIFFCAL,
-                                             window_halfwidth_hz=window_halfwidth_hz)
-                    pair_fits2.append((tr, occ))
-                    analyses.append(TraceAnalysis(det_hz, channel, label, occ))
-                except LibrotorError as exc:
-                    analyses.append(TraceAnalysis(det_hz, channel, label, None,
-                                                  error=str(exc)))
-            pair_fits = pair_fits2
-            if len(pair_fits) < 4:
-                raise UnderdeterminedScanError(
-                    "underdetermined scan after difference calibration")
-
-        # Build scan-fit inputs: the sideband pair gives two estimates each of
-        # the effective frequency and linewidth; combine by inverse variance.
-        freq_pts, lw_pts, occ_pts = [], [], []
-        for tr, occ in pair_fits:
-            det_hz = tr.meta.get("detuning_hz")
-            if det_hz is None:
-                continue
-            het = tr.meta["het_freq_hz"]
-            ests_f, ests_w = [], []
-            for fit in (occ.stokes_fit, occ.anti_fit):
-                errs = fit.errors()
-                if fit.covariance[0, 0] == 0:
-                    continue  # constrained fit carries no frequency information
-                ests_f.append((abs(fit.center - het), errs[0]))
-                ests_w.append((fit.linewidth_fwhm, errs[1]))
-            f_eff, f_err = _ivw(ests_f)
-            w_eff, w_err = _ivw(ests_w)
-            det = TWO_PI * det_hz
-            freq_pts.append((det, TWO_PI * f_eff, TWO_PI * f_err))
-            lw_pts.append((det, TWO_PI * w_eff, TWO_PI * w_err))
-            occ_pts.append((det, occ.n, occ.n_err))
-
-        frequency_fit = linewidth_fit = occupation_fit = None
-        inertia = derived = None
-        try:
-            frequency_fit = fit_scan_frequency(freq_pts, setup.kappa,
-                                               clip_sigma, max_clip_rounds)
-            omega_bare = frequency_fit.omega_bare
-            linewidth_fit = fit_scan_linewidth(lw_pts, omega_bare, setup.kappa,
-                                               clip_sigma, max_clip_rounds)
-            occupation_fit = fit_occupation_curve(occ_pts, omega_bare,
-                                                  setup.kappa,
-                                                  g_fixed=linewidth_fit.g_abs,
-                                                  clip_sigma=clip_sigma,
-                                                  max_clip_rounds=max_clip_rounds)
-        except (UnderdeterminedScanError, DegenerateFitError):
-            pass
-
-        n_best = n_best_err = best_det = None
-        valid = [(o.n, o.n_err, tr.meta.get("detuning_hz")) for tr, o in pair_fits]
-        if valid:
-            n_best, n_best_err, best_det = min(valid, key=lambda v: v[0])
-
-        if linewidth_fit is not None and abs(setup.e_cav0) > 0 \
-                and abs(setup.e_tw0) > 0:
-            omega_bare = frequency_fit.omega_bare
-            inertia = physics.moment_of_inertia_from_coupling(
-                linewidth_fit.g_abs, omega_bare, setup, _axis_for_label(label))
-            if n_best is not None:
-                from scipy.constants import hbar
-                zpf = math.sqrt(hbar / (2.0 * inertia * omega_bare))
-                mode = LibrationMode(label=label, omega=omega_bare,
-                                     g=linewidth_fit.g_abs, zpf=zpf)
-                derived = physics.derived_scalars(mode, n_best, inertia,
-                                                  temperature_method)
-
-        reports.append(ModeScanReport(
-            label=label, channel=channel, traces=analyses, c_cal=c_cal,
-            frequency_fit=frequency_fit, linewidth_fit=linewidth_fit,
-            occupation_fit=occupation_fit, inertia=inertia, derived=derived,
-            n_best=n_best, n_best_err=n_best_err, best_detuning_hz=best_det))
+    reports = [_analyze_channel(channel, ch_traces, setup, resp, method)
+               for channel, ch_traces in sorted(by_channel.items())]
+    if all(mode.n_best is None for mode in reports):
+        raise UnderdeterminedScanError("; ".join(mode.error for mode in reports))
     return ScanReport(modes=reports)
+
+
+def _analyze_channel(channel, ch_traces, setup, resp, method) -> ModeScanReport:
+    ch_traces = sorted(ch_traces, key=lambda t: t.meta.get("detuning_hz") or 0.0)
+    label = CHANNEL_MODE.get(channel, "alpha")
+    hint = _auto_hint(ch_traces[0])
+
+    # Each sideband pair is fitted once; both estimators read its areas.
+    pairs = []
+    for tr in ch_traces:
+        try:
+            pairs.append(fit_sideband_pair(tr, resp, hint))
+        except LibrotorError as exc:
+            pairs.append(exc)
+
+    def occupations(method, c=None):
+        analyses, fitted = [], []
+        for tr, pair in zip(ch_traces, pairs):
+            occ = error = None
+            try:
+                if isinstance(pair, LibrotorError):
+                    raise pair
+                occ = occupation_from_fits(*pair, method, c)
+                fitted.append((tr, occ))
+            except LibrotorError as exc:
+                error = str(exc)
+            analyses.append(TraceAnalysis(tr.meta.get("detuning_hz"), channel,
+                                          label, occ, error))
+        return analyses, fitted
+
+    analyses, fitted = occupations(METHOD_RATIO)
+    if len(fitted) < 4:
+        return ModeScanReport(label, channel, analyses, error=(
+            f"underdetermined scan: only {len(fitted)} analyzable traces "
+            f"on channel {channel}"))
+    c_cal = calibrate_c([(*o.areas[0], *o.areas[1]) for _, o in fitted])
+    if method == METHOD_DIFFCAL:
+        analyses, fitted = occupations(METHOD_DIFFCAL, (c_cal.c, c_cal.c_err))
+        if len(fitted) < 4:
+            return ModeScanReport(label, channel, analyses, c_cal, error=(
+                "underdetermined scan after difference calibration on "
+                f"channel {channel}"))
+
+    # Build scan-fit inputs: the sideband pair gives two estimates each of
+    # the effective frequency and linewidth; combine by inverse variance.
+    freq_pts, lw_pts, occ_pts = [], [], []
+    for tr, occ in fitted:
+        det_hz = tr.meta.get("detuning_hz")
+        if det_hz is None:
+            continue
+        het = tr.meta["het_freq_hz"]
+        ests_f, ests_w = [], []
+        for fit in (occ.stokes_fit, occ.anti_fit):
+            if fit.pinned:
+                continue  # constrained fit carries no frequency information
+            errs = fit.errors()
+            ests_f.append((abs(fit.center - het), errs[0]))
+            ests_w.append((fit.linewidth_fwhm, errs[1]))
+        f_eff, f_err = _ivw(ests_f)
+        w_eff, w_err = _ivw(ests_w)
+        det = TWO_PI * det_hz
+        freq_pts.append((det, TWO_PI * f_eff, TWO_PI * f_err))
+        lw_pts.append((det, TWO_PI * w_eff, TWO_PI * w_err))
+        occ_pts.append((det, occ.n, occ.n_err))
+
+    frequency_fit = linewidth_fit = occupation_fit = None
+    inertia = derived = error = None
+    try:
+        frequency_fit = fit_scan_frequency(freq_pts, setup.kappa)
+        omega_bare = frequency_fit.omega_bare
+        linewidth_fit = fit_scan_linewidth(lw_pts, omega_bare, setup.kappa)
+        occupation_fit = fit_occupation_curve(occ_pts, omega_bare, setup.kappa,
+                                              g_fixed=linewidth_fit.g_abs)
+    except (UnderdeterminedScanError, DegenerateFitError) as exc:
+        error = str(exc)
+
+    n_best, n_best_err, best_det = min(
+        ((o.n, o.n_err, tr.meta.get("detuning_hz")) for tr, o in fitted),
+        key=lambda v: v[0])
+
+    if linewidth_fit is not None and abs(setup.e_cav0) > 0 \
+            and abs(setup.e_tw0) > 0:
+        omega_bare = frequency_fit.omega_bare
+        inertia = physics.moment_of_inertia_from_coupling(
+            linewidth_fit.g_abs, omega_bare, setup, _axis_for_label(label))
+        mode = LibrationMode(label=label, omega=omega_bare,
+                             g=linewidth_fit.g_abs,
+                             zpf=physics.zero_point_amplitude(inertia, omega_bare))
+        derived = physics.derived_scalars(mode, n_best, inertia)
+
+    return ModeScanReport(
+        label=label, channel=channel, traces=analyses, c_cal=c_cal,
+        frequency_fit=frequency_fit, linewidth_fit=linewidth_fit,
+        occupation_fit=occupation_fit, inertia=inertia, derived=derived,
+        n_best=n_best, n_best_err=n_best_err, best_detuning_hz=best_det,
+        error=error)
 
 
 def _ivw(estimates):

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from librotor import io
+from librotor import cli, io
 from librotor.cli import main
 from librotor.errors import ConfigError
 from librotor.presets import cluster_1d
@@ -273,6 +273,22 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "small.csv" in err and "het_freq_hz" in err
 
+    def test_missing_calibration_file_exit_2(self, tmp_path, capsys):
+        path = write_small_trace(tmp_path)
+        nope = str(tmp_path / "nope.csv")
+        assert main(["analyze", "--traces", path, "--shot", nope,
+                     "--dark", str(tmp_path / "nope2.csv"),
+                     "--out", str(tmp_path / "o.json")]) == 2
+        assert "nope.csv" in capsys.readouterr().err
+
+    def test_non_utf8_trace_exit_2(self, tmp_path, capsys):
+        path = write_small_trace(tmp_path)
+        with open(path, "ab") as fh:
+            fh.write(b"\xff,1.0\n")
+        assert main(["analyze", "--traces", path,
+                     "--out", str(tmp_path / "o.json")]) == 2
+        assert "small.csv" in capsys.readouterr().err
+
     def test_all_failures_exit_3(self, tmp_path, capsys):
         """A trace whose 'anti-Stokes' outweighs its Stokes peak is
         unphysical; when every trace fails, analyze exits 3 but still
@@ -302,6 +318,21 @@ class TestAnalyze:
         c_vals = {entry["c_factor"] for entry in results["traces"]}
         assert len(c_vals) == 1  # one shared calibrated C
         assert results["traces"][0]["method"] == "difference_calibrated"
+
+    def test_diffcal_fits_each_trace_once(self, tmp_path, sim_dir,
+                                          monkeypatch):
+        calls = []
+        fit_sideband_pair = cli.fit_sideband_pair
+
+        def counting(trace, *args):
+            calls.append(trace.meta["detuning_hz"])
+            return fit_sideband_pair(trace, *args)
+
+        monkeypatch.setattr(cli, "fit_sideband_pair", counting)
+        assert main(["analyze", "--traces", os.path.join(sim_dir, "trace_*.csv"),
+                     "--out", str(tmp_path / "r.json"),
+                     "--method", "diffcal"]) == 0
+        assert sorted(calls) == [1000e3, 1020e3, 1042e3, 1060e3, 1080e3]
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +374,30 @@ class TestScanfit:
         assert main(["scanfit", "--traces", small,
                      "--out", str(tmp_path / "o.json")]) == 3
         assert "underdetermined" in capsys.readouterr().err
+
+    def test_one_underdetermined_mode_keeps_the_other(self, tmp_path,
+                                                      config_path):
+        """The beta line (n ~ 300, 4 Hz wide) is not resolved by 190 Hz
+        bins: at this seed only 2 of its traces can be analysed.  The alpha
+        channel is still fitted and reported."""
+        raw = json.load(open(config_path))
+        raw["synthesis"].update({
+            "detunings_hz": list(np.linspace(990e3, 1080e3, 12)),
+            "channels": ["cavity_y", "cavity_z"], "n_bins": 16384,
+            "averages": 500, "seed": 1})
+        path = str(tmp_path / "cfg.json")
+        io.atomic_write_text(path, io.format_json(raw))
+        run = str(tmp_path / "run")
+        assert main(["simulate", "--config", path, "--out", run]) == 0
+        out = str(tmp_path / "scan.json")
+        assert main(["scanfit", "--traces", run, "--out", out]) == 0
+        alpha, beta = json.load(open(out))["modes"]
+        assert alpha["channel"] == "cavity_y" and alpha["error"] is None
+        assert alpha["linewidth_fit"]["g_hz"] == pytest.approx(8042.6, rel=0.05)
+        assert beta["channel"] == "cavity_z"
+        assert "underdetermined" in beta["error"]
+        assert beta["linewidth_fit"] is None and beta["n_best"] is None
+        assert len(beta["occupations"]) == 12
 
     def test_empty_dir_exit_2(self, tmp_path):
         empty = str(tmp_path / "empty")

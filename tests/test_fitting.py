@@ -7,7 +7,7 @@ from librotor.errors import DegenerateFitError, UnderdeterminedScanError
 from librotor.fitting import (fit_lorentzian, fit_occupation_curve,
                               fit_scan_frequency, fit_scan_linewidth,
                               initial_lorentzian_guess, levenberg_marquardt)
-from librotor.physics import LibrationMode, OpticalSetup
+from librotor.physics import LibrationMode, OpticalSetup, cavity_rates
 from librotor.spectrum import PsdTrace, lorentzian
 
 TWO_PI = 2.0 * math.pi
@@ -192,6 +192,33 @@ class TestScanFits:
         fit = fit_occupation_curve(pts, OMEGA, KAPPA, g_fixed=g)
         assert fit.gamma_total_heating == pytest.approx(gamma, rel=1e-6)
         assert fit.n_phase == pytest.approx(n_phi, abs=1e-6)
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_occupation_fit_matches_levenberg_marquardt(self, weighted):
+        """The closed-form occupation fit is the least-squares optimum that
+        damped Gauss-Newton reaches on the same model, covariance included."""
+        g = TWO_PI * 8e3
+        dets = TWO_PI * np.linspace(990e3, 1080e3, 12)
+        am, ap = cavity_rates(g, OMEGA, KAPPA, dets)
+        truth = (6.8e3 + ap) / (am - ap) + 0.02
+        err = 0.05 * truth
+        y = truth + err * np.random.default_rng(5).standard_normal(dets.size)
+        pts = list(zip(dets, y, err)) if weighted else list(zip(dets, y))
+        fit = fit_occupation_curve(pts, OMEGA, KAPPA, g_fixed=g)
+        assert fit.inlier_mask.all()
+
+        def model(x, p):
+            return (p[0] + ap) / (am - ap) + p[1]
+
+        def jac(x, p):
+            return np.column_stack([1.0 / (am - ap), np.ones_like(x)])
+
+        p, cov, converged, _ = levenberg_marquardt(
+            model, jac, dets, y, [1e3, 0.0], 1.0 / err ** 2 if weighted else None)
+        assert converged
+        assert fit.gamma_total_heating == pytest.approx(p[0], rel=1e-8)
+        assert fit.n_phase == pytest.approx(p[1], rel=1e-8)
+        np.testing.assert_allclose(fit.covariance, cov, rtol=1e-8)
 
     def test_occupation_fit_requires_pinned_coupling(self):
         """Gamma and |g| only enter the occupation model through Gamma/g^2,

@@ -2,17 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.constants import epsilon_0, hbar, k as k_B
 
 from librotor import physics
 from librotor.errors import (LibrotorError, NoNetCoolingError,
                              SpringInstabilityError)
 from librotor.physics import (GAMMA_ZERO, LibrationMode, OpticalSetup,
-                              RotorModel, build_modes, coupling_rates,
+                              RotorModel, backaction, build_modes,
+                              cavity_rates, coupling_rates,
                               derived_scalars, effective_frequency,
                               effective_linewidth, libration_frequencies,
                               minimum_occupation,
-                              moment_of_inertia_from_coupling, pump_rate,
+                              moment_of_inertia_from_coupling,
                               sideband_rates, steady_state_occupation,
                               zero_point_amplitudes)
 from librotor.presets import cluster_1d
@@ -148,13 +151,37 @@ class TestCouplings:
             moment_of_inertia_from_coupling(TWO_PI * 1e3, TWO_PI * 1e6,
                                             make_optics(e_cav=0.0))
 
-    def test_pump_rate(self):
-        rotor = make_rotor()
-        assert pump_rate(rotor, make_optics(pol_angle_phi=0.0)) == 0.0
-        eta = pump_rate(rotor, make_optics(pol_angle_phi=math.pi / 2))
-        expect = -epsilon_0 * rotor.chi_a * rotor.volume * 1e6 * 1e8 / (4.0 * hbar)
-        assert eta.real == pytest.approx(expect, rel=1e-14)
 
+
+# (g, Omega, kappa, Delta, omega_eval) in Hz, plus the coupling phase
+kernel_rows = st.lists(st.tuples(
+    st.floats(1e2, 1e5), st.floats(1e5, 3e6), st.floats(1e3, 3e5),
+    st.floats(-3e6, 3e6), st.floats(1e5, 3e6), st.floats(-math.pi, math.pi)),
+    min_size=1, max_size=16)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_rows)
+def test_kernels_on_arrays_match_scalar_functions(rows):
+    """cavity_rates and backaction evaluated on arrays give, element by
+    element, what the public per-mode functions give."""
+    *hz, phase = (np.array(c) for c in zip(*rows))
+    g_hz, om, kap, det, om_eval = (TWO_PI * c for c in hz)
+    g = g_hz * np.exp(1j * phase)
+    am, ap = cavity_rates(g, om, kap, det)
+    damping, shift = backaction(g, om, kap, det, om_eval)
+    for i in range(len(rows)):
+        mode = LibrationMode(label="alpha", omega=om[i], g=complex(g[i]),
+                             zpf=1.5e-5)
+        optics = make_optics(kappa=kap[i], detuning=det[i])
+        assert sideband_rates(mode, optics) == pytest.approx((am[i], ap[i]),
+                                                             rel=1e-14)
+        assert effective_linewidth(mode, optics, om_eval[i]) == pytest.approx(
+            damping[i], rel=1e-14)
+        radicand = om[i] ** 2 - shift[i]
+        if radicand > 0.5 * om[i] ** 2:  # no cancellation to amplify rounding
+            assert effective_frequency(mode, optics, om_eval[i]) == \
+                pytest.approx(math.sqrt(radicand), rel=1e-14)
 
 # ---------------------------------------------------------------------------
 # sideband rates and occupation

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from librotor import thermometry
 from librotor.errors import (CalibrationError, LibrotorError,
                              UnderdeterminedScanError,
                              UnphysicalAsymmetryError)
@@ -14,7 +15,7 @@ from librotor.spectrum import (PsdTrace, SidebandSpec, default_grid, mean_psd,
 from librotor.thermometry import (METHOD_DIFFCAL, METHOD_RATIO,
                                   _occupation_from_areas, analyze_scan,
                                   calibrate_c, calibrate_response,
-                                  extract_occupation)
+                                  extract_occupation, fit_sideband_pair)
 
 TWO_PI = 2.0 * math.pi
 HET = 4.99814e6
@@ -144,6 +145,21 @@ class TestExtractOccupation:
         sigma = math.hypot(ratio.n_err, diff.n_err)
         assert abs(ratio.n - diff.n) < 3.0 * sigma
 
+    def test_vanishing_anti_stokes_is_pinned(self):
+        """With no anti-Stokes peak the free fit is replaced by one with the
+        mirrored Stokes shape, and the fit says so."""
+        trace = make_trace(0.0, averages=200, seed=2)
+        stokes, anti = fit_sideband_pair(trace, None, 1e6)
+        assert anti.pinned and not stokes.pinned
+        assert anti.center == 2.0 * HET - stokes.center
+        assert anti.linewidth_fwhm == stokes.linewidth_fwhm
+        assert abs(anti.area) < 3.0 * anti.errors()[2]
+
+    def test_resolved_anti_stokes_is_free(self):
+        _, anti = fit_sideband_pair(make_trace(0.73, averages=200, seed=2),
+                                    None, 1e6)
+        assert not anti.pinned
+
     def test_diffcal_needs_c(self):
         with pytest.raises(ValueError, match="requires a C"):
             extract_occupation(make_trace(0.3), None, 1e6,
@@ -235,6 +251,19 @@ class TestAnalyzeScan:
         assert mode.c_cal.c == pytest.approx(sc.area_scale_c, rel=0.02)
         # best occupation near the generator's optimum of ~0.135
         assert mode.n_best == pytest.approx(0.135, abs=0.05)
+
+    def test_diffcal_fits_each_pair_once(self, monkeypatch):
+        sc, traces = self._scan_traces(500, seed=40, n_bins=4096)
+        calls = []
+
+        def counting(trace, *args):
+            calls.append(trace.meta["detuning_hz"])
+            return fit_sideband_pair(trace, *args)
+
+        monkeypatch.setattr(thermometry, "fit_sideband_pair", counting)
+        report = analyze_scan(traces, sc.optics, method=METHOD_DIFFCAL)
+        assert report.modes[0].n_best is not None
+        assert sorted(calls) == sorted(t.meta["detuning_hz"] for t in traces)
 
     def test_underdetermined(self):
         sc, traces = self._scan_traces(math.inf)

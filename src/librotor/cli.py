@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import glob
-import math
 import os
 import sys
 
@@ -17,13 +16,13 @@ from . import __version__, io
 from .errors import ConfigError, LibrotorError, UnderdeterminedScanError
 from .geometry import DampingMeasurement, classify
 from .noise import detector_gain
-from .physics import TWO_PI, OpticalSetup
+from .physics import TWO_PI
 from .spectrum import (PsdTrace, default_grid, lorentzian, periodogram_draw,
                        scan_series)
 from .thermometry import (CHANNEL_MODE, METHOD_DIFFCAL, METHOD_RATIO,
-                          _auto_hint, analyze_scan, calibrate_c,
-                          calibrate_response, fit_sideband_pair,
-                          occupation_from_fits)
+                          OccupationResult, _auto_hint, analyze_scan,
+                          calibrate_c, calibrate_response, fit_sideband_pairs,
+                          occupations_from_pairs)
 
 # Trace channel used for calibration (shot / dark) spectra.
 CAL_CHANNEL = "calibration"
@@ -35,20 +34,6 @@ def _warn(msg: str) -> None:
 
 # ---------------------------------------------------------------------------
 # simulate
-
-def _setup_meta(optics: OpticalSetup) -> dict:
-    """Optical parameters embedded in trace metadata so scanfit can invert
-    couplings without re-reading the config."""
-    return {
-        "kappa_hz": optics.kappa / TWO_PI,
-        "e_tw0_v_per_m": abs(optics.e_tw0),
-        "e_tw0_phase_rad": math.atan2(optics.e_tw0.imag, optics.e_tw0.real),
-        "e_cav0_v_per_m": abs(optics.e_cav0),
-        "e_cav0_phase_rad": math.atan2(optics.e_cav0.imag, optics.e_cav0.real),
-        "wavelength_m": optics.wavelength,
-        "n_cav": optics.n_cav,
-    }
-
 
 def _calibration_traces(noise, grid_hz, averages, het_freq_hz, seed):
     """Shot (LO only) and dark (detector only) calibration spectra."""
@@ -70,7 +55,6 @@ def cmd_simulate(args) -> int:
     synth = cfg.synthesis()
     if args.seed is not None:
         synth["seed"] = args.seed
-    rotor = cfg.rotor()
     optics = cfg.optics()
     noise = cfg.noise()
     mode_alpha, mode_beta = cfg.modes()
@@ -80,7 +64,11 @@ def cmd_simulate(args) -> int:
     grid = default_grid(synth["het_freq_hz"], omega_max,
                         n_bins=synth["n_bins"],
                         span_factor=synth["span_factor"])
-    extra_meta = _setup_meta(optics)
+    if not np.all(np.diff(grid) > 0):
+        raise ConfigError(f"{args.config}: the synthesis span has no distinct bins")
+    # the optical setup rides in every sidecar, so scanfit can invert
+    # couplings without the config
+    extra_meta = io.optics_fields(optics)
 
     os.makedirs(args.out, exist_ok=True)
     outputs = []
@@ -103,9 +91,8 @@ def cmd_simulate(args) -> int:
                                 "channel": channel, "valid": False,
                                 "error": point.error})
                 continue
-            meta = dict(point.trace.meta)
-            meta.update(extra_meta)
-            trace = PsdTrace(point.trace.freq_hz, point.trace.values, meta)
+            trace = PsdTrace(point.trace.freq_hz, point.trace.values,
+                             {**point.trace.meta, **extra_meta})
             path = os.path.join(args.out, f"trace_{i:03d}_{channel}.csv")
             io.write_psd_csv(path, trace)
             outputs.extend([path, io.sidecar_path(path)])
@@ -128,31 +115,25 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # analyze
 
-def _read_trace(path):
-    """A PSD trace whose metadata has what the sideband analysis needs."""
-    trace = io.read_psd_csv(path)
-    if trace.meta.get("channel") != CAL_CHANNEL and "het_freq_hz" not in trace.meta:
-        raise ConfigError(f"{path}: trace metadata lacks het_freq_hz; "
-                          f"missing or incomplete sidecar {io.sidecar_path(path)}")
-    return trace
-
-
-def _load_traces(paths):
-    traces = []
+def _load_traces(paths, cal=None):
+    """Scan traces as (path, trace) pairs in path order, and the detector
+    response from the shot and dark calibration traces: those in `cal`
+    (keyed by kind) or else those among paths, flat when either is missing."""
+    traces, found = [], {}
     for path in sorted(paths):
-        trace = _read_trace(path)
+        trace = io.read_psd_csv(path)
         if trace.meta.get("channel") == CAL_CHANNEL:
-            continue
-        traces.append((path, trace))
-    return traces
-
-
-def _load_response(shot_path, dark_path):
-    if shot_path and dark_path:
-        return calibrate_response(io.read_psd_csv(shot_path),
-                                  io.read_psd_csv(dark_path))
-    _warn("no calibration traces given; assuming a flat detector response")
-    return None
+            found[trace.meta.get("kind")] = trace
+        elif "het_freq_hz" not in trace.meta:
+            raise ConfigError(f"{path}: trace metadata lacks het_freq_hz; missing "
+                              f"or incomplete sidecar {io.sidecar_path(path)}")
+        else:
+            traces.append((path, trace))
+    cal = cal or found
+    if "shot" in cal and "dark" in cal:
+        return traces, calibrate_response(cal["shot"], cal["dark"])
+    _warn("no shot and dark calibration traces; assuming a flat detector response")
+    return traces, None
 
 
 def _write_plot_data(out_dir, trace_path, trace, resp, occ):
@@ -182,35 +163,25 @@ def cmd_analyze(args) -> int:
     paths = sorted(glob.glob(args.traces))
     if not paths:
         raise ConfigError(f"no trace files match {args.traces!r}")
-    traces = _load_traces(paths)
+    cal = {"shot": io.read_psd_csv(args.shot),
+           "dark": io.read_psd_csv(args.dark)} if args.shot and args.dark else None
+    traces, resp = _load_traces(paths, cal)
     if not traces:
         raise ConfigError(f"no analyzable (non-calibration) traces in "
                           f"{args.traces!r}")
-    resp = _load_response(args.shot, args.dark)
     method = METHOD_DIFFCAL if args.method == "diffcal" else METHOD_RATIO
     out_dir = os.path.dirname(os.path.abspath(args.out))
 
     # Each sideband pair is fitted once; both estimators read its areas.
-    pairs = []
-    for _, trace in traces:
-        try:
-            pairs.append(fit_sideband_pair(trace, resp, _auto_hint(trace)))
-        except LibrotorError as exc:
-            pairs.append(exc)
-
+    pairs = fit_sideband_pairs([t for _, t in traces], resp, _auto_hint)
     c_pair = None
     if method == METHOD_DIFFCAL:
-        records = []
-        for pair in (p for p in pairs if isinstance(p, tuple)):
-            try:
-                occ = occupation_from_fits(*pair, METHOD_RATIO)
-                records.append((*occ.areas[0], *occ.areas[1]))
-            except LibrotorError:
-                pass
-        if len(records) < 2:
+        ratio = [o for o in occupations_from_pairs(pairs, METHOD_RATIO, None)
+                 if isinstance(o, OccupationResult)]
+        if len(ratio) < 2:
             raise ConfigError("difference-calibrated analysis needs at least "
                               "2 analyzable traces to calibrate C")
-        c_cal = calibrate_c(records)
+        c_cal = calibrate_c([(*o.areas[0], *o.areas[1]) for o in ratio])
         if not c_cal.consistent:
             _warn("sideband area differences are mutually inconsistent; "
                   "C calibration may be biased")
@@ -218,14 +189,12 @@ def cmd_analyze(args) -> int:
 
     entries = []
     failures = 0
-    for (path, trace), pair in zip(traces, pairs):
+    for (path, trace), occ in zip(traces,
+                                  occupations_from_pairs(pairs, method, c_pair)):
         entry = {"file": os.path.basename(path),
                  "detuning_hz": trace.meta.get("detuning_hz"),
                  "channel": trace.meta.get("channel")}
-        try:
-            if isinstance(pair, LibrotorError):
-                raise pair
-            occ = occupation_from_fits(*pair, method, c_pair)
+        if isinstance(occ, OccupationResult):
             entry.update({
                 "n": occ.n, "n_err": occ.n_err,
                 "ground_state_prob": occ.ground_state_prob,
@@ -237,8 +206,8 @@ def cmd_analyze(args) -> int:
                 "method": occ.method,
             })
             _write_plot_data(out_dir, path, trace, resp, occ)
-        except LibrotorError as exc:
-            entry["error"] = str(exc)
+        else:
+            entry["error"] = str(occ)
             failures += 1
         entries.append(entry)
 
@@ -255,35 +224,17 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 # scanfit
 
-def _setup_from_meta(meta: dict) -> OpticalSetup:
-    if "kappa_hz" not in meta:
-        raise ConfigError("trace metadata lacks kappa_hz; scanfit needs the "
-                          "optical setup embedded by simulate")
-    e_tw = meta.get("e_tw0_v_per_m", 0.0) * np.exp(
-        1j * meta.get("e_tw0_phase_rad", 0.0))
-    e_cav = meta.get("e_cav0_v_per_m", 0.0) * np.exp(
-        1j * meta.get("e_cav0_phase_rad", 0.0))
-    return OpticalSetup(e_tw0=complex(e_tw), e_cav0=complex(e_cav),
-                        kappa=TWO_PI * meta["kappa_hz"],
-                        detuning=TWO_PI * (meta.get("detuning_hz") or 1.0),
-                        wavelength=meta.get("wavelength_m", 1550e-9),
-                        n_cav=meta.get("n_cav", 0.0))
-
-
 def _fit_block(fit):
     if fit is None:
         return None
     block = {"converged": fit.converged}
-    if fit.g_abs is not None:
-        block["g_hz"] = fit.g_abs / TWO_PI
-    if fit.omega_bare is not None:
-        block["omega_bare_hz"] = fit.omega_bare / TWO_PI
-    if fit.gamma_intrinsic is not None:
-        block["gamma_intrinsic_hz"] = fit.gamma_intrinsic / TWO_PI
-    if fit.gamma_total_heating is not None:
-        block["gamma_total_heating_phonons_per_s"] = fit.gamma_total_heating
-    if fit.n_phase is not None:
-        block["n_phase"] = fit.n_phase
+    for key, value, unit in (
+            ("g_hz", fit.g_abs, TWO_PI), ("omega_bare_hz", fit.omega_bare, TWO_PI),
+            ("gamma_intrinsic_hz", fit.gamma_intrinsic, TWO_PI),
+            ("gamma_total_heating_phonons_per_s", fit.gamma_total_heating, 1.0),
+            ("n_phase", fit.n_phase, 1.0)):
+        if value is not None:
+            block[key] = value / unit
     if fit.covariance is not None:
         block["param_errors"] = fit.param_errors().tolist()
     return block
@@ -296,25 +247,16 @@ def cmd_scanfit(args) -> int:
                    if not p.endswith(".plotdata.csv"))
     if not paths:
         raise ConfigError(f"no trace files in {args.traces}")
-    shot = dark = None
-    traces = []
-    for path in paths:
-        trace = _read_trace(path)
-        if trace.meta.get("channel") == CAL_CHANNEL:
-            if trace.meta.get("kind") == "shot":
-                shot = trace
-            elif trace.meta.get("kind") == "dark":
-                dark = trace
-            continue
-        traces.append(trace)
+    traces, resp = _load_traces(paths)
     if not traces:
         raise ConfigError(f"no scan traces in {args.traces}")
-    resp = calibrate_response(shot, dark) if shot and dark else None
-    if resp is None:
-        _warn("no calibration traces found; assuming a flat detector response")
-    setup = _setup_from_meta(traces[0].meta)
+    path, first = traces[0]
+    try:
+        setup = io.optics_from_fields(first.meta)
+    except ConfigError as exc:
+        raise ConfigError(f"{io.sidecar_path(path)}: {exc}") from None
 
-    report = analyze_scan(traces, setup, resp=resp)
+    report = analyze_scan([t for _, t in traces], setup, resp=resp)
     modes_out = []
     for mode in report.modes:
         derived = mode.derived
@@ -365,16 +307,11 @@ def cmd_classify(args) -> int:
             continue
         parts = [p.strip() for p in stripped.split(",")]
         try:
-            values = [float(p) for p in parts]
-            is_header = False
+            rows.append((lineno, [float(p) for p in parts]))
         except ValueError:
-            if not rows:
-                is_header = True  # tolerate a single column-name header
-                continue
-            raise ConfigError(
-                f"{args.input}: malformed CSV row at line {lineno}") from None
-        if not is_header:
-            rows.append((lineno, values))
+            if rows:  # only a column-name header may precede the data
+                raise ConfigError(
+                    f"{args.input}: malformed CSV row at line {lineno}") from None
     if not rows:
         raise ConfigError(f"{args.input}: no data rows")
 
@@ -393,7 +330,7 @@ def cmd_classify(args) -> int:
                           "confidence": result.confidence,
                           "candidates": list(result.candidates),
                           "note": result.note})
-        except (ValueError, LibrotorError) as exc:
+        except (ArithmeticError, ValueError, LibrotorError) as exc:
             entry["error"] = str(exc)
         entries.append(entry)
     result = {"schema": io.RESULTS_SCHEMA, "command": "classify",

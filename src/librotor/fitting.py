@@ -125,7 +125,6 @@ class LorentzianFit:
     offset: float
     covariance: np.ndarray
     converged: bool
-    residual_rms: float
     pinned: bool = False  # center and width fixed, only area and offset fitted
 
     def errors(self) -> np.ndarray:
@@ -211,11 +210,9 @@ def fit_lorentzian(trace: PsdTrace, window: tuple[float, float],
         p, cov, converged, _ = levenberg_marquardt(_lorentz_model, _lorentz_jac,
                                                    freq, vals, p, weights)
     p[1] = abs(p[1])
-    resid = vals - _lorentz_model(freq, p)
     return LorentzianFit(center=float(p[0]), linewidth_fwhm=float(p[1]),
                          area=float(p[2]), offset=float(p[3]),
-                         covariance=cov, converged=bool(converged),
-                         residual_rms=float(np.sqrt(np.mean(resid ** 2))))
+                         covariance=cov, converged=bool(converged))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +229,6 @@ class ScanFitResult:
     gamma_total_heating: float | None = None  # phonons/s
     n_phase: float | None = None
     covariance: np.ndarray | None = None
-    residuals: np.ndarray | None = None
     inlier_mask: np.ndarray | None = None
     converged: bool = True
 
@@ -249,75 +245,70 @@ def _prepare_scan_points(points, min_points=4):
     if np.unique(pts[:, 0]).size != pts.shape[0]:
         raise UnderdeterminedScanError("underdetermined scan: duplicate detunings")
     x, y, err = pts[:, 0], pts[:, 1], pts[:, 2]
-    if np.all(err > 0):
-        w = 1.0 / err ** 2
-    else:
-        w = None  # mixed/absent errors: fall back to unit weights
-    return x, y, w
+    # mixed or absent errors: fall back to unit weights
+    return x, y, 1.0 / err ** 2 if np.all(err > 0) else None
 
 
-def _clipped_fit(solve, model, x, y, w, p0=None, min_points=4):
+def _clipped_fit(solve, model, y, w, p0=None, min_points=4):
     """Weighted fit with iterative residual clipping (the scan fits may see
     occasional wild linewidth points).  solve(mask, p) fits the points under
-    mask, starting from p, and returns (params, covariance, converged)."""
-    mask = np.ones_like(x, dtype=bool)
+    mask, starting from p, and returns (params, covariance, converged);
+    model(p) predicts every point."""
+    mask = np.ones_like(y, dtype=bool)
     p = p0
     for round_idx in range(MAX_CLIP_ROUNDS + 1):
         if np.count_nonzero(mask) < min_points:
             raise UnderdeterminedScanError("underdetermined scan: fewer than "
                                            f"{min_points} inliers")
         p, cov, converged = solve(mask, p)
-        resid = y - model(x, p)
-        if w is not None:
-            sig = 1.0 / np.sqrt(w)
-        else:
-            sig = np.full_like(y, max(np.std(resid[mask]), 1e-300))
+        resid = y - model(p)
+        sig = 1.0 / np.sqrt(w) if w is not None else \
+            np.full_like(y, max(np.std(resid[mask]), 1e-300))
         new_mask = np.abs(resid / sig) <= CLIP_SIGMA
         if round_idx == MAX_CLIP_ROUNDS or np.array_equal(new_mask, mask):
             break
         mask = new_mask
-    resid_final = y - model(x, p)
-    return p, cov, converged, resid_final, mask
+    return p, cov, converged, mask
 
 
-def _clipped_lm(model, jac, x, y, w, p0):
-    def solve(mask, p):
+def _clipped_linear_fit(design, y, w, offset=0.0):
+    """Clipped weighted fit of the linear model y ~ design @ p + offset,
+    solved in closed form; returns (params, covariance, inlier mask)."""
+    target = y - offset
+
+    def solve(mask, _):
         wm = None if w is None else w[mask]
-        return levenberg_marquardt(model, jac, x[mask], y[mask], p, wm)[:3]
+        return (*linear_lstsq(design[mask], target[mask], wm), True)
 
-    return _clipped_fit(solve, model, x, y, w, np.asarray(p0, float))
-
-
-def _lw_factory(omega, kappa):
-    def model(det, p):
-        g, gamma0 = p
-        return gamma0 + physics.backaction(g, omega, kappa, det, omega)[0]
-
-    def jac(det, p):
-        g, _ = p
-        out = np.empty((det.size, 2))
-        # the damping is |g|^2 times its unit-coupling value
-        out[:, 0] = 2.0 * g * physics.backaction(1.0, omega, kappa, det, omega)[0]
-        out[:, 1] = 1.0
-        return out
-
-    return model, jac
+    p, cov, _, mask = _clipped_fit(solve, lambda p: design @ p + offset, y, w)
+    return p, cov, mask
 
 
 def fit_scan_linewidth(points, omega: float, kappa: float) -> ScanFitResult:
-    """Fit gamma_eff(Delta) measured at omega with free (|g|, gamma_intrinsic)."""
+    """Fit gamma_eff(Delta) measured at omega with free (|g|, gamma_intrinsic).
+
+    The model gamma_intrinsic + |g|^2 D(Delta), with D the optical damping
+    at unit coupling, is linear in (|g|^2, gamma_intrinsic) and is solved in
+    closed form; the covariance of (|g|, gamma_intrinsic) follows through
+    the Jacobian diag(1 / 2|g|, 1).
+    """
     x, y, w = _prepare_scan_points(points)
-    model, jac = _lw_factory(omega, kappa)
-    span = np.ptp(y)
-    g0 = math.sqrt(max(span, abs(np.max(y))) * kappa) / 2.0
-    p0 = [max(g0, kappa * 1e-3), max(float(np.min(y)), 0.0)]
-    p, cov, converged, resid, mask = _clipped_lm(model, jac, x, y, w, p0)
-    return ScanFitResult(g_abs=abs(float(p[0])), omega_bare=omega,
-                         gamma_intrinsic=float(p[1]), covariance=cov,
-                         residuals=resid, inlier_mask=mask, converged=converged)
+    damping = physics.backaction(1.0, omega, kappa, x, omega)[0]
+    design = np.column_stack([damping, np.ones_like(x)])
+    (g2, gamma0), cov, mask = _clipped_linear_fit(design, y, w)
+    if not g2 > 0:
+        raise DegenerateFitError("linewidth scan fit gives no optical "
+                                 f"damping (|g|^2 = {g2:.3g})")
+    g = math.sqrt(g2)
+    jac = np.diag([0.5 / g, 1.0])
+    return ScanFitResult(g_abs=g, omega_bare=omega,
+                         gamma_intrinsic=float(gamma0),
+                         covariance=jac @ cov @ jac, inlier_mask=mask)
 
 
-def _freq_factory(kappa):
+def fit_scan_frequency(points, kappa: float) -> ScanFitResult:
+    """Fit the optical-spring curve Omega_eff(Delta) with free (|g|, Omega_bare)."""
+    x, y, w = _prepare_scan_points(points)
     half2 = (kappa / 2.0) ** 2
 
     def model(det, p):
@@ -341,18 +332,14 @@ def _freq_factory(kappa):
         out[:, 1] = (2.0 * om0 - ds_dom) / (2.0 * val)
         return out
 
-    return model, jac
+    def solve(mask, p):
+        wm = None if w is None else w[mask]
+        return levenberg_marquardt(model, jac, x[mask], y[mask], p, wm)[:3]
 
-
-def fit_scan_frequency(points, kappa: float) -> ScanFitResult:
-    """Fit the optical-spring curve Omega_eff(Delta) with free (|g|, Omega_bare)."""
-    x, y, w = _prepare_scan_points(points)
-    model, jac = _freq_factory(kappa)
-    p0 = [kappa * 0.1, float(np.max(y))]
-    p, cov, converged, resid, mask = _clipped_lm(model, jac, x, y, w, p0)
+    p0 = np.array([kappa * 0.1, float(np.max(y))])
+    p, cov, converged, mask = _clipped_fit(solve, lambda p: model(x, p), y, w, p0)
     return ScanFitResult(g_abs=abs(float(p[0])), omega_bare=float(p[1]),
-                         covariance=cov, residuals=resid, inlier_mask=mask,
-                         converged=converged)
+                         covariance=cov, inlier_mask=mask, converged=converged)
 
 
 def fit_occupation_curve(points, omega: float, kappa: float,
@@ -377,22 +364,10 @@ def fit_occupation_curve(points, omega: float, kappa: float,
     if np.count_nonzero(valid) < 4:
         raise UnderdeterminedScanError("underdetermined scan: fewer than 4 "
                                        "points with net cooling")
-    x, y = x[valid], y[valid]
-    if w is not None:
-        w = w[valid]
+    y, w = y[valid], None if w is None else w[valid]
     net = am[valid] - ap[valid]
     design = np.column_stack([1.0 / net, np.ones_like(net)])
-    offset = ap[valid] / net
-
-    def model(_, p):
-        return design @ p + offset
-
-    def solve(mask, _):
-        wm = None if w is None else w[mask]
-        return (*linear_lstsq(design[mask], y[mask] - offset[mask], wm), True)
-
-    p, cov, converged, resid, mask = _clipped_fit(solve, model, x, y, w)
+    p, cov, mask = _clipped_linear_fit(design, y, w, ap[valid] / net)
     return ScanFitResult(g_abs=g_fixed, omega_bare=omega,
                          gamma_total_heating=float(p[0]), n_phase=float(p[1]),
-                         covariance=cov, residuals=resid, inlier_mask=mask,
-                         converged=converged)
+                         covariance=cov, inlier_mask=mask)

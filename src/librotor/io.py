@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 import tempfile
 import warnings
@@ -137,16 +138,32 @@ def sidecar_path(csv_path: str) -> str:
     return base + ".meta.json"
 
 
-def _parse_rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Bulk parse of two-column data lines; ValueError on any bad line."""
+def _real(value, lo=-math.inf) -> bool:
+    """A finite real number above lo (a bool is not a number here)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) \
+        and lo < value < math.inf
+
+
+# Sidecar fields the analysis reads, and what each may hold.
+_META_CHECKS = {
+    "het_freq_hz": _real,
+    "detuning_hz": lambda v: v is None or _real(v),
+    "averages": lambda v: v is None or v == math.inf or _real(v, 0.0),
+    "channel": lambda v: isinstance(v, str),
+    "kind": lambda v: v is None or isinstance(v, str),
+}
+
+
+def _parse_rows(lines: list[str]) -> np.ndarray:
+    """Bulk parse of two-column data lines into a (2, n) array of
+    frequencies and values; ValueError on any bad line."""
     with warnings.catch_warnings():
         # no data rows: rejected by PsdTrace's bin count, not warned about
         warnings.simplefilter("ignore", UserWarning)
         rows = np.loadtxt(lines, delimiter=",", comments="#", ndmin=2)
     if rows.shape[1:] != (2,):
         raise ValueError("expected 2 columns")
-    freqs, vals = rows.T.copy()
-    return freqs, vals
+    return rows.T.copy()
 
 
 def _parse_rows_by_line(path: str, lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -194,10 +211,49 @@ def read_psd_csv(path: str) -> PsdTrace:
             raise ConfigError(f"{side}: malformed sidecar JSON: {exc}") from None
         if not isinstance(meta, dict):
             raise ConfigError(f"{side}: sidecar must hold a JSON object")
+        for key, valid in _META_CHECKS.items():
+            if key in meta and not valid(meta[key]):
+                raise ConfigError(f"{side}: invalid {key} {meta[key]!r}")
     try:
         return PsdTrace(freqs, vals, meta)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
+# optical setup as file fields
+
+def optics_fields(optics: OpticalSetup) -> dict:
+    """The cavity and tweezer fields of an optical setup, as configs and
+    trace sidecars store them (kappa_hz first).  The drive detuning is not
+    among them: a sidecar has its trace's detuning_hz, a config its own."""
+    return {
+        "kappa_hz": optics.kappa / TWO_PI,
+        "e_tw0_v_per_m": abs(optics.e_tw0),
+        "e_tw0_phase_rad": math.atan2(optics.e_tw0.imag, optics.e_tw0.real),
+        "e_cav0_v_per_m": abs(optics.e_cav0),
+        "e_cav0_phase_rad": math.atan2(optics.e_cav0.imag, optics.e_cav0.real),
+        "wavelength_m": optics.wavelength,
+        "n_cav": optics.n_cav,
+    }
+
+
+def optics_from_fields(fields: dict) -> OpticalSetup:
+    """The optical setup from the optics_fields keys and detuning_hz, all
+    required, plus pol_angle_phi_rad (0 when absent; sidecars do not store
+    it).  A missing or invalid field is a ConfigError."""
+    def req(key):
+        return _req(fields, key, "optics")
+
+    try:
+        return OpticalSetup(
+            e_tw0=complex(req("e_tw0_v_per_m") * np.exp(1j * req("e_tw0_phase_rad"))),
+            e_cav0=complex(req("e_cav0_v_per_m") * np.exp(1j * req("e_cav0_phase_rad"))),
+            kappa=TWO_PI * req("kappa_hz"), detuning=TWO_PI * req("detuning_hz"),
+            wavelength=req("wavelength_m"), n_cav=req("n_cav"),
+            pol_angle_phi=fields.get("pol_angle_phi_rad", 0.0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"optics: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +277,20 @@ _SYNTH_KEYS = {"n_bins", "span_factor", "het_freq_hz", "averages", "seed",
 _ANALYSIS_KEYS = {"method", "window_halfwidth_hz", "clip_sigma",
                   "max_clip_rounds", "temperature_method"}
 _TOP_KEYS = {"rotor", "optics", "heating", "noise", "synthesis", "analysis"}
+
+# What each synthesis value may hold, defaults filled in.
+_SYNTH_CHECKS = {
+    "n_bins": lambda v: _real(v, 15) and isinstance(v, numbers.Integral),
+    "span_factor": lambda v: _real(v, 0.0),
+    "het_freq_hz": lambda v: _real(v, 0.0),
+    "averages": lambda v: v == math.inf or _real(v) and v >= 1,
+    "seed": lambda v: _real(v, -1) and isinstance(v, numbers.Integral),
+    "sideband_orientation": lambda v: v in (ORIENT_LO_BLUE, ORIENT_LO_RED),
+    "detunings_hz": lambda v: isinstance(v, list) and all(map(_real, v)),
+    "area_scale_c": lambda v: _real(v, 0.0),
+    "channels": lambda v: isinstance(v, list) and all(c in CHANNELS for c in v),
+    "write_calibration": lambda v: isinstance(v, bool),
+}
 
 
 def _check_keys(section: dict, allowed: set, where: str):
@@ -252,21 +322,22 @@ class RunConfig:
                            ("analysis", _ANALYSIS_KEYS)):
             if name in raw:
                 _check_keys(raw[name], keys, name)
-        for notch in raw.get("noise", {}).get("notches", []):
-            _check_keys(notch, _NOTCH_KEYS, "noise.notches[]")
+        for name in ("rotor", "optics", "heating", "noise"):
+            for key, value in raw.get(name, {}).items():
+                if key not in ("gamma_euler_branch", "notches") and not _real(value):
+                    raise ConfigError(f"{name}.{key}: invalid value {value!r}")
         cfg = RunConfig(data=raw)
-        # fail early on invariant violations
-        cfg.rotor()
-        cfg.optics()
-        cfg.noise()
-        synth = raw.get("synthesis", {})
-        orientation = synth.get("sideband_orientation", ORIENT_LO_BLUE)
-        if orientation not in (ORIENT_LO_BLUE, ORIENT_LO_RED):
-            raise ConfigError(
-                f"synthesis.sideband_orientation: unknown value {orientation!r}")
-        for ch in synth.get("channels", ["backscatter_y"]):
-            if ch not in CHANNELS:
-                raise ConfigError(f"synthesis.channels: unknown channel {ch!r}")
+        # fail early on invariant violations: build every section once
+        for name, build in (("rotor", cfg.rotor), ("optics", cfg.optics),
+                            ("noise", cfg.noise), ("heating", cfg.modes)):
+            try:
+                build()
+            except (ArithmeticError, TypeError, ValueError) as exc:
+                raise ConfigError(f"{name}: {exc}") from None
+        synth = cfg.synthesis()
+        for key, valid in _SYNTH_CHECKS.items():
+            if not valid(synth[key]):
+                raise ConfigError(f"synthesis.{key}: invalid value {synth[key]!r}")
         method = raw.get("analysis", {}).get("method", "ratio")
         if method not in ("ratio", "diffcal", "difference_calibrated"):
             raise ConfigError(f"analysis.method: unknown value {method!r}")
@@ -292,58 +363,36 @@ class RunConfig:
         sec = self.data.get("rotor")
         if sec is None:
             raise ConfigError("missing required section 'rotor'")
-        try:
-            return RotorModel(
-                inertia_a=_req(sec, "inertia_a", "rotor"),
-                inertia_b=_req(sec, "inertia_b", "rotor"),
-                inertia_c=_req(sec, "inertia_c", "rotor"),
-                chi_a=_req(sec, "chi_a", "rotor"),
-                chi_b=_req(sec, "chi_b", "rotor"),
-                chi_c=_req(sec, "chi_c", "rotor"),
-                volume=_req(sec, "volume_m3", "rotor"),
-                gamma_euler_branch=sec.get("gamma_euler_branch", GAMMA_HALF_PI))
-        except ValueError as exc:
-            raise ConfigError(f"rotor: {exc}") from None
+        return RotorModel(
+            *(_req(sec, key, "rotor") for key in ("inertia_a", "inertia_b",
+              "inertia_c", "chi_a", "chi_b", "chi_c", "volume_m3")),
+            gamma_euler_branch=sec.get("gamma_euler_branch", GAMMA_HALF_PI))
 
-    def optics(self, detuning_hz: float | None = None) -> OpticalSetup:
+    def optics(self) -> OpticalSetup:
         sec = self.data.get("optics")
         if sec is None:
             raise ConfigError("missing required section 'optics'")
-        det = detuning_hz if detuning_hz is not None else _req(sec, "detuning_hz", "optics")
-        try:
-            e_tw = _req(sec, "e_tw0_v_per_m", "optics") * np.exp(
-                1j * sec.get("e_tw0_phase_rad", 0.0))
-            e_cav = _req(sec, "e_cav0_v_per_m", "optics") * np.exp(
-                1j * sec.get("e_cav0_phase_rad", 0.0))
-            return OpticalSetup(
-                e_tw0=complex(e_tw), e_cav0=complex(e_cav),
-                kappa=TWO_PI * _req(sec, "kappa_hz", "optics"),
-                detuning=TWO_PI * det,
-                wavelength=_req(sec, "wavelength_m", "optics"),
-                pol_angle_phi=sec.get("pol_angle_phi_rad", 0.0),
-                n_cav=sec.get("n_cav", 0.0))
-        except ValueError as exc:
-            raise ConfigError(f"optics: {exc}") from None
+        # a config may leave out the field phases and the cavity occupation
+        return optics_from_fields({"e_tw0_phase_rad": 0.0, "e_cav0_phase_rad": 0.0,
+                                   "n_cav": 0.0, **sec})
 
     def noise(self) -> NoiseProfile:
         sec = self.data.get("noise", {})
-        try:
-            notches = tuple(
-                (TWO_PI * _req(n, "center_hz", "noise.notches[]"),
-                 _req(n, "depth_db", "noise.notches[]"),
-                 TWO_PI * _req(n, "width_hz", "noise.notches[]"))
-                for n in sec.get("notches", []))
-            return NoiseProfile(
-                shot_level=sec.get("shot_level", 1.0),
-                dark_level=sec.get("dark_level", 0.0),
-                phase_noise_base=sec.get("phase_noise_base", 1e-9),
-                notch_list=notches,
-                cavity_noise_center=TWO_PI * sec.get("cavity_noise_center_hz", 0.0),
-                cavity_noise_width=TWO_PI * sec.get("cavity_noise_width_hz",
-                                                    1.0 / TWO_PI),
-                seed=sec.get("seed", 0))
-        except ValueError as exc:
-            raise ConfigError(f"noise: {exc}") from None
+        notches = []
+        for n in sec.get("notches", []):
+            _check_keys(n, _NOTCH_KEYS, "noise.notches[]")
+            notches.append((TWO_PI * _req(n, "center_hz", "noise.notches[]"),
+                            _req(n, "depth_db", "noise.notches[]"),
+                            TWO_PI * _req(n, "width_hz", "noise.notches[]")))
+        return NoiseProfile(
+            shot_level=sec.get("shot_level", 1.0),
+            dark_level=sec.get("dark_level", 0.0),
+            phase_noise_base=sec.get("phase_noise_base", 1e-9),
+            notch_list=notches,
+            cavity_noise_center=TWO_PI * sec.get("cavity_noise_center_hz", 0.0),
+            cavity_noise_width=TWO_PI * sec.get("cavity_noise_width_hz",
+                                                1.0 / TWO_PI),
+            seed=sec.get("seed", 0))
 
     def modes(self):
         heat = self.data.get("heating", {})
@@ -357,23 +406,17 @@ class RunConfig:
                              TWO_PI * heat.get("gamma_intrinsic_beta_hz", 0.0)))
 
     def synthesis(self) -> dict:
-        sec = dict(self.data.get("synthesis", {}))
-        sec.setdefault("n_bins", 2048)
-        sec.setdefault("span_factor", 1.5)
-        sec.setdefault("het_freq_hz", 4.99814e6)
-        sec.setdefault("averages", 100)
-        sec.setdefault("seed", 0)
-        sec.setdefault("sideband_orientation", ORIENT_LO_BLUE)
-        sec.setdefault("detunings_hz", [self.data["optics"]["detuning_hz"]])
-        sec.setdefault("area_scale_c", 1.0)
-        sec.setdefault("channels", ["backscatter_y"])
-        sec.setdefault("write_calibration", True)
-        return sec
+        return {"n_bins": 2048, "span_factor": 1.5, "het_freq_hz": 4.99814e6,
+                "averages": 100, "seed": 0,
+                "sideband_orientation": ORIENT_LO_BLUE,
+                "detunings_hz": [self.data["optics"]["detuning_hz"]],
+                "area_scale_c": 1.0, "channels": ["backscatter_y"],
+                "write_calibration": True, **self.data.get("synthesis", {})}
 
 
 def config_from_scenario(scenario, detunings_hz, channels=("backscatter_y",),
                          averages=100, seed=1, n_bins=2048, span_factor=1.5,
-                         method="ratio", write_calibration=True) -> dict:
+                         write_calibration=True) -> dict:
     """Build a config dict from a presets.Scenario (handy for tests/demos)."""
     rotor, optics, noise = scenario.rotor, scenario.optics, scenario.noise
     ma, mb = scenario.mode_alpha, scenario.mode_beta
@@ -385,17 +428,9 @@ def config_from_scenario(scenario, detunings_hz, channels=("backscatter_y",),
             "volume_m3": rotor.volume,
             "gamma_euler_branch": rotor.gamma_euler_branch,
         },
-        "optics": {
-            "e_tw0_v_per_m": abs(optics.e_tw0),
-            "e_tw0_phase_rad": math.atan2(optics.e_tw0.imag, optics.e_tw0.real),
-            "e_cav0_v_per_m": abs(optics.e_cav0),
-            "e_cav0_phase_rad": math.atan2(optics.e_cav0.imag, optics.e_cav0.real),
-            "kappa_hz": optics.kappa / TWO_PI,
-            "detuning_hz": optics.detuning / TWO_PI,
-            "wavelength_m": optics.wavelength,
-            "pol_angle_phi_rad": optics.pol_angle_phi,
-            "n_cav": optics.n_cav,
-        },
+        "optics": {**optics_fields(optics),
+                   "detuning_hz": optics.detuning / TWO_PI,
+                   "pol_angle_phi_rad": optics.pol_angle_phi},
         "heating": {
             "gamma_thermal_alpha": ma.gamma_thermal,
             "gamma_thermal_beta": mb.gamma_thermal,
@@ -423,7 +458,6 @@ def config_from_scenario(scenario, detunings_hz, channels=("backscatter_y",),
             "channels": list(channels),
             "write_calibration": write_calibration,
         },
-        "analysis": {"method": method},
     }
 
 

@@ -87,10 +87,6 @@ class OpticalSetup:
         if not -math.pi / 2 <= self.pol_angle_phi <= math.pi / 2:
             raise ValueError("pol_angle_phi must lie in [-pi/2, pi/2]")
 
-    @property
-    def omega_laser(self) -> float:
-        return TWO_PI * 299792458.0 / self.wavelength
-
 
 @dataclass(frozen=True)
 class LibrationMode:
@@ -124,13 +120,10 @@ class LibrationMode:
 
 @dataclass(frozen=True)
 class OccupationBudget:
-    """Steady-state occupation and the rates it was built from."""
+    """Steady-state occupation and its phase-noise part."""
 
     n_total: float
     n_phase: float
-    a_plus: float
-    a_minus: float
-    n_min_paper: float
 
 
 def libration_frequencies(rotor: RotorModel, optics: OpticalSetup) -> tuple[float, float]:
@@ -227,17 +220,14 @@ def steady_state_occupation(mode: LibrationMode, optics: OpticalSetup,
 
     n = (Gamma + A+) / (A- - A+) + n_phi with Gamma the total non-cavity
     heating rate and n_phi = S_phi(Omega) n_cav / kappa (S_phi single-sided,
-    rad^2/Hz, kappa in rad/s -- the convention adopted here).  Also reports
-    the detuning-independent floor kappa^2 / 4 Omega^2.
+    rad^2/Hz, kappa in rad/s -- the convention adopted here).
     """
     a_minus, a_plus = sideband_rates(mode, optics)
     if a_minus <= a_plus:
         raise NoNetCoolingError("no net cooling at this detuning")
     n_phase = s_phi_at_omega * optics.n_cav / optics.kappa
     n_total = (mode.gamma_heating + a_plus) / (a_minus - a_plus) + n_phase
-    n_min = optics.kappa ** 2 / (4.0 * mode.omega ** 2)
-    return OccupationBudget(n_total=n_total, n_phase=n_phase,
-                            a_plus=a_plus, a_minus=a_minus, n_min_paper=n_min)
+    return OccupationBudget(n_total=n_total, n_phase=n_phase)
 
 
 def minimum_occupation(kappa: float, omega: float, form: str = "paper") -> float:
@@ -317,17 +307,16 @@ def mode_temperature(omega: float, n: float, method: str = "bose") -> float:
     raise ValueError(f"unknown temperature method {method!r}")
 
 
-def derived_scalars(mode: LibrationMode, n: float, inertia: float,
-                    temperature_method: str = "bose") -> DerivedScalars:
+def derived_scalars(mode: LibrationMode, n: float, inertia: float) -> DerivedScalars:
     """Angular width, temperature, revival time, and mean angular momentum.
 
-    sigma = zpf sqrt(2n+1); T by Bose inversion (default); T_rev = 2 pi
+    sigma = zpf sqrt(2n+1); T by Bose inversion; T_rev = 2 pi
     I / hbar; j = sqrt(k_B T I) / hbar.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     sigma = mode.zpf * math.sqrt(2.0 * n + 1.0)
-    temp = mode_temperature(mode.omega, n, temperature_method)
+    temp = mode_temperature(mode.omega, n)
     t_rev = TWO_PI * inertia / hbar
     j_mean = math.sqrt(k_B * temp * inertia) / hbar
     return DerivedScalars(sigma=sigma, temperature=temp, t_rev=t_rev, j_mean=j_mean)

@@ -167,15 +167,14 @@ def scan_series(modes, optics: OpticalSetup, noise: NoiseProfile,
 
     For each detuning the occupation, effective linewidth, and effective
     frequency of every mode are recomputed from the closed-form model before
-    synthesis.  A detuning with no net cooling yields an invalid point
-    instead of failing the whole series.
+    synthesis.  A detuning with no net cooling, or with no finite spectrum,
+    yields an invalid point instead of failing the whole series.
     """
     points = []
     for i, det_hz in enumerate(detunings_hz):
         optics_i = replace(optics, detuning=TWO_PI * det_hz)
         specs = []
         truth = {}
-        error = None
         try:
             for mode in modes:
                 s_phi = phase_noise_psd(noise, mode.omega)
@@ -187,12 +186,12 @@ def scan_series(modes, optics: OpticalSetup, noise: NoiseProfile,
                                           linewidth=gamma_eff, center=omega_eff))
                 truth[mode.label] = {"n": occ.n_total, "n_phase": occ.n_phase,
                                      "linewidth": gamma_eff, "center": omega_eff}
-        except NoNetCoolingError as exc:
+            trace = synthesize_psd(specs, noise, resp, grid_hz, averages,
+                                   het_freq_hz, seed=seed + i,
+                                   sideband_orientation=sideband_orientation,
+                                   channel=channel, detuning_hz=det_hz)
+        except (NoNetCoolingError, ArithmeticError, ValueError) as exc:
             points.append(ScanPoint(det_hz, None, str(exc), {}))
             continue
-        trace = synthesize_psd(specs, noise, resp, grid_hz, averages,
-                               het_freq_hz, seed=seed + i,
-                               sideband_orientation=sideband_orientation,
-                               channel=channel, detuning_hz=det_hz)
-        points.append(ScanPoint(det_hz, trace, error, truth))
+        points.append(ScanPoint(det_hz, trace, None, truth))
     return points

@@ -81,12 +81,9 @@ def _constrained_area_fit(freq, vals, center, fwhm, averages):
     full_cov[2, 2] = cov[0, 0]
     full_cov[3, 3] = cov[1, 1]
     full_cov[2, 3] = full_cov[3, 2] = cov[0, 1]
-    resid = vals - design @ params
     return LorentzianFit(center=center, linewidth_fwhm=fwhm,
                          area=float(params[0]), offset=float(params[1]),
-                         covariance=full_cov, converged=True,
-                         residual_rms=float(np.sqrt(np.mean(resid ** 2))),
-                         pinned=True)
+                         covariance=full_cov, converged=True, pinned=True)
 
 
 def fit_sideband_pair(trace: PsdTrace, resp: DetectorResponse | None,
@@ -96,7 +93,9 @@ def fit_sideband_pair(trace: PsdTrace, resp: DetectorResponse | None,
     Each sideband gets its own local offset.  When the free anti-Stokes fit
     fails or wanders off the mirrored position, the fit is retried with
     center and width pinned to the Stokes values (area stays free, so a
-    vanishing peak gives area ~ 0 with a finite error).
+    vanishing peak gives area ~ 0 with a finite error).  A Stokes line
+    narrower than a quarter of the bin spacing is not resolved: its fit
+    measures noise, so the pair is rejected.
     """
     het = trace.meta.get("het_freq_hz")
     if het is None:
@@ -119,6 +118,11 @@ def fit_sideband_pair(trace: PsdTrace, resp: DetectorResponse | None,
 
     stokes = fit_lorentzian(corrected, (f_stokes - hw, f_stokes + hw),
                             averages=averages)
+    bin_hz = (freq[-1] - freq[0]) / (freq.size - 1)
+    if stokes.linewidth_fwhm < 0.25 * bin_hz:
+        raise LibrotorError(
+            f"unresolved sideband: fitted width {stokes.linewidth_fwhm:.3g} Hz "
+            f"is below a quarter of the {bin_hz:.3g} Hz bin spacing")
     mirror = 2.0 * het - stokes.center
     init = np.array([mirror, stokes.linewidth_fwhm, stokes.area * 0.5,
                      stokes.offset])
@@ -136,6 +140,29 @@ def fit_sideband_pair(trace: PsdTrace, resp: DetectorResponse | None,
         anti = _constrained_area_fit(freq[mask], corrected.values[mask],
                                      mirror, stokes.linewidth_fwhm, averages)
     return stokes, anti
+
+
+def _or_error(fn, *args):
+    """fn(*args), or the LibrotorError it raised."""
+    try:
+        return fn(*args)
+    except LibrotorError as exc:
+        return exc
+
+
+def fit_sideband_pairs(traces, resp: DetectorResponse | None, hint) -> list:
+    """fit_sideband_pair for each trace at the mode frequency hint(trace):
+    the (stokes, anti) pair, or the LibrotorError that stopped the fit."""
+    return [_or_error(lambda t: fit_sideband_pair(t, resp, hint(t)), trace)
+            for trace in traces]
+
+
+def occupations_from_pairs(pairs, method: str,
+                           c: tuple[float, float] | float | None) -> list:
+    """occupation_from_fits for each entry of fit_sideband_pairs: the
+    OccupationResult, or the LibrotorError of the fit or of the estimator."""
+    return [pair if isinstance(pair, LibrotorError)
+            else _or_error(occupation_from_fits, *pair, method, c) for pair in pairs]
 
 
 def _occupation_from_areas(a_s, err_s, a_as, err_as, method, c, c_err):
@@ -186,12 +213,7 @@ def occupation_from_fits(stokes: LorentzianFit, anti: LorentzianFit,
         raise ValueError("difference_calibrated method requires a C value")
     err_s = stokes.errors()[2]
     err_as = anti.errors()[2]
-    if c is None:
-        c, c_err = 0.0, 0.0
-    elif isinstance(c, tuple):
-        c, c_err = c
-    else:
-        c, c_err = float(c), 0.0
+    c, c_err = c if isinstance(c, tuple) else (float(c or 0.0), 0.0)
     n, n_err, c_used = _occupation_from_areas(stokes.area, err_s, anti.area,
                                               err_as, method, c, c_err)
     return OccupationResult(n=n, n_err=n_err, c_factor=c_used,
@@ -207,8 +229,8 @@ def extract_occupation(trace: PsdTrace, resp: DetectorResponse | None,
                        method: str = METHOD_RATIO) -> OccupationResult:
     """Full single-trace pipeline: gain correction, sideband-pair fit, and
     occupation (see occupation_from_fits)."""
-    stokes, anti = fit_sideband_pair(trace, resp, mode_freq_hint_hz)
-    return occupation_from_fits(stokes, anti, method, c_override)
+    return occupation_from_fits(*fit_sideband_pair(trace, resp, mode_freq_hint_hz),
+                                method, c_override)
 
 
 @dataclass(frozen=True)
@@ -291,8 +313,9 @@ def _auto_hint(trace: PsdTrace) -> float:
     het = trace.meta["het_freq_hz"]
     offsets = np.abs(trace.freq_hz - het)
     span = trace.freq_hz[-1] - trace.freq_hz[0]
-    mask = (offsets > 0.05 * span) & (offsets < 0.48 * span)
-    idx = np.flatnonzero(mask)
+    idx = np.flatnonzero((offsets > 0.05 * span) & (offsets < 0.48 * span))
+    if idx.size == 0:
+        raise LibrotorError(f"no sideband band on the grid around the {het:g} Hz carrier")
     best = idx[np.argmax(trace.values[idx])]
     return float(offsets[best])
 
@@ -326,43 +349,31 @@ def analyze_scan(traces, setup: OpticalSetup,
 def _analyze_channel(channel, ch_traces, setup, resp, method) -> ModeScanReport:
     ch_traces = sorted(ch_traces, key=lambda t: t.meta.get("detuning_hz") or 0.0)
     label = CHANNEL_MODE.get(channel, "alpha")
-    hint = _auto_hint(ch_traces[0])
 
     # Each sideband pair is fitted once; both estimators read its areas.
-    pairs = []
-    for tr in ch_traces:
-        try:
-            pairs.append(fit_sideband_pair(tr, resp, hint))
-        except LibrotorError as exc:
-            pairs.append(exc)
-
-    def occupations(method, c=None):
-        analyses, fitted = [], []
-        for tr, pair in zip(ch_traces, pairs):
-            occ = error = None
-            try:
-                if isinstance(pair, LibrotorError):
-                    raise pair
-                occ = occupation_from_fits(*pair, method, c)
-                fitted.append((tr, occ))
-            except LibrotorError as exc:
-                error = str(exc)
-            analyses.append(TraceAnalysis(tr.meta.get("detuning_hz"), channel,
-                                          label, occ, error))
-        return analyses, fitted
-
-    analyses, fitted = occupations(METHOD_RATIO)
-    if len(fitted) < 4:
-        return ModeScanReport(label, channel, analyses, error=(
-            f"underdetermined scan: only {len(fitted)} analyzable traces "
-            f"on channel {channel}"))
-    c_cal = calibrate_c([(*o.areas[0], *o.areas[1]) for _, o in fitted])
-    if method == METHOD_DIFFCAL:
-        analyses, fitted = occupations(METHOD_DIFFCAL, (c_cal.c, c_cal.c_err))
-        if len(fitted) < 4:
-            return ModeScanReport(label, channel, analyses, c_cal, error=(
-                "underdetermined scan after difference calibration on "
-                f"channel {channel}"))
+    pairs = fit_sideband_pairs(ch_traces, resp, lambda _: _auto_hint(ch_traces[0]))
+    results = occupations_from_pairs(pairs, METHOD_RATIO, None)
+    ratio = [o for o in results if isinstance(o, OccupationResult)]
+    c_cal = error = None
+    if len(ratio) < 4:
+        error = (f"underdetermined scan: only {len(ratio)} analyzable traces "
+                 f"on channel {channel}")
+    else:
+        c_cal = calibrate_c([(*o.areas[0], *o.areas[1]) for o in ratio])
+        if method == METHOD_DIFFCAL:
+            results = occupations_from_pairs(pairs, METHOD_DIFFCAL,
+                                             (c_cal.c, c_cal.c_err))
+    fitted = [(tr, o) for tr, o in zip(ch_traces, results)
+              if isinstance(o, OccupationResult)]
+    if error is None and len(fitted) < 4:
+        error = ("underdetermined scan after difference calibration on "
+                 f"channel {channel}")
+    analyses = [TraceAnalysis(tr.meta.get("detuning_hz"), channel, label,
+                              *((o, None) if isinstance(o, OccupationResult)
+                                else (None, str(o))))
+                for tr, o in zip(ch_traces, results)]
+    if error is not None:
+        return ModeScanReport(label, channel, analyses, c_cal, error=error)
 
     # Build scan-fit inputs: the sideband pair gives two estimates each of
     # the effective frequency and linewidth; combine by inverse variance.
@@ -386,8 +397,7 @@ def _analyze_channel(channel, ch_traces, setup, resp, method) -> ModeScanReport:
         lw_pts.append((det, TWO_PI * w_eff, TWO_PI * w_err))
         occ_pts.append((det, occ.n, occ.n_err))
 
-    frequency_fit = linewidth_fit = occupation_fit = None
-    inertia = derived = error = None
+    frequency_fit = linewidth_fit = occupation_fit = inertia = derived = None
     try:
         frequency_fit = fit_scan_frequency(freq_pts, setup.kappa)
         omega_bare = frequency_fit.omega_bare

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from librotor import cli, io
+from librotor import io, thermometry
 from librotor.cli import main
 from librotor.errors import ConfigError
 from librotor.presets import cluster_1d
@@ -308,6 +308,21 @@ class TestAnalyze:
         results = json.load(open(out))
         assert "unphysical asymmetry" in results["traces"][0]["error"]
 
+    def test_carrier_off_the_grid_fails_only_its_trace(self, tmp_path,
+                                                       sim_dir):
+        """A carrier so far from the grid that no bin lies in the sideband
+        search band is that trace's error; the other traces are analysed."""
+        side = os.path.join(sim_dir, "trace_000_cavity_y.meta.json")
+        meta = json.load(open(side))
+        meta["het_freq_hz"] = 1e9
+        io.atomic_write_text(side, io.format_json(meta))
+        out = str(tmp_path / "results.json")
+        assert main(["analyze", "--traces", os.path.join(sim_dir, "trace_*.csv"),
+                     "--out", out]) == 0
+        first, *rest = json.load(open(out))["traces"]
+        assert "no sideband band" in first["error"]
+        assert all("error" not in entry for entry in rest)
+
     def test_diffcal_method(self, tmp_path, sim_dir):
         out = str(tmp_path / "results.json")
         code = main(["analyze", "--traces",
@@ -322,13 +337,13 @@ class TestAnalyze:
     def test_diffcal_fits_each_trace_once(self, tmp_path, sim_dir,
                                           monkeypatch):
         calls = []
-        fit_sideband_pair = cli.fit_sideband_pair
+        fit_sideband_pair = thermometry.fit_sideband_pair
 
         def counting(trace, *args):
             calls.append(trace.meta["detuning_hz"])
             return fit_sideband_pair(trace, *args)
 
-        monkeypatch.setattr(cli, "fit_sideband_pair", counting)
+        monkeypatch.setattr(thermometry, "fit_sideband_pair", counting)
         assert main(["analyze", "--traces", os.path.join(sim_dir, "trace_*.csv"),
                      "--out", str(tmp_path / "r.json"),
                      "--method", "diffcal"]) == 0
@@ -378,8 +393,8 @@ class TestScanfit:
     def test_one_underdetermined_mode_keeps_the_other(self, tmp_path,
                                                       config_path):
         """The beta line (n ~ 300, 4 Hz wide) is not resolved by 190 Hz
-        bins: at this seed only 2 of its traces can be analysed.  The alpha
-        channel is still fitted and reported."""
+        bins, so its traces cannot be analysed and the channel is
+        underdetermined.  The alpha channel is still fitted and reported."""
         raw = json.load(open(config_path))
         raw["synthesis"].update({
             "detunings_hz": list(np.linspace(990e3, 1080e3, 12)),
@@ -398,6 +413,57 @@ class TestScanfit:
         assert "underdetermined" in beta["error"]
         assert beta["linewidth_fit"] is None and beta["n_best"] is None
         assert len(beta["occupations"]) == 12
+
+    def test_unresolved_mode_is_reported_not_measured(self, tmp_path,
+                                                      config_path):
+        """At this seed the free Stokes fits of the 4 Hz beta line come out
+        a few Hz wide, narrower than a quarter of a 190 Hz bin: each beta
+        trace is rejected as unresolved instead of giving an occupation."""
+        raw = json.load(open(config_path))
+        raw["synthesis"].update({
+            "detunings_hz": list(np.linspace(990e3, 1080e3, 12)),
+            "channels": ["cavity_y", "cavity_z"], "n_bins": 16384,
+            "averages": 500, "seed": 11})
+        path = str(tmp_path / "cfg.json")
+        io.atomic_write_text(path, io.format_json(raw))
+        run = str(tmp_path / "run")
+        assert main(["simulate", "--config", path, "--out", run]) == 0
+        out = str(tmp_path / "analyze.json")
+        assert main(["analyze", "--traces", os.path.join(run, "trace_*.csv"),
+                     "--out", out]) == 0
+        entries = json.load(open(out))["traces"]
+        beta = [e for e in entries if e["channel"] == "cavity_z"]
+        assert len(beta) == 12
+        for entry in beta:
+            assert entry["error"].startswith("unresolved sideband"), entry
+        assert all("error" not in e for e in entries if e["channel"] == "cavity_y")
+
+        out = str(tmp_path / "scan.json")
+        assert main(["scanfit", "--traces", run, "--out", out]) == 0
+        alpha, beta = json.load(open(out))["modes"]
+        assert alpha["error"] is None
+        assert alpha["linewidth_fit"]["g_hz"] == pytest.approx(8042.6, rel=0.05)
+        assert "underdetermined" in beta["error"]
+        assert beta["linewidth_fit"] is None and beta["n_best"] is None
+        for trace in beta["occupations"]:
+            assert trace["n"] is None
+            assert trace["error"].startswith("unresolved sideband")
+
+    @pytest.mark.parametrize("key", ["wavelength_m", "kappa_hz", "e_tw0_v_per_m",
+                                     "e_tw0_phase_rad", "e_cav0_v_per_m",
+                                     "e_cav0_phase_rad", "n_cav", "detuning_hz"])
+    def test_sidecar_without_optics_field_exit_2(self, tmp_path, sim_dir,
+                                                 key, capsys):
+        """scanfit reads the optical setup from the first trace's sidecar;
+        a missing field is an input error, not a default."""
+        side = os.path.join(sim_dir, "trace_000_cavity_y.meta.json")
+        meta = json.load(open(side))
+        del meta[key]
+        io.atomic_write_text(side, io.format_json(meta))
+        assert main(["scanfit", "--traces", sim_dir,
+                     "--out", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert "trace_000_cavity_y.meta.json" in err and key in err
 
     def test_empty_dir_exit_2(self, tmp_path):
         empty = str(tmp_path / "empty")

@@ -7,7 +7,8 @@ from librotor.errors import DegenerateFitError, UnderdeterminedScanError
 from librotor.fitting import (fit_lorentzian, fit_occupation_curve,
                               fit_scan_frequency, fit_scan_linewidth,
                               initial_lorentzian_guess, levenberg_marquardt)
-from librotor.physics import LibrationMode, OpticalSetup, cavity_rates
+from librotor.physics import (LibrationMode, OpticalSetup, backaction,
+                              cavity_rates)
 from librotor.spectrum import PsdTrace, lorentzian
 
 TWO_PI = 2.0 * math.pi
@@ -219,6 +220,47 @@ class TestScanFits:
         assert fit.gamma_total_heating == pytest.approx(p[0], rel=1e-8)
         assert fit.n_phase == pytest.approx(p[1], rel=1e-8)
         np.testing.assert_allclose(fit.covariance, cov, rtol=1e-8)
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    @pytest.mark.parametrize("outlier", [False, True])
+    def test_linewidth_fit_matches_levenberg_marquardt(self, weighted, outlier):
+        """The closed-form linewidth fit is the least-squares optimum that
+        damped Gauss-Newton reaches on gamma0 + |g|^2 D(Delta) over the
+        points it keeps, covariance of (|g|, gamma0) included."""
+        dets, truth = linewidth_data()
+        y = truth * (1.0 + 0.05 * np.random.default_rng(8).standard_normal(dets.size))
+        if outlier:
+            y[4] *= 30.0  # a wild point, with the error bar its size implies
+        err = 0.05 * y
+        pts = list(zip(dets, y, err)) if weighted else list(zip(dets, y))
+        fit = fit_scan_linewidth(pts, OMEGA, KAPPA)
+        keep = fit.inlier_mask
+        if weighted:  # unit weights clip by the scatter, which the outlier sets
+            assert np.flatnonzero(~keep).tolist() == ([4] if outlier else [])
+
+        damping = backaction(1.0, OMEGA, KAPPA, dets[keep], OMEGA)[0]
+
+        def model(x, p):
+            return p[1] + p[0] ** 2 * damping
+
+        def jac(x, p):
+            return np.column_stack([2.0 * p[0] * damping, np.ones_like(x)])
+
+        p, cov, converged, _ = levenberg_marquardt(
+            model, jac, dets[keep], y[keep], [TWO_PI * 5e3, 0.0],
+            1.0 / err[keep] ** 2 if weighted else None)
+        assert converged
+        assert fit.g_abs == pytest.approx(abs(p[0]), rel=1e-8)
+        assert fit.gamma_intrinsic == pytest.approx(p[1], rel=1e-6)
+        np.testing.assert_allclose(fit.covariance, cov, rtol=1e-6)
+
+    def test_linewidth_fit_without_optical_damping_is_degenerate(self):
+        """A linewidth that falls where the optical damping rises would
+        need |g|^2 < 0."""
+        dets, y = linewidth_data()
+        with pytest.raises(DegenerateFitError, match="no optical damping"):
+            fit_scan_linewidth([(d, 24.0 - v) for d, v in zip(dets, y)],
+                               OMEGA, KAPPA)
 
     def test_occupation_fit_requires_pinned_coupling(self):
         """Gamma and |g| only enter the occupation model through Gamma/g^2,

@@ -1,15 +1,28 @@
-"""Property tests of the PSD CSV boundary: the bulk writer and parser give
-the bytes and arrays of the per-row reference below."""
+"""Property tests of the file boundary: the bulk PSD CSV writer and parser
+give the bytes and arrays of the per-row reference below, and configs and
+trace sidecars give back the objects they were written from."""
 
+import cmath
+import dataclasses
+import json
+import math
 import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from librotor import io
+from librotor.errors import ConfigError
+from librotor.noise import NoiseProfile
+from librotor.physics import (GAMMA_HALF_PI, GAMMA_ZERO, OpticalSetup,
+                              RotorModel, build_modes)
+from librotor.presets import Scenario
 from librotor.spectrum import PsdTrace
+
+TWO_PI = 2.0 * math.pi
 
 # Hand-picked doubles next to what the float strategy draws on its own:
 # subnormals, the extremes, and values that need all 17 digits.
@@ -81,3 +94,109 @@ def test_format_csv_rows_matches_per_row_format(columns):
     expected = "".join(f"{a:.17g},{b:.17g},{c:.17g},{d:.17g}\n"
                        for a, b, c, d in zip(*arrays))
     assert io.format_csv_rows(*arrays) == expected
+
+
+# ---------------------------------------------------------------------------
+# configs and sidecars
+
+def assert_same(a, b):
+    """Dataclasses equal field by field; floats may differ in the last bits
+    that the Hz <-> rad/s and polar <-> complex conversions round."""
+    assert type(a) is type(b)
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, tuple):
+            assert np.allclose(x, y, rtol=1e-14, atol=0.0), field.name
+        elif isinstance(x, (float, complex)):
+            assert y == pytest.approx(x, rel=1e-14, abs=1e-300), field.name
+        else:
+            assert x == y, field.name
+
+
+def magnitude(lo, hi):
+    """Positive floats spread over decades: 10**x for x in [lo, hi]."""
+    return st.floats(lo, hi).map(lambda x: 10.0 ** x)
+
+
+@st.composite
+def optical_setups(draw, pol_angle=True):
+    def field():
+        return draw(magnitude(4.0, 9.0)) * cmath.exp(
+            1j * draw(st.floats(-math.pi, math.pi)))
+    return OpticalSetup(
+        e_tw0=field(), e_cav0=field(), kappa=draw(magnitude(3.0, 6.0)),
+        detuning=draw(st.floats(-1e7, 1e7)),
+        wavelength=draw(magnitude(-7.0, -5.0)),
+        pol_angle_phi=draw(st.floats(-math.pi / 2, math.pi / 2))
+        if pol_angle else 0.0,
+        n_cav=draw(st.floats(0.0, 1e12)))
+
+
+@st.composite
+def scenarios(draw):
+    chi_a, chi_b, chi_c = sorted(draw(st.lists(st.floats(1.0, 3.0), min_size=3,
+                                               max_size=3, unique=True)))
+    rotor = RotorModel(
+        inertia_a=draw(magnitude(-34.0, -30.0)),
+        inertia_b=draw(magnitude(-34.0, -30.0)),
+        inertia_c=draw(magnitude(-34.0, -30.0)),
+        chi_a=chi_a, chi_b=chi_b, chi_c=chi_c,
+        volume=draw(magnitude(-23.0, -19.0)),
+        gamma_euler_branch=draw(st.sampled_from([GAMMA_ZERO, GAMMA_HALF_PI])))
+    optics = draw(optical_setups())
+    dark = draw(st.floats(0.0, 1.0))
+    noise = NoiseProfile(
+        shot_level=dark + draw(magnitude(-3.0, 2.0)), dark_level=dark,
+        phase_noise_base=draw(magnitude(-12.0, -6.0)),
+        notch_list=tuple(draw(st.lists(st.tuples(
+            magnitude(5.0, 7.0), st.floats(0.0, 60.0), magnitude(3.0, 5.0)),
+            max_size=3))),
+        cavity_noise_center=draw(st.floats(0.0, 1e8)),
+        cavity_noise_width=draw(magnitude(3.0, 6.0)),
+        seed=draw(st.integers(0, 2 ** 31)))
+    rates = st.tuples(st.floats(0.0, 1e5), st.floats(0.0, 1e5))
+    mode_alpha, mode_beta = build_modes(rotor, optics, gamma_thermal=draw(rates),
+                                        gamma_recoil=draw(rates),
+                                        gamma_intrinsic=draw(rates))
+    return Scenario(rotor=rotor, optics=optics, mode_alpha=mode_alpha,
+                    mode_beta=mode_beta, noise=noise,
+                    het_freq_hz=draw(magnitude(6.0, 7.0)),
+                    area_scale_c=draw(magnitude(0.0, 6.0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenarios())
+def test_config_gives_back_the_scenario(scenario):
+    """config_from_scenario, written and parsed as JSON, builds the
+    scenario's rotor, optical setup, noise profile and modes again."""
+    raw = io.config_from_scenario(scenario, [1e6])
+    cfg = io.RunConfig.from_dict(json.loads(io.format_json(raw)))
+    assert cfg.rotor() == scenario.rotor
+    assert_same(cfg.optics(), scenario.optics)
+    assert_same(cfg.noise(), scenario.noise)
+    for built, expected in zip(cfg.modes(), scenario.modes):
+        assert_same(built, expected)
+
+
+def sidecar_meta(optics):
+    """What simulate writes into a trace sidecar: the trace's detuning_hz
+    among its other metadata, then the optics fields, through JSON."""
+    meta = {"detuning_hz": optics.detuning / TWO_PI, "het_freq_hz": 5e6,
+            **io.optics_fields(optics)}
+    return json.loads(io.format_json(meta))
+
+
+@settings(max_examples=200, deadline=None)
+@given(optical_setups(pol_angle=False))
+def test_optical_setup_survives_the_sidecar(optics):
+    """Sidecars do not store the polarisation angle, so it is 0 here."""
+    assert_same(io.optics_from_fields(sidecar_meta(optics)), optics)
+
+
+@pytest.mark.parametrize("key", [*io.optics_fields(
+    OpticalSetup(1j, 1j, 1.0, 1.0, 1e-6)), "detuning_hz"])
+def test_sidecar_missing_an_optics_field_is_an_input_error(key):
+    meta = sidecar_meta(OpticalSetup(1e8, 1e6j, 2e5, 6e6, 1.55e-6, n_cav=1e8))
+    del meta[key]
+    with pytest.raises(ConfigError, match=key):
+        io.optics_from_fields(meta)

@@ -152,6 +152,33 @@ class TestCouplings:
                                             make_optics(e_cav=0.0))
 
 
+@settings(max_examples=100, deadline=None)
+@given(inertias=st.tuples(*[st.floats(-34.0, -30.0)] * 3),
+       chis=st.lists(st.floats(1.0, 3.0), min_size=3, max_size=3, unique=True),
+       volume=st.floats(-23.0, -19.0),
+       branch=st.sampled_from([GAMMA_ZERO, physics.GAMMA_HALF_PI]),
+       fields=st.tuples(st.floats(6.0, 9.0), st.floats(4.0, 8.0)),
+       phases=st.tuples(*[st.floats(-math.pi, math.pi)] * 2))
+def test_inertia_inversion_undoes_coupling_rates(inertias, chis, volume,
+                                                 branch, fields, phases):
+    """For either mode on either Euler branch, the coupling that
+    coupling_rates gives is turned back into that mode's moment of inertia.
+    Exponents are drawn, the magnitudes are 10**x."""
+    chi_a, chi_b, chi_c = sorted(chis)
+    i_a, i_b, i_c = (10.0 ** x for x in inertias)
+    rotor = RotorModel(inertia_a=i_a, inertia_b=i_b, inertia_c=i_c,
+                       chi_a=chi_a, chi_b=chi_b, chi_c=chi_c,
+                       volume=10.0 ** volume, gamma_euler_branch=branch)
+    optics = make_optics(e_tw=10.0 ** fields[0] * np.exp(1j * phases[0]),
+                         e_cav=10.0 ** fields[1] * np.exp(1j * phases[1]))
+    freqs = libration_frequencies(rotor, optics)
+    gs = coupling_rates(rotor, optics, freqs)
+    for (_, inertia), g, omega, axis in zip(rotor.branch_axes(), gs, freqs,
+                                            ("b", "a")):
+        back = moment_of_inertia_from_coupling(g, omega, optics, axis)
+        assert back == pytest.approx(inertia, rel=1e-12)
+
+
 
 # (g, Omega, kappa, Delta, omega_eval) in Hz, plus the coupling phase
 kernel_rows = st.lists(st.tuples(

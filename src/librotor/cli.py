@@ -15,14 +15,13 @@ import numpy as np
 from . import __version__, io
 from .errors import ConfigError, LibrotorError, UnderdeterminedScanError
 from .geometry import DampingMeasurement, classify
-from .noise import detector_gain
 from .physics import TWO_PI
 from .spectrum import (PsdTrace, default_grid, lorentzian, periodogram_draw,
                        scan_series)
 from .thermometry import (CHANNEL_MODE, METHOD_DIFFCAL, METHOD_RATIO,
                           OccupationResult, _auto_hint, analyze_scan,
                           calibrate_c, calibrate_response, fit_sideband_pairs,
-                          occupations_from_pairs)
+                          gain_corrected, occupations_from_pairs)
 
 # Trace channel used for calibration (shot / dark) spectra.
 CAL_CHANNEL = "calibration"
@@ -138,8 +137,7 @@ def _load_traces(paths, cal=None):
 
 def _write_plot_data(out_dir, trace_path, trace, resp, occ):
     freq = trace.freq_hz
-    vals = trace.values if resp is None else \
-        trace.values / detector_gain(resp, TWO_PI * freq)
+    vals = gain_corrected(trace, resp)
     f_cols, d_cols, m_cols = [], [], []
     for fit in (occ.stokes_fit, occ.anti_fit):
         lo = fit.center - 5.0 * fit.linewidth_fwhm

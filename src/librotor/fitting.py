@@ -25,12 +25,14 @@ MAX_ITER = 200
 CLIP_SIGMA = 5.0
 MAX_CLIP_ROUNDS = 2
 
+# Fewest scan points (and inliers) a scan fit accepts.
+MIN_SCAN_POINTS = 4
+
 
 # ---------------------------------------------------------------------------
 # core optimizer
 
-def levenberg_marquardt(model, jacobian, x, y, p0, weights=None,
-                        max_iter=MAX_ITER, xtol=XTOL, ftol=FTOL):
+def levenberg_marquardt(model, jacobian, x, y, p0, weights=None):
     """Minimize sum(w (y - model(x, p))^2) with LM damping.
 
     weights are 1/sigma^2 per point.  Returns (params, covariance,
@@ -50,7 +52,7 @@ def levenberg_marquardt(model, jacobian, x, y, p0, weights=None,
     r, cost = cost_of(p)
     lam = 1e-3
     converged = False
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         jac = jacobian(x, p)
         jtw = jac.T * w
         a_mat = jtw @ jac
@@ -76,7 +78,7 @@ def levenberg_marquardt(model, jacobian, x, y, p0, weights=None,
         rel_dcost = (cost - cost_new) / max(cost, 1e-300)
         p, r, cost = p_new, r_new, cost_new
         lam = max(lam / 10.0, 1e-14)
-        if rel_step < xtol and rel_dcost < ftol:
+        if rel_step < XTOL and rel_dcost < FTOL:
             converged = True
             break
 
@@ -178,23 +180,27 @@ def initial_lorentzian_guess(freq, vals):
     return np.array([center, fwhm, area, offset])
 
 
+def trace_averages(trace: PsdTrace) -> float | None:
+    """The averages behind a trace, from its metadata: None (unweighted
+    fits) when unknown or infinite."""
+    averages = trace.meta.get("averages")
+    return None if averages is None or math.isinf(averages) else averages
+
+
 def fit_lorentzian(trace: PsdTrace, window: tuple[float, float],
-                   init=None, averages: float | None = None) -> LorentzianFit:
+                   init=None) -> LorentzianFit:
     """Fit a single Lorentzian inside [window[0], window[1]] Hz.
 
-    With known averages the weights follow the averaged-periodogram variance
-    model sigma_i^2 = model_i^2 / averages, iterated once on the fitted
-    model; otherwise unit weights.
+    With known averages (see trace_averages) the weights follow the
+    averaged-periodogram variance model sigma_i^2 = model_i^2 / averages,
+    iterated once on the fitted model; otherwise unit weights.
     """
     mask = (trace.freq_hz >= window[0]) & (trace.freq_hz <= window[1])
     freq = trace.freq_hz[mask]
     vals = trace.values[mask]
     if freq.size < 8:
         raise DegenerateFitError("degenerate fit window: fewer than 8 bins")
-    if averages is None:
-        averages = trace.meta.get("averages")
-        if averages is not None and math.isinf(averages):
-            averages = None
+    averages = trace_averages(trace)
     p0 = np.asarray(init, float) if init is not None else initial_lorentzian_guess(freq, vals)
 
     weights = None
@@ -236,12 +242,12 @@ class ScanFitResult:
         return np.sqrt(np.maximum(np.diag(self.covariance), 0.0))
 
 
-def _prepare_scan_points(points, min_points=4):
+def _prepare_scan_points(points):
     pts = np.asarray([(p[0], p[1], p[2] if len(p) > 2 else 0.0) for p in points],
                      dtype=float)
-    if pts.shape[0] < min_points:
+    if pts.shape[0] < MIN_SCAN_POINTS:
         raise UnderdeterminedScanError("underdetermined scan: fewer than "
-                                       f"{min_points} points")
+                                       f"{MIN_SCAN_POINTS} points")
     if np.unique(pts[:, 0]).size != pts.shape[0]:
         raise UnderdeterminedScanError("underdetermined scan: duplicate detunings")
     x, y, err = pts[:, 0], pts[:, 1], pts[:, 2]
@@ -249,7 +255,7 @@ def _prepare_scan_points(points, min_points=4):
     return x, y, 1.0 / err ** 2 if np.all(err > 0) else None
 
 
-def _clipped_fit(solve, model, y, w, p0=None, min_points=4):
+def _clipped_fit(solve, model, y, w, p0=None):
     """Weighted fit with iterative residual clipping (the scan fits may see
     occasional wild linewidth points).  solve(mask, p) fits the points under
     mask, starting from p, and returns (params, covariance, converged);
@@ -257,9 +263,9 @@ def _clipped_fit(solve, model, y, w, p0=None, min_points=4):
     mask = np.ones_like(y, dtype=bool)
     p = p0
     for round_idx in range(MAX_CLIP_ROUNDS + 1):
-        if np.count_nonzero(mask) < min_points:
+        if np.count_nonzero(mask) < MIN_SCAN_POINTS:
             raise UnderdeterminedScanError("underdetermined scan: fewer than "
-                                           f"{min_points} inliers")
+                                           f"{MIN_SCAN_POINTS} inliers")
         p, cov, converged = solve(mask, p)
         resid = y - model(p)
         sig = 1.0 / np.sqrt(w) if w is not None else \
@@ -361,9 +367,9 @@ def fit_occupation_curve(points, omega: float, kappa: float,
     x, y, w = _prepare_scan_points(points)
     am, ap = physics.cavity_rates(g_fixed, omega, kappa, x)
     valid = am > ap
-    if np.count_nonzero(valid) < 4:
-        raise UnderdeterminedScanError("underdetermined scan: fewer than 4 "
-                                       "points with net cooling")
+    if np.count_nonzero(valid) < MIN_SCAN_POINTS:
+        raise UnderdeterminedScanError("underdetermined scan: fewer than "
+                                       f"{MIN_SCAN_POINTS} points with net cooling")
     y, w = y[valid], None if w is None else w[valid]
     net = am[valid] - ap[valid]
     design = np.column_stack([1.0 / net, np.ones_like(net)])

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.stats import norm
+from scipy.special import ndtr
 
 LABEL_SPHERE = "sphere"
 LABEL_DUMBBELL = "dumbbell"
@@ -32,9 +32,9 @@ class DampingMeasurement:
     sigma_y: float = 0.0
 
     def __post_init__(self):
-        if self.gamma_x <= 0 or self.gamma_y <= 0:
-            raise ValueError("damping rates must be > 0")
-        if self.sigma_x < 0 or self.sigma_y < 0:
+        if not 0 < self.gamma_x < math.inf or not 0 < self.gamma_y < math.inf:
+            raise ValueError("damping rates must be finite and > 0")
+        if not (self.sigma_x >= 0 and self.sigma_y >= 0):
             raise ValueError("errors must be >= 0")
 
 
@@ -59,7 +59,7 @@ def ratio_error(m: DampingMeasurement) -> tuple[float, float]:
 def _band_probability(ratio, sigma, lo, hi):
     if sigma == 0.0:
         return 1.0 if lo <= ratio <= hi else 0.0
-    return float(norm.cdf((hi - ratio) / sigma) - norm.cdf((lo - ratio) / sigma))
+    return float(ndtr((hi - ratio) / sigma) - ndtr((lo - ratio) / sigma))
 
 
 def classify(m: DampingMeasurement) -> GeometryClass:

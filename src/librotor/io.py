@@ -240,8 +240,7 @@ def optics_fields(optics: OpticalSetup) -> dict:
 
 def optics_from_fields(fields: dict) -> OpticalSetup:
     """The optical setup from the optics_fields keys and detuning_hz, all
-    required, plus pol_angle_phi_rad (0 when absent; sidecars do not store
-    it).  A missing or invalid field is a ConfigError."""
+    required.  A missing or invalid field is a ConfigError."""
     def req(key):
         return _req(fields, key, "optics")
 
@@ -250,8 +249,7 @@ def optics_from_fields(fields: dict) -> OpticalSetup:
             e_tw0=complex(req("e_tw0_v_per_m") * np.exp(1j * req("e_tw0_phase_rad"))),
             e_cav0=complex(req("e_cav0_v_per_m") * np.exp(1j * req("e_cav0_phase_rad"))),
             kappa=TWO_PI * req("kappa_hz"), detuning=TWO_PI * req("detuning_hz"),
-            wavelength=req("wavelength_m"), n_cav=req("n_cav"),
-            pol_angle_phi=fields.get("pol_angle_phi_rad", 0.0))
+            wavelength=req("wavelength_m"), n_cav=req("n_cav"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"optics: {exc}") from None
 
@@ -271,9 +269,6 @@ _HEATING_KEYS = {"gamma_thermal_alpha", "gamma_thermal_beta",
 _NOISE_KEYS = {"shot_level", "dark_level", "phase_noise_base", "notches",
                "cavity_noise_center_hz", "cavity_noise_width_hz", "seed"}
 _NOTCH_KEYS = {"center_hz", "depth_db", "width_hz"}
-_SYNTH_KEYS = {"n_bins", "span_factor", "het_freq_hz", "averages", "seed",
-               "sideband_orientation", "detunings_hz", "area_scale_c",
-               "channels", "write_calibration"}
 _ANALYSIS_KEYS = {"method", "window_halfwidth_hz", "clip_sigma",
                   "max_clip_rounds", "temperature_method"}
 _TOP_KEYS = {"rotor", "optics", "heating", "noise", "synthesis", "analysis"}
@@ -318,7 +313,7 @@ class RunConfig:
         _check_keys(raw, _TOP_KEYS, "<root>")
         for name, keys in (("rotor", _ROTOR_KEYS), ("optics", _OPTICS_KEYS),
                            ("heating", _HEATING_KEYS), ("noise", _NOISE_KEYS),
-                           ("synthesis", _SYNTH_KEYS),
+                           ("synthesis", set(_SYNTH_CHECKS)),
                            ("analysis", _ANALYSIS_KEYS)):
             if name in raw:
                 _check_keys(raw[name], keys, name)
@@ -391,8 +386,7 @@ class RunConfig:
             notch_list=notches,
             cavity_noise_center=TWO_PI * sec.get("cavity_noise_center_hz", 0.0),
             cavity_noise_width=TWO_PI * sec.get("cavity_noise_width_hz",
-                                                1.0 / TWO_PI),
-            seed=sec.get("seed", 0))
+                                                1.0 / TWO_PI))
 
     def modes(self):
         heat = self.data.get("heating", {})
@@ -429,8 +423,7 @@ def config_from_scenario(scenario, detunings_hz, channels=("backscatter_y",),
             "gamma_euler_branch": rotor.gamma_euler_branch,
         },
         "optics": {**optics_fields(optics),
-                   "detuning_hz": optics.detuning / TWO_PI,
-                   "pol_angle_phi_rad": optics.pol_angle_phi},
+                   "detuning_hz": optics.detuning / TWO_PI},
         "heating": {
             "gamma_thermal_alpha": ma.gamma_thermal,
             "gamma_thermal_beta": mb.gamma_thermal,
@@ -447,7 +440,6 @@ def config_from_scenario(scenario, detunings_hz, channels=("backscatter_y",),
                         for c, d, w in noise.notch_list],
             "cavity_noise_center_hz": noise.cavity_noise_center / TWO_PI,
             "cavity_noise_width_hz": noise.cavity_noise_width / TWO_PI,
-            "seed": noise.seed,
         },
         "synthesis": {
             "n_bins": n_bins, "span_factor": span_factor,

@@ -26,7 +26,6 @@ class NoiseProfile:
     notch_list: tuple[tuple[float, float, float], ...] = ()
     cavity_noise_center: float = 0.0  # rad/s
     cavity_noise_width: float = 1.0  # rad/s, FWHM
-    seed: int = 0
 
     def __post_init__(self):
         if not self.shot_level > self.dark_level >= 0:
@@ -34,11 +33,11 @@ class NoiseProfile:
         object.__setattr__(self, "notch_list",
                            tuple(tuple(n) for n in self.notch_list))
         for center, depth_db, width in self.notch_list:
-            if depth_db < 0:
+            if not depth_db >= 0:
                 raise ValueError("notch depth must be >= 0 dB")
-            if width <= 0:
+            if not width > 0:
                 raise ValueError("notch width must be > 0")
-        if self.cavity_noise_width <= 0:
+        if not self.cavity_noise_width > 0:
             raise ValueError("cavity_noise_width must be > 0")
 
 
@@ -60,11 +59,6 @@ class DetectorResponse:
             raise ValueError("gain must be positive everywhere")
         object.__setattr__(self, "freq_grid", grid)
         object.__setattr__(self, "gain", gain)
-
-    @staticmethod
-    def flat(freq_grid: np.ndarray, level: float = 1.0) -> "DetectorResponse":
-        grid = np.asarray(freq_grid, dtype=float)
-        return DetectorResponse(grid, np.full_like(grid, level))
 
 
 def _notch_factor(omega, center, depth_db, width):

@@ -39,13 +39,11 @@ class RotorModel:
     gamma_euler_branch: str = GAMMA_HALF_PI
 
     def __post_init__(self):
-        for name in ("inertia_a", "inertia_b", "inertia_c"):
-            if getattr(self, name) <= 0:
+        for name in ("inertia_a", "inertia_b", "inertia_c", "volume"):
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
         if not (self.chi_a <= self.chi_b <= self.chi_c):
             raise ValueError("susceptibilities must satisfy chi_a <= chi_b <= chi_c")
-        if self.volume <= 0:
-            raise ValueError("volume must be > 0")
         if self.gamma_euler_branch not in (GAMMA_ZERO, GAMMA_HALF_PI):
             raise ValueError(f"unknown gamma_euler_branch {self.gamma_euler_branch!r}")
 
@@ -74,18 +72,14 @@ class OpticalSetup:
     kappa: float
     detuning: float
     wavelength: float
-    pol_angle_phi: float = 0.0
     n_cav: float = 0.0
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError("kappa must be > 0")
-        if self.wavelength <= 0:
-            raise ValueError("wavelength must be > 0")
-        if self.n_cav < 0:
+        for name in ("kappa", "wavelength"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+        if not self.n_cav >= 0:
             raise ValueError("n_cav must be >= 0")
-        if not -math.pi / 2 <= self.pol_angle_phi <= math.pi / 2:
-            raise ValueError("pol_angle_phi must lie in [-pi/2, pi/2]")
 
 
 @dataclass(frozen=True)
@@ -104,12 +98,11 @@ class LibrationMode:
     def __post_init__(self):
         if self.label not in ("alpha", "beta"):
             raise ValueError("label must be 'alpha' or 'beta'")
-        if self.omega <= 0:
-            raise ValueError("omega must be > 0")
-        if self.zpf <= 0:
-            raise ValueError("zpf must be > 0")
+        for name in ("omega", "zpf"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
         for name in ("gamma_thermal", "gamma_recoil", "gamma_intrinsic"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
 
     @property
@@ -265,14 +258,12 @@ def effective_frequency(mode: LibrationMode, optics: OpticalSetup,
 
 
 def moment_of_inertia_from_coupling(g: complex, omega: float,
-                                    optics: OpticalSetup, axis: str = "b") -> float:
-    """Moment of inertia about the requested axis from a fitted coupling.
+                                    optics: OpticalSetup) -> float:
+    """Moment of inertia of a mode's libration axis from its fitted coupling.
 
     Exact algebraic inverse of coupling_rates composed with the zero-point
     amplitude: I = 8 hbar |g|^2 |E_tw(0)|^2 / (Omega^3 |E_c(0)|^2).
     """
-    if axis not in ("a", "b"):
-        raise ValueError("axis must be 'a' or 'b'")
     if omega <= 0:
         raise ValueError("omega must be > 0")
     if abs(optics.e_cav0) == 0:
@@ -289,22 +280,16 @@ class DerivedScalars:
     j_mean: float  # dimensionless
 
 
-def mode_temperature(omega: float, n: float, method: str = "bose") -> float:
-    """Effective temperature of a harmonic mode at occupation n.
-
-    'bose' inverts the Bose law, T = hbar Omega / (k_B ln(1 + 1/n)), with
-    T(0) = 0 by continuous extension; 'equipartition' uses T = n hbar
-    Omega / k_B.
+def mode_temperature(omega: float, n: float) -> float:
+    """Effective temperature of a harmonic mode at occupation n by Bose
+    inversion, T = hbar Omega / (k_B ln(1 + 1/n)), with T(0) = 0 by
+    continuous extension.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return 0.0
-    if method == "bose":
-        return hbar * omega / (k_B * math.log1p(1.0 / n))
-    if method == "equipartition":
-        return n * hbar * omega / k_B
-    raise ValueError(f"unknown temperature method {method!r}")
+    return hbar * omega / (k_B * math.log1p(1.0 / n))
 
 
 def derived_scalars(mode: LibrationMode, n: float, inertia: float) -> DerivedScalars:

@@ -94,11 +94,10 @@ def cluster_1d(detuning_hz: float = 1042e3) -> Scenario:
         shot_level=1.0, dark_level=0.05, phase_noise_base=1e-9,
         notch_list=((omega_alpha, 35.0, TWO_PI * 10e3),),
         cavity_noise_center=TWO_PI * (HET_FREQ_HZ - detuning_hz),
-        cavity_noise_width=KAPPA, seed=0)
+        cavity_noise_width=KAPPA)
     optics = OpticalSetup(e_tw0=complex(e_tw), e_cav0=complex(e_cav),
                           kappa=KAPPA, detuning=detuning,
-                          wavelength=WAVELENGTH, pol_angle_phi=0.0,
-                          n_cav=1e8)
+                          wavelength=WAVELENGTH, n_cav=1e8)
     mode_alpha, mode_beta = build_modes(
         rotor, optics,
         gamma_thermal=(gamma_thermal, gamma_thermal),
@@ -134,7 +133,7 @@ def dumbbell_2d(detuning_hz: float = 984e3) -> Scenario:
         notch_list=((omega_alpha, 50.0, TWO_PI * 10e3),
                     (omega_beta, 30.0, TWO_PI * 10e3)),
         cavity_noise_center=TWO_PI * (HET_FREQ_HZ - detuning_hz),
-        cavity_noise_width=KAPPA, seed=0)
+        cavity_noise_width=KAPPA)
     # Residual phase-noise occupations include the tail of the other notch.
     n_phi_alpha = n_phi0 * phase_noise_psd(noise, omega_alpha) / base
     n_phi_beta = n_phi0 * phase_noise_psd(noise, omega_beta) / base
@@ -150,10 +149,9 @@ def dumbbell_2d(detuning_hz: float = 984e3) -> Scenario:
                           volume, e_tw)
     optics = OpticalSetup(e_tw0=complex(e_tw), e_cav0=complex(e_cav),
                           kappa=KAPPA, detuning=detuning,
-                          wavelength=WAVELENGTH, pol_angle_phi=0.0,
-                          n_cav=n_cav)
+                          wavelength=WAVELENGTH, n_cav=n_cav)
     # I_a and chi_b follow from the beta-mode targets with the shared fields
-    inertia_a = moment_of_inertia_from_coupling(g_beta, omega_beta, optics, "a")
+    inertia_a = moment_of_inertia_from_coupling(g_beta, omega_beta, optics)
     dchi_b = 2.0 * inertia_a * omega_beta ** 2 / (epsilon_0 * volume * e_tw ** 2)
     chi_b = chi_c - dchi_b
 

@@ -58,12 +58,11 @@ class SidebandSpec:
     center: float | None = None  # rad/s; defaults to the bare mode frequency
 
     def __post_init__(self):
-        if self.n_true < 0:
+        if not self.n_true >= 0:
             raise ValueError("n_true must be >= 0")
-        if self.area_scale_c <= 0:
-            raise ValueError("area_scale_c must be > 0")
-        if self.linewidth <= 0:
-            raise ValueError("linewidth must be > 0")
+        for name in ("area_scale_c", "linewidth"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
 
     @property
     def center_or_bare(self) -> float:
@@ -74,6 +73,14 @@ def lorentzian(x, center, fwhm, area, offset=0.0):
     """Area-normalized Lorentzian: offset + (area/pi)(w/2)/((x-c)^2+(w/2)^2)."""
     half = fwhm / 2.0
     return offset + (area / math.pi) * half / ((np.asarray(x, float) - center) ** 2 + half ** 2)
+
+
+def sideband_frequencies(het_hz: float, f_mode_hz: float,
+                         orientation: str) -> tuple[float, float]:
+    """(f_stokes, f_anti) in Hz of a mode at f_mode_hz beating against a
+    carrier at het_hz, for either LO orientation."""
+    sign = -1.0 if orientation == ORIENT_LO_BLUE else 1.0
+    return het_hz - sign * f_mode_hz, het_hz + sign * f_mode_hz
 
 
 def default_grid(het_freq_hz: float, omega_max: float, n_bins: int = 2048,
@@ -92,12 +99,10 @@ def mean_psd(specs, noise: NoiseProfile, resp: DetectorResponse | None,
     gain = 1.0 if resp is None else detector_gain(resp, omega)
     optical = np.full_like(grid_hz, noise.shot_level)
     optical = optical + cavity_noise_background(noise, omega, phase_noise_psd(noise, omega))
-    sign = -1.0 if sideband_orientation == ORIENT_LO_BLUE else 1.0
     for spec in specs:
-        f_mode = spec.center_or_bare / TWO_PI
+        f_stokes, f_anti = sideband_frequencies(
+            het_freq_hz, spec.center_or_bare / TWO_PI, sideband_orientation)
         fwhm_hz = spec.linewidth / TWO_PI
-        f_anti = het_freq_hz + sign * f_mode
-        f_stokes = het_freq_hz - sign * f_mode
         for f0, area in ((f_stokes, spec.area_scale_c * (spec.n_true + 1.0)),
                          (f_anti, spec.area_scale_c * spec.n_true)):
             if not grid_hz[0] <= f0 <= grid_hz[-1]:
@@ -120,7 +125,7 @@ def periodogram_draw(mean: np.ndarray, averages: float, seed: int) -> np.ndarray
 
 def synthesize_psd(specs, noise: NoiseProfile, resp: DetectorResponse | None,
                    grid_hz: np.ndarray, averages: float,
-                   het_freq_hz: float, seed: int | None = None,
+                   het_freq_hz: float, seed: int = 0,
                    sideband_orientation: str = ORIENT_LO_BLUE,
                    channel: str = "backscatter_y",
                    detuning_hz: float | None = None) -> PsdTrace:
@@ -134,7 +139,7 @@ def synthesize_psd(specs, noise: NoiseProfile, resp: DetectorResponse | None,
     if channel not in CHANNELS:
         raise ValueError(f"unknown channel {channel!r}")
     mean = mean_psd(specs, noise, resp, grid_hz, het_freq_hz, sideband_orientation)
-    values = periodogram_draw(mean, averages, noise.seed if seed is None else seed)
+    values = periodogram_draw(mean, averages, seed)
     meta = {
         "detuning_hz": detuning_hz,
         "het_freq_hz": het_freq_hz,

@@ -9,17 +9,18 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import median_filter
-from scipy.stats import chi2 as chi2_dist
+from scipy.special import chdtrc
 
 from . import physics
 from .errors import (CalibrationError, DegenerateFitError, LibrotorError,
                      UnderdeterminedScanError, UnphysicalAsymmetryError)
-from .fitting import (LorentzianFit, ScanFitResult, fit_lorentzian,
-                      fit_occupation_curve, fit_scan_frequency,
-                      fit_scan_linewidth, linear_lstsq, lorentzian)
+from .fitting import (MIN_SCAN_POINTS, LorentzianFit, ScanFitResult,
+                      fit_lorentzian, fit_occupation_curve, fit_scan_frequency,
+                      fit_scan_linewidth, linear_lstsq, lorentzian,
+                      trace_averages)
 from .noise import DetectorResponse, detector_gain
 from .physics import TWO_PI, DerivedScalars, LibrationMode, OpticalSetup
-from .spectrum import ORIENT_LO_BLUE, PsdTrace
+from .spectrum import ORIENT_LO_BLUE, PsdTrace, sideband_frequencies
 
 # Half-width (Hz) of the window each sideband peak is fitted in.
 WINDOW_HALFWIDTH_HZ = 50e3
@@ -69,6 +70,14 @@ def calibrate_response(shot_trace: PsdTrace, dark_trace: PsdTrace) -> DetectorRe
     return DetectorResponse(TWO_PI * shot_trace.freq_hz, gain)
 
 
+def gain_corrected(trace: PsdTrace, resp: DetectorResponse | None) -> np.ndarray:
+    """The trace values divided by the detector gain (as they are without
+    a response)."""
+    if resp is None:
+        return trace.values
+    return trace.values / detector_gain(resp, TWO_PI * trace.freq_hz)
+
+
 def _constrained_area_fit(freq, vals, center, fwhm, averages):
     """Linear weighted LSQ for (area, offset) with the peak shape pinned."""
     shape = lorentzian(freq, center, fwhm, 1.0)
@@ -100,24 +109,15 @@ def fit_sideband_pair(trace: PsdTrace, resp: DetectorResponse | None,
     het = trace.meta.get("het_freq_hz")
     if het is None:
         raise LibrotorError("trace metadata lacks het_freq_hz")
-    orientation = trace.meta.get("sideband_orientation", ORIENT_LO_BLUE)
-    averages = trace.meta.get("averages")
-    if averages is not None and math.isinf(averages):
-        averages = None
     freq = trace.freq_hz
-    if resp is not None:
-        vals = trace.values / detector_gain(resp, TWO_PI * freq)
-    else:
-        vals = trace.values
-    corrected = PsdTrace(freq, np.maximum(vals, 0.0), dict(trace.meta))
-
-    sign = -1.0 if orientation == ORIENT_LO_BLUE else 1.0
-    f_stokes = het - sign * mode_freq_hint_hz
-    f_anti = het + sign * mode_freq_hint_hz
+    corrected = PsdTrace(freq, np.maximum(gain_corrected(trace, resp), 0.0),
+                         dict(trace.meta))
+    f_stokes, f_anti = sideband_frequencies(
+        het, mode_freq_hint_hz,
+        trace.meta.get("sideband_orientation", ORIENT_LO_BLUE))
     hw = WINDOW_HALFWIDTH_HZ
 
-    stokes = fit_lorentzian(corrected, (f_stokes - hw, f_stokes + hw),
-                            averages=averages)
+    stokes = fit_lorentzian(corrected, (f_stokes - hw, f_stokes + hw))
     bin_hz = (freq[-1] - freq[0]) / (freq.size - 1)
     if stokes.linewidth_fwhm < 0.25 * bin_hz:
         raise LibrotorError(
@@ -128,7 +128,7 @@ def fit_sideband_pair(trace: PsdTrace, resp: DetectorResponse | None,
                      stokes.offset])
     window = (f_anti - hw, f_anti + hw)
     try:
-        anti = fit_lorentzian(corrected, window, init=init, averages=averages)
+        anti = fit_lorentzian(corrected, window, init=init)
         ok = (anti.converged
               and 0.25 * stokes.linewidth_fwhm <= anti.linewidth_fwhm
               <= 4.0 * stokes.linewidth_fwhm
@@ -138,7 +138,8 @@ def fit_sideband_pair(trace: PsdTrace, resp: DetectorResponse | None,
     if not ok:
         mask = (freq >= window[0]) & (freq <= window[1])
         anti = _constrained_area_fit(freq[mask], corrected.values[mask],
-                                     mirror, stokes.linewidth_fwhm, averages)
+                                     mirror, stokes.linewidth_fwhm,
+                                     trace_averages(trace))
     return stokes, anti
 
 
@@ -239,7 +240,6 @@ class CFactor:
 
     c: float
     c_err: float
-    chi2_p: float
     consistent: bool
 
 
@@ -260,13 +260,13 @@ def calibrate_c(area_records) -> CFactor:
         c = float(np.sum(w * diffs) / np.sum(w))
         c_err = float(1.0 / math.sqrt(np.sum(w)))
         chi2 = float(np.sum((diffs - c) ** 2 / var))
-        p = float(chi2_dist.sf(chi2, max(diffs.size - 1, 1)))
+        p = float(chdtrc(max(diffs.size - 1, 1), chi2))
     else:
         c = float(np.mean(diffs))
         scatter = float(np.std(diffs, ddof=1)) if diffs.size > 1 else 0.0
         c_err = scatter / math.sqrt(diffs.size)
         p = 1.0 if scatter == 0.0 else 0.0
-    return CFactor(c=c, c_err=c_err, chi2_p=p, consistent=p >= 1e-3)
+    return CFactor(c=c, c_err=c_err, consistent=p >= 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +275,6 @@ def calibrate_c(area_records) -> CFactor:
 @dataclass(frozen=True)
 class TraceAnalysis:
     detuning_hz: float
-    channel: str
-    label: str
     occupation: OccupationResult | None
     error: str | None = None
 
@@ -320,10 +318,6 @@ def _auto_hint(trace: PsdTrace) -> float:
     return float(offsets[best])
 
 
-def _axis_for_label(label: str) -> str:
-    return "b" if label == "alpha" else "a"
-
-
 def analyze_scan(traces, setup: OpticalSetup,
                  resp: DetectorResponse | None = None,
                  method: str = METHOD_DIFFCAL) -> ScanReport:
@@ -355,7 +349,7 @@ def _analyze_channel(channel, ch_traces, setup, resp, method) -> ModeScanReport:
     results = occupations_from_pairs(pairs, METHOD_RATIO, None)
     ratio = [o for o in results if isinstance(o, OccupationResult)]
     c_cal = error = None
-    if len(ratio) < 4:
+    if len(ratio) < MIN_SCAN_POINTS:
         error = (f"underdetermined scan: only {len(ratio)} analyzable traces "
                  f"on channel {channel}")
     else:
@@ -365,10 +359,10 @@ def _analyze_channel(channel, ch_traces, setup, resp, method) -> ModeScanReport:
                                              (c_cal.c, c_cal.c_err))
     fitted = [(tr, o) for tr, o in zip(ch_traces, results)
               if isinstance(o, OccupationResult)]
-    if error is None and len(fitted) < 4:
+    if error is None and len(fitted) < MIN_SCAN_POINTS:
         error = ("underdetermined scan after difference calibration on "
                  f"channel {channel}")
-    analyses = [TraceAnalysis(tr.meta.get("detuning_hz"), channel, label,
+    analyses = [TraceAnalysis(tr.meta.get("detuning_hz"),
                               *((o, None) if isinstance(o, OccupationResult)
                                 else (None, str(o))))
                 for tr, o in zip(ch_traces, results)]
@@ -415,7 +409,7 @@ def _analyze_channel(channel, ch_traces, setup, resp, method) -> ModeScanReport:
             and abs(setup.e_tw0) > 0:
         omega_bare = frequency_fit.omega_bare
         inertia = physics.moment_of_inertia_from_coupling(
-            linewidth_fit.g_abs, omega_bare, setup, _axis_for_label(label))
+            linewidth_fit.g_abs, omega_bare, setup)
         mode = LibrationMode(label=label, omega=omega_bare,
                              g=linewidth_fit.g_abs,
                              zpf=physics.zero_point_amplitude(inertia, omega_bare))

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -465,6 +467,20 @@ class TestScanfit:
         err = capsys.readouterr().err
         assert "trace_000_cavity_y.meta.json" in err and key in err
 
+    def test_nan_kappa_in_sidecar_exit_2(self, tmp_path, sim_dir, capsys):
+        """json.load accepts NaN; the optical setup rejects it as an input
+        error naming the sidecar, not a failed fit."""
+        side = os.path.join(sim_dir, "trace_000_cavity_y.meta.json")
+        with open(side) as fh:
+            meta = json.load(fh)
+        meta["kappa_hz"] = math.nan
+        with open(side, "w") as fh:
+            json.dump(meta, fh)
+        assert main(["scanfit", "--traces", sim_dir,
+                     "--out", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert "trace_000_cavity_y.meta.json" in err and "kappa" in err
+
     def test_empty_dir_exit_2(self, tmp_path):
         empty = str(tmp_path / "empty")
         os.makedirs(empty)
@@ -491,6 +507,17 @@ class TestClassify:
                                                       "trimer"]
         assert "error" in rows[3] and "label" not in rows[3]
 
+    def test_nan_row_is_a_row_error(self, tmp_path):
+        path = str(tmp_path / "geo.csv")
+        with open(path, "w") as fh:
+            fh.write("nan,0.1,100,0.1\n100,1,126.6,1.2\n")
+        out = str(tmp_path / "geo.json")
+        assert main(["classify", "--input", path, "--out", out]) == 0
+        with open(out) as fh:
+            rows = json.load(fh)["rows"]
+        assert "finite" in rows[0]["error"] and "label" not in rows[0]
+        assert rows[1]["label"] == "dumbbell"
+
     def test_empty_exit_2(self, tmp_path, capsys):
         path = str(tmp_path / "empty.csv")
         with open(path, "w") as fh:
@@ -514,6 +541,17 @@ class TestTopLevel:
             main(["--version"])
         assert exc.value.code == 0
         assert "librotor" in capsys.readouterr().out
+
+    def test_cli_import_leaves_out_scipy_stats(self):
+        """scipy.stats (and the scipy.optimize it loads) make up most of
+        the start-up time; the package needs neither."""
+        code = "import sys, librotor.cli; print('scipy.stats' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src"),
+             os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
     def test_help(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -41,6 +41,20 @@ class TestRatioError:
         with pytest.raises(ValueError):
             DampingMeasurement(gamma_x=1.0, gamma_y=1.0, sigma_x=-0.1)
 
+    @pytest.mark.parametrize("field", ["gamma_x", "gamma_y", "sigma_x",
+                                       "sigma_y"])
+    def test_nan_rejected(self, field):
+        kw = {"gamma_x": 100.0, "gamma_y": 127.0, "sigma_x": 1.0,
+              "sigma_y": 1.0, field: math.nan}
+        with pytest.raises(ValueError):
+            DampingMeasurement(**kw)
+
+    @pytest.mark.parametrize("field", ["gamma_x", "gamma_y"])
+    def test_infinite_rate_rejected(self, field):
+        with pytest.raises(ValueError, match="finite"):
+            DampingMeasurement(**{"gamma_x": 100.0, "gamma_y": 127.0,
+                                  field: math.inf})
+
 
 class TestClassify:
     def test_golden_ratios(self):

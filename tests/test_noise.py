@@ -24,6 +24,14 @@ class TestNoiseProfile:
         with pytest.raises(ValueError):
             NoiseProfile(cavity_noise_width=0.0)
 
+    @pytest.mark.parametrize("kw", [
+        {"notch_list": ((1e6, math.nan, 1e4),)},
+        {"notch_list": ((1e6, 3.0, math.nan),)},
+        {"cavity_noise_width": math.nan}])
+    def test_nan_rejected(self, kw):
+        with pytest.raises(ValueError):
+            NoiseProfile(**kw)
+
 
 class TestPhaseNoise:
     def test_flat_without_notches(self):
@@ -119,7 +127,3 @@ class TestDetectorResponse:
             DetectorResponse(np.array([2.0, 1.0]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             DetectorResponse(np.array([1.0, 2.0]), np.array([1.0, 0.0]))
-
-    def test_flat(self):
-        resp = DetectorResponse.flat(np.array([1.0, 2.0, 3.0]), 2.5)
-        assert np.all(resp.gain == 2.5)

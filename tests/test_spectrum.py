@@ -70,6 +70,15 @@ class TestPsdTrace:
         assert grid[-1] == pytest.approx(HET + 1.5e6)
 
 
+class TestSidebandSpec:
+    @pytest.mark.parametrize("field", ["n_true", "area_scale_c", "linewidth"])
+    def test_nan_rejected(self, field):
+        kw = {"mode": make_mode(), "n_true": 0.21, "area_scale_c": 1e5,
+              "linewidth": TWO_PI * 5e3, field: math.nan}
+        with pytest.raises(ValueError, match=field):
+            SidebandSpec(**kw)
+
+
 class TestMeanPsd:
     def test_ground_state_has_no_anti_stokes(self):
         """At n = 0 the spectrum is exactly baseline + the Stokes peak."""

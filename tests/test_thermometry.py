@@ -10,7 +10,8 @@ from librotor.errors import (CalibrationError, LibrotorError,
 from librotor.noise import DetectorResponse, NoiseProfile, detector_gain
 from librotor.physics import LibrationMode
 from librotor.presets import cluster_1d
-from librotor.spectrum import (PsdTrace, SidebandSpec, default_grid, mean_psd,
+from librotor.spectrum import (ORIENT_LO_BLUE, ORIENT_LO_RED, PsdTrace,
+                               SidebandSpec, default_grid, mean_psd,
                                scan_series, synthesize_psd)
 from librotor.thermometry import (METHOD_DIFFCAL, METHOD_RATIO,
                                   _occupation_from_areas, analyze_scan,
@@ -30,11 +31,12 @@ def make_mode(omega=TWO_PI * 1e6, g=TWO_PI * 8e3):
 
 def make_trace(n_true, averages=math.inf, seed=0, c=1e5,
                linewidth=TWO_PI * 5e3, n_bins=8192, resp=None,
-               noise=QUIET):
+               noise=QUIET, orientation=ORIENT_LO_BLUE):
     spec = SidebandSpec(mode=make_mode(), n_true=n_true, area_scale_c=c,
                         linewidth=linewidth)
     grid = default_grid(HET, spec.mode.omega, n_bins)
     return synthesize_psd([spec], noise, resp, grid, averages, HET, seed=seed,
+                          sideband_orientation=orientation,
                           detuning_hz=1.042e6)
 
 
@@ -112,10 +114,15 @@ class TestOccupationAlgebra:
 
 class TestExtractOccupation:
     def test_noise_free_round_trip(self):
-        trace = make_trace(0.37)
-        occ = extract_occupation(trace, None, 1e6)
-        assert occ.n == pytest.approx(0.37, rel=1e-6)
-        assert occ.c_factor == pytest.approx(1e5, rel=1e-6)
+        """Either LO orientation: the Stokes line sits above the carrier
+        with the LO blue of the tweezer and below it with the LO red."""
+        for orientation in (ORIENT_LO_BLUE, ORIENT_LO_RED):
+            trace = make_trace(0.37, orientation=orientation)
+            occ = extract_occupation(trace, None, 1e6)
+            assert occ.n == pytest.approx(0.37, rel=1e-6)
+            assert occ.c_factor == pytest.approx(1e5, rel=1e-6)
+            above = occ.stokes_fit.center > HET
+            assert above == (orientation == ORIENT_LO_BLUE)
 
     def test_ground_state_probability(self):
         trace = make_trace(0.21)

@@ -6,8 +6,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import ndtr
-
 LABEL_SPHERE = "sphere"
 LABEL_DUMBBELL = "dumbbell"
 LABEL_TRIMER = "trimer"
@@ -56,10 +54,15 @@ def ratio_error(m: DampingMeasurement) -> tuple[float, float]:
     return r, sigma
 
 
+def _normal_cdf(x):
+    """Standard normal CDF."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 def _band_probability(ratio, sigma, lo, hi):
     if sigma == 0.0:
         return 1.0 if lo <= ratio <= hi else 0.0
-    return float(ndtr((hi - ratio) / sigma) - ndtr((lo - ratio) / sigma))
+    return _normal_cdf((hi - ratio) / sigma) - _normal_cdf((lo - ratio) / sigma)
 
 
 def classify(m: DampingMeasurement) -> GeometryClass:

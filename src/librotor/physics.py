@@ -10,11 +10,14 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.constants import epsilon_0, hbar, k as k_B
-
 from .errors import LibrotorError, NoNetCoolingError, SpringInstabilityError
 
 TWO_PI = 2.0 * math.pi
+
+# SI values (CODATA 2022); HBAR and K_B are exact by definition of the SI.
+HBAR = 6.62607015e-34 / TWO_PI  # J s
+K_B = 1.380649e-23  # J / K
+EPSILON_0 = 8.8541878188e-12  # F / m
 
 GAMMA_ZERO = "gamma_zero"
 GAMMA_HALF_PI = "gamma_half_pi"
@@ -135,13 +138,13 @@ def libration_frequencies(rotor: RotorModel, optics: OpticalSetup) -> tuple[floa
             warnings.warn(f"untrapped libration: degenerate susceptibility for {label}")
             out.append(0.0)
         else:
-            out.append(math.sqrt(epsilon_0 * rotor.volume * dchi / (2.0 * inertia)) * e2)
+            out.append(math.sqrt(EPSILON_0 * rotor.volume * dchi / (2.0 * inertia)) * e2)
     return out[0], out[1]
 
 
 def zero_point_amplitude(inertia, omega):
     """Ground-state angular width sqrt(hbar / 2 I Omega) in rad."""
-    return math.sqrt(hbar / (2.0 * inertia * omega))
+    return math.sqrt(HBAR / (2.0 * inertia * omega))
 
 
 def zero_point_amplitudes(rotor: RotorModel, freqs: tuple[float, float]) -> tuple[float, float]:
@@ -164,10 +167,10 @@ def coupling_rates(rotor: RotorModel, optics: OpticalSetup,
     (chi_al, _), (chi_be, _) = rotor.branch_axes()
     zpf_a, zpf_b = zero_point_amplitudes(rotor, freqs)
     prod = optics.e_cav0 * optics.e_tw0.conjugate()
-    pref = epsilon_0 * rotor.volume / 4.0
+    pref = EPSILON_0 * rotor.volume / 4.0
     k_alpha = pref * (rotor.chi_c - chi_al) * prod
     k_beta = pref * (rotor.chi_c - chi_be) * prod
-    return zpf_a * k_alpha / hbar, zpf_b * k_beta / hbar
+    return zpf_a * k_alpha / HBAR, zpf_b * k_beta / HBAR
 
 
 def cavity_rates(g, omega, kappa, detuning):
@@ -268,7 +271,7 @@ def moment_of_inertia_from_coupling(g: complex, omega: float,
         raise ValueError("omega must be > 0")
     if abs(optics.e_cav0) == 0:
         raise LibrotorError("inertia unidentifiable: zero cavity field")
-    return (8.0 * hbar * abs(g) ** 2 * abs(optics.e_tw0) ** 2
+    return (8.0 * HBAR * abs(g) ** 2 * abs(optics.e_tw0) ** 2
             / (omega ** 3 * abs(optics.e_cav0) ** 2))
 
 
@@ -289,7 +292,7 @@ def mode_temperature(omega: float, n: float) -> float:
         raise ValueError("n must be >= 0")
     if n == 0:
         return 0.0
-    return hbar * omega / (k_B * math.log1p(1.0 / n))
+    return HBAR * omega / (K_B * math.log1p(1.0 / n))
 
 
 def derived_scalars(mode: LibrationMode, n: float, inertia: float) -> DerivedScalars:
@@ -302,8 +305,8 @@ def derived_scalars(mode: LibrationMode, n: float, inertia: float) -> DerivedSca
         raise ValueError("n must be >= 0")
     sigma = mode.zpf * math.sqrt(2.0 * n + 1.0)
     temp = mode_temperature(mode.omega, n)
-    t_rev = TWO_PI * inertia / hbar
-    j_mean = math.sqrt(k_B * temp * inertia) / hbar
+    t_rev = TWO_PI * inertia / HBAR
+    j_mean = math.sqrt(K_B * temp * inertia) / HBAR
     return DerivedScalars(sigma=sigma, temperature=temp, t_rev=t_rev, j_mean=j_mean)
 
 

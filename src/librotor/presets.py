@@ -11,11 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.constants import epsilon_0, hbar
-
 from .noise import NoiseProfile, phase_noise_psd
-from .physics import (TWO_PI, LibrationMode, OpticalSetup, RotorModel,
-                      build_modes, cavity_rates,
+from .physics import (EPSILON_0, HBAR, TWO_PI, LibrationMode, OpticalSetup,
+                      RotorModel, build_modes, cavity_rates,
                       moment_of_inertia_from_coupling, zero_point_amplitude)
 
 KAPPA = TWO_PI * 32.4e3  # rad/s
@@ -46,12 +44,12 @@ def _sphere_volume(diameter):
 
 def _tweezer_field(omega_alpha, dchi_a, inertia_b, volume):
     # Invert Omega_alpha = sqrt(eps0 V dchi / 2 I_b) |E_tw|.
-    return omega_alpha / math.sqrt(epsilon_0 * volume * dchi_a / (2.0 * inertia_b))
+    return omega_alpha / math.sqrt(EPSILON_0 * volume * dchi_a / (2.0 * inertia_b))
 
 
 def _cavity_field(g_target, omega_alpha, dchi_a, inertia_b, volume, e_tw):
-    k_needed = hbar * g_target / zero_point_amplitude(inertia_b, omega_alpha)
-    return k_needed / (epsilon_0 * volume / 4.0 * dchi_a * e_tw)
+    k_needed = HBAR * g_target / zero_point_amplitude(inertia_b, omega_alpha)
+    return k_needed / (EPSILON_0 * volume / 4.0 * dchi_a * e_tw)
 
 
 def _g_for_occupation(n_target, gamma_heating, omega, kappa, detuning):
@@ -77,7 +75,7 @@ def cluster_1d(detuning_hz: float = 1042e3) -> Scenario:
 
     e_tw = _tweezer_field(omega_alpha, chi_c - chi_a, inertia_b, volume)
     # chi_b follows from the beta-mode frequency with the same tweezer field
-    dchi_b = 2.0 * inertia_a * omega_beta ** 2 / (epsilon_0 * volume * e_tw ** 2)
+    dchi_b = 2.0 * inertia_a * omega_beta ** 2 / (EPSILON_0 * volume * e_tw ** 2)
     chi_b = chi_c - dchi_b
 
     gamma_recoil = 3.2e3
@@ -152,7 +150,7 @@ def dumbbell_2d(detuning_hz: float = 984e3) -> Scenario:
                           wavelength=WAVELENGTH, n_cav=n_cav)
     # I_a and chi_b follow from the beta-mode targets with the shared fields
     inertia_a = moment_of_inertia_from_coupling(g_beta, omega_beta, optics)
-    dchi_b = 2.0 * inertia_a * omega_beta ** 2 / (epsilon_0 * volume * e_tw ** 2)
+    dchi_b = 2.0 * inertia_a * omega_beta ** 2 / (EPSILON_0 * volume * e_tw ** 2)
     chi_b = chi_c - dchi_b
 
     rotor = RotorModel(inertia_a=inertia_a, inertia_b=inertia_b,

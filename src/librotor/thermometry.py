@@ -8,8 +8,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import median_filter
-from scipy.special import chdtrc
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import physics
 from .errors import (CalibrationError, DegenerateFitError, LibrotorError,
@@ -46,6 +45,13 @@ class OccupationResult:
     anti_fit: LorentzianFit
 
 
+def _median5(values):
+    """Running median over 5 bins; the end bins are repeated to fill the
+    windows at the edges."""
+    windows = sliding_window_view(np.pad(values, 2, mode="edge"), 5)
+    return np.partition(windows, 2, axis=-1)[:, 2]
+
+
 def calibrate_response(shot_trace: PsdTrace, dark_trace: PsdTrace) -> DetectorResponse:
     """Detector sensitivity from shot and dark calibration traces.
 
@@ -65,7 +71,7 @@ def calibrate_response(shot_trace: PsdTrace, dark_trace: PsdTrace) -> DetectorRe
         diff = diff.copy()
         diff[bad] = np.interp(shot_trace.freq_hz[bad], shot_trace.freq_hz[good],
                               diff[good])
-    gain = median_filter(diff, size=5, mode="nearest")
+    gain = _median5(diff)
     gain = gain / np.median(gain)
     return DetectorResponse(TWO_PI * shot_trace.freq_hz, gain)
 
@@ -243,6 +249,27 @@ class CFactor:
     consistent: bool
 
 
+def _chi2_sf(dof, x):
+    """Chi-square survival function P(X > x) for an integer dof >= 1.
+
+    The regularized upper incomplete gamma function of half-integer order
+    is a finite series: Q(dof) = Q(dof - 2) + (x/2)^(dof/2 - 1) e^(-x/2) /
+    Gamma(dof/2), from Q(0) = 0 or Q(1) = erfc(sqrt(x/2)).
+    """
+    if x == math.inf:
+        return 0.0
+    if dof % 2:
+        q, k = math.erfc(math.sqrt(0.5 * x)), 1
+        term = math.sqrt(2.0 * x / math.pi) * math.exp(-0.5 * x)
+    else:
+        q, k, term = 0.0, 0, math.exp(-0.5 * x)
+    while k < dof:  # term = (x/2)^(k/2) e^(-x/2) / Gamma(k/2 + 1)
+        q += term
+        k += 2
+        term *= x / k
+    return q
+
+
 def calibrate_c(area_records) -> CFactor:
     """Inverse-variance-weighted mean of (A_S - A_aS) across a scan series.
 
@@ -260,7 +287,7 @@ def calibrate_c(area_records) -> CFactor:
         c = float(np.sum(w * diffs) / np.sum(w))
         c_err = float(1.0 / math.sqrt(np.sum(w)))
         chi2 = float(np.sum((diffs - c) ** 2 / var))
-        p = float(chdtrc(max(diffs.size - 1, 1), chi2))
+        p = _chi2_sf(max(diffs.size - 1, 1), chi2)
     else:
         c = float(np.mean(diffs))
         scatter = float(np.std(diffs, ddof=1)) if diffs.size > 1 else 0.0

@@ -191,6 +191,35 @@ def sim_dir(tmp_path, config_path):
     return out
 
 
+def src_env():
+    """The environment of a child interpreter that imports librotor from
+    this checkout."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"),
+         os.environ.get("PYTHONPATH", "")])}
+
+
+# Runs the CLI commands given as a JSON list in argv[1] while every scipy
+# import fails, then prints their exit codes and the scipy modules asked for.
+_WITHOUT_SCIPY = """
+import json, sys
+
+class BlockScipy:
+    asked = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            self.asked.append(name)
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+from librotor.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+print(json.dumps(BlockScipy.asked))
+"""
+
+
 def write_small_trace(tmp_path):
     freq = np.linspace(4e6, 6e6, 64)
     trace = PsdTrace(freq, np.ones(64), {"het_freq_hz": 5e6, "averages": 100,
@@ -543,15 +572,46 @@ class TestTopLevel:
         assert "librotor" in capsys.readouterr().out
 
     def test_cli_import_leaves_out_scipy_stats(self):
-        """scipy.stats (and the scipy.optimize it loads) make up most of
-        the start-up time; the package needs neither."""
-        code = "import sys, librotor.cli; print('scipy.stats' in sys.modules)"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [os.path.join(os.path.dirname(__file__), "..", "src"),
-             os.environ.get("PYTHONPATH", "")])}
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "False"
+        """Importing scipy makes up most of the start-up time; the runtime
+        is numpy and the stdlib only, so no scipy module is loaded at all
+        (scipy.stats included)."""
+        code = ("import sys, librotor, librotor.cli; "
+                "print('scipy.stats' in sys.modules); "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        out = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                             check=True, capture_output=True,
+                             text=True).stdout.split("\n")
+        assert out[0] == "False"
+        assert out[1] == "[]"
+
+    def test_every_command_runs_with_scipy_blocked(self, tmp_path,
+                                                   config_path):
+        """A meta-path finder that refuses every scipy module stands in for
+        an install without scipy; it also catches an import deferred into
+        a command."""
+        run = str(tmp_path / "run")
+        geo = str(tmp_path / "geo.csv")
+        with open(geo, "w") as fh:
+            fh.write("100,1,100.5,1\n100,1,126.6,1.2\n100,1,137.8,1.5\n")
+        traces = os.path.join(run, "trace_*.csv")
+        commands = [
+            ["simulate", "--config", config_path, "--out", run],
+            ["analyze", "--traces", traces, "--method", "ratio",
+             "--out", str(tmp_path / "ratio.json")],
+            ["analyze", "--traces", traces, "--method", "diffcal",
+             "--shot", os.path.join(run, "shot.csv"),
+             "--dark", os.path.join(run, "dark.csv"),
+             "--out", str(tmp_path / "diffcal.json")],
+            ["scanfit", "--traces", run, "--out", str(tmp_path / "scan.json")],
+            ["classify", "--input", geo, "--out", str(tmp_path / "geo.json")],
+        ]
+        proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY,
+                               json.dumps(commands)], env=src_env(),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        codes, blocked = proc.stdout.strip().split("\n")[-2:]
+        assert json.loads(codes) == [0] * len(commands), proc.stderr
+        assert json.loads(blocked) == []
 
     def test_help(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -51,35 +51,29 @@ def _calibration_traces(noise, grid_hz, averages, het_freq_hz, seed):
 
 def cmd_simulate(args) -> int:
     cfg = io.RunConfig.load(args.config)
-    synth = cfg.synthesis()
-    if args.seed is not None:
-        synth["seed"] = args.seed
-    optics = cfg.optics()
-    noise = cfg.noise()
-    mode_alpha, mode_beta = cfg.modes()
-    modes_by_label = {"alpha": mode_alpha, "beta": mode_beta}
-
-    omega_max = max(mode_alpha.omega, mode_beta.omega)
-    grid = default_grid(synth["het_freq_hz"], omega_max,
+    synth = cfg.synthesis
+    seed = synth["seed"] if args.seed is None else args.seed
+    modes_by_label = {mode.label: mode for mode in cfg.modes}
+    grid = default_grid(synth["het_freq_hz"], max(m.omega for m in cfg.modes),
                         n_bins=synth["n_bins"],
                         span_factor=synth["span_factor"])
     if not np.all(np.diff(grid) > 0):
         raise ConfigError(f"{args.config}: the synthesis span has no distinct bins")
     # the optical setup rides in every sidecar, so scanfit can invert
     # couplings without the config
-    extra_meta = io.optics_fields(optics)
+    extra_meta = io.optics_fields(cfg.optics)
 
     os.makedirs(args.out, exist_ok=True)
     outputs = []
     summary = []
     for channel in synth["channels"]:
         label = CHANNEL_MODE.get(channel)
-        modes = [modes_by_label[label]] if label else [mode_alpha, mode_beta]
-        points = scan_series(modes, optics, noise, None, grid,
+        modes = [modes_by_label[label]] if label else list(cfg.modes)
+        points = scan_series(modes, cfg.optics, cfg.noise, None, grid,
                              synth["averages"], synth["het_freq_hz"],
                              synth["detunings_hz"],
                              area_scale_c=synth["area_scale_c"],
-                             seed=synth["seed"],
+                             seed=seed,
                              sideband_orientation=synth["sideband_orientation"],
                              channel=channel)
         for i, point in enumerate(points):
@@ -100,8 +94,8 @@ def cmd_simulate(args) -> int:
                             "truth": point.truth})
     if synth["write_calibration"]:
         for name, trace in _calibration_traces(
-                noise, grid, synth["averages"], synth["het_freq_hz"],
-                synth["seed"]):
+                cfg.noise, grid, synth["averages"], synth["het_freq_hz"],
+                seed):
             path = os.path.join(args.out, f"{name}.csv")
             io.write_psd_csv(path, trace)
             outputs.extend([path, io.sidecar_path(path)])
@@ -157,6 +151,35 @@ def _write_plot_data(out_dir, trace_path, trace, resp, occ):
         + io.format_csv_rows(f[order], d[order], m[order], r[order]))
 
 
+def _diffcal_by_channel(traces, pairs) -> list:
+    """Difference-calibrated occupations, with C calibrated per channel as
+    scanfit does: each cavity channel has its own sideband area scale.  A
+    channel with fewer than 2 analyzable traces fails each of them."""
+    channels = [trace.meta.get("channel") for _, trace in traces]
+    out = [None] * len(pairs)
+    for channel in dict.fromkeys(channels):
+        idx = [i for i, c in enumerate(channels) if c == channel]
+        ch_pairs = [pairs[i] for i in idx]
+        results = occupations_from_pairs(ch_pairs, METHOD_RATIO, None)
+        ratio = [o for o in results if isinstance(o, OccupationResult)]
+        if len(ratio) < 2:
+            error = LibrotorError(f"difference-calibrated analysis needs at least "
+                                  f"2 analyzable traces on channel {channel} "
+                                  f"to calibrate C")
+            results = [error if isinstance(o, OccupationResult) else o
+                       for o in results]
+        else:
+            c_cal = calibrate_c([(*o.areas[0], *o.areas[1]) for o in ratio])
+            if not c_cal.consistent:
+                _warn(f"sideband area differences on channel {channel} are "
+                      f"mutually inconsistent; C calibration may be biased")
+            results = occupations_from_pairs(ch_pairs, METHOD_DIFFCAL,
+                                             (c_cal.c, c_cal.c_err))
+        for i, occ in zip(idx, results):
+            out[i] = occ
+    return out
+
+
 def cmd_analyze(args) -> int:
     paths = sorted(glob.glob(args.traces))
     if not paths:
@@ -167,28 +190,18 @@ def cmd_analyze(args) -> int:
     if not traces:
         raise ConfigError(f"no analyzable (non-calibration) traces in "
                           f"{args.traces!r}")
-    method = METHOD_DIFFCAL if args.method == "diffcal" else METHOD_RATIO
     out_dir = os.path.dirname(os.path.abspath(args.out))
 
     # Each sideband pair is fitted once; both estimators read its areas.
     pairs = fit_sideband_pairs([t for _, t in traces], resp, _auto_hint)
-    c_pair = None
-    if method == METHOD_DIFFCAL:
-        ratio = [o for o in occupations_from_pairs(pairs, METHOD_RATIO, None)
-                 if isinstance(o, OccupationResult)]
-        if len(ratio) < 2:
-            raise ConfigError("difference-calibrated analysis needs at least "
-                              "2 analyzable traces to calibrate C")
-        c_cal = calibrate_c([(*o.areas[0], *o.areas[1]) for o in ratio])
-        if not c_cal.consistent:
-            _warn("sideband area differences are mutually inconsistent; "
-                  "C calibration may be biased")
-        c_pair = (c_cal.c, c_cal.c_err)
+    if args.method == "diffcal":
+        occupations = _diffcal_by_channel(traces, pairs)
+    else:
+        occupations = occupations_from_pairs(pairs, METHOD_RATIO, None)
 
     entries = []
     failures = 0
-    for (path, trace), occ in zip(traces,
-                                  occupations_from_pairs(pairs, method, c_pair)):
+    for (path, trace), occ in zip(traces, occupations):
         entry = {"file": os.path.basename(path),
                  "detuning_hz": trace.meta.get("detuning_hz"),
                  "channel": trace.meta.get("channel")}
@@ -254,9 +267,8 @@ def cmd_scanfit(args) -> int:
     except ConfigError as exc:
         raise ConfigError(f"{io.sidecar_path(path)}: {exc}") from None
 
-    report = analyze_scan([t for _, t in traces], setup, resp=resp)
     modes_out = []
-    for mode in report.modes:
+    for mode in analyze_scan([t for _, t in traces], setup, resp=resp):
         derived = mode.derived
         modes_out.append({
             "mode": mode.label, "channel": mode.channel,

@@ -13,15 +13,17 @@ import numbers
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, replace
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .errors import ConfigError
 from .noise import NoiseProfile
-from .physics import TWO_PI, GAMMA_HALF_PI, OpticalSetup, RotorModel, build_modes
+from .physics import (TWO_PI, LibrationMode, OpticalSetup, RotorModel,
+                      build_modes)
 from .spectrum import CHANNELS, ORIENT_LO_BLUE, ORIENT_LO_RED, PsdTrace
 
 PSD_MAGIC = "# librotor-psd v1"
@@ -144,6 +146,10 @@ def _real(value, lo=-math.inf) -> bool:
         and lo < value < math.inf
 
 
+def _orientation(value) -> bool:
+    return value in (ORIENT_LO_BLUE, ORIENT_LO_RED)
+
+
 # Sidecar fields the analysis reads, and what each may hold.
 _META_CHECKS = {
     "het_freq_hz": _real,
@@ -151,6 +157,7 @@ _META_CHECKS = {
     "averages": lambda v: v is None or v == math.inf or _real(v, 0.0),
     "channel": lambda v: isinstance(v, str),
     "kind": lambda v: v is None or isinstance(v, str),
+    "sideband_orientation": _orientation,
 }
 
 
@@ -241,102 +248,169 @@ def optics_fields(optics: OpticalSetup) -> dict:
 def optics_from_fields(fields: dict) -> OpticalSetup:
     """The optical setup from the optics_fields keys and detuning_hz, all
     required.  A missing or invalid field is a ConfigError."""
-    def req(key):
-        return _req(fields, key, "optics")
-
+    num = partial(_num, fields, where="optics")
     try:
         return OpticalSetup(
-            e_tw0=complex(req("e_tw0_v_per_m") * np.exp(1j * req("e_tw0_phase_rad"))),
-            e_cav0=complex(req("e_cav0_v_per_m") * np.exp(1j * req("e_cav0_phase_rad"))),
-            kappa=TWO_PI * req("kappa_hz"), detuning=TWO_PI * req("detuning_hz"),
-            wavelength=req("wavelength_m"), n_cav=req("n_cav"))
-    except (TypeError, ValueError) as exc:
+            e_tw0=complex(num("e_tw0_v_per_m") * np.exp(1j * num("e_tw0_phase_rad"))),
+            e_cav0=complex(num("e_cav0_v_per_m") * np.exp(1j * num("e_cav0_phase_rad"))),
+            kappa=TWO_PI * num("kappa_hz"), detuning=TWO_PI * num("detuning_hz"),
+            wavelength=num("wavelength_m"), n_cav=num("n_cav"))
+    except (ArithmeticError, ValueError) as exc:
         raise ConfigError(f"optics: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # run configuration
 
-_ROTOR_KEYS = {"inertia_a", "inertia_b", "inertia_c", "chi_a", "chi_b",
-               "chi_c", "volume_m3", "gamma_euler_branch"}
-_OPTICS_KEYS = {"e_tw0_v_per_m", "e_tw0_phase_rad", "e_cav0_v_per_m",
-                "e_cav0_phase_rad", "kappa_hz", "detuning_hz", "wavelength_m",
-                "pol_angle_phi_rad", "n_cav", "finesse", "fsr_hz", "waist_x_m",
-                "waist_y_m", "waist_cav_m"}
-_HEATING_KEYS = {"gamma_thermal_alpha", "gamma_thermal_beta",
-                 "gamma_recoil_alpha", "gamma_recoil_beta",
-                 "gamma_intrinsic_alpha_hz", "gamma_intrinsic_beta_hz"}
-_NOISE_KEYS = {"shot_level", "dark_level", "phase_noise_base", "notches",
-               "cavity_noise_center_hz", "cavity_noise_width_hz", "seed"}
-_NOTCH_KEYS = {"center_hz", "depth_db", "width_hz"}
-_ANALYSIS_KEYS = {"method", "window_halfwidth_hz", "clip_sigma",
-                  "max_clip_rounds", "temperature_method"}
-_TOP_KEYS = {"rotor", "optics", "heating", "noise", "synthesis", "analysis"}
+# Schema tables: config key -> (field, scale).  A number is read as
+# value * scale and written as field / scale, so the scale is 2*pi for a
+# frequency in Hz and 1 otherwise; a value with scale None is not a number
+# and passes as it is.  A dict scale is a list of records, each read into a
+# tuple in the dict's key order.  A key left out takes its field's default;
+# the key of a field without one is required.
+_ROTOR = {"inertia_a": ("inertia_a", 1.0), "inertia_b": ("inertia_b", 1.0),
+          "inertia_c": ("inertia_c", 1.0), "chi_a": ("chi_a", 1.0),
+          "chi_b": ("chi_b", 1.0), "chi_c": ("chi_c", 1.0),
+          "volume_m3": ("volume", 1.0),
+          "gamma_euler_branch": ("gamma_euler_branch", None)}
+_NOISE = {"shot_level": ("shot_level", 1.0), "dark_level": ("dark_level", 1.0),
+          "phase_noise_base": ("phase_noise_base", 1.0),
+          "notches": ("notch_list", {"center_hz": TWO_PI, "depth_db": 1.0,
+                                     "width_hz": TWO_PI}),
+          "cavity_noise_center_hz": ("cavity_noise_center", TWO_PI),
+          "cavity_noise_width_hz": ("cavity_noise_width", TWO_PI)}
+# Heating fields of the (alpha, beta) modes: the field is (mode index, name).
+_HEATING = {"gamma_thermal_alpha": ((0, "gamma_thermal"), 1.0),
+            "gamma_thermal_beta": ((1, "gamma_thermal"), 1.0),
+            "gamma_recoil_alpha": ((0, "gamma_recoil"), 1.0),
+            "gamma_recoil_beta": ((1, "gamma_recoil"), 1.0),
+            "gamma_intrinsic_alpha_hz": ((0, "gamma_intrinsic"), TWO_PI),
+            "gamma_intrinsic_beta_hz": ((1, "gamma_intrinsic"), TWO_PI)}
 
-# What each synthesis value may hold, defaults filled in.
-_SYNTH_CHECKS = {
-    "n_bins": lambda v: _real(v, 15) and isinstance(v, numbers.Integral),
-    "span_factor": lambda v: _real(v, 0.0),
-    "het_freq_hz": lambda v: _real(v, 0.0),
-    "averages": lambda v: v == math.inf or _real(v) and v >= 1,
-    "seed": lambda v: _real(v, -1) and isinstance(v, numbers.Integral),
-    "sideband_orientation": lambda v: v in (ORIENT_LO_BLUE, ORIENT_LO_RED),
-    "detunings_hz": lambda v: isinstance(v, list) and all(map(_real, v)),
-    "area_scale_c": lambda v: _real(v, 0.0),
-    "channels": lambda v: isinstance(v, list) and all(c in CHANNELS for c in v),
-    "write_calibration": lambda v: isinstance(v, bool),
+# Synthesis settings stay in Hz: key -> (default, what the value may hold).
+# The default detunings are the optics detuning.
+_SYNTHESIS = {
+    "n_bins": (2048, lambda v: _real(v, 15) and isinstance(v, numbers.Integral)),
+    "span_factor": (1.5, lambda v: _real(v, 0.0)),
+    "het_freq_hz": (4.99814e6, lambda v: _real(v, 0.0)),
+    "averages": (100, lambda v: v == math.inf or _real(v) and v >= 1),
+    "seed": (0, lambda v: _real(v, -1) and isinstance(v, numbers.Integral)),
+    "sideband_orientation": (ORIENT_LO_BLUE, _orientation),
+    "detunings_hz": (None, lambda v: isinstance(v, list) and all(map(_real, v))),
+    "area_scale_c": (1.0, lambda v: _real(v, 0.0)),
+    "channels": (["backscatter_y"],
+                 lambda v: isinstance(v, list) and all(c in CHANNELS for c in v)),
+    "write_calibration": (True, lambda v: isinstance(v, bool)),
 }
+_SECTIONS = ("rotor", "optics", "heating", "noise", "synthesis")
 
 
-def _check_keys(section: dict, allowed: set, where: str):
+def _check_keys(section: dict, allowed, where: str):
     if not isinstance(section, dict):
         raise ConfigError(f"config section '{where}' must be an object")
-    unknown = sorted(set(section) - allowed)
+    unknown = sorted(set(section) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown key(s) in '{where}': {', '.join(unknown)}")
 
 
-def _req(section: dict, key: str, where: str):
+def _num(section: dict, key: str, where: str):
+    """section[key], which must be there and be a finite real number."""
     if key not in section:
         raise ConfigError(f"missing required key '{where}.{key}'")
+    if not _real(section[key]):
+        raise ConfigError(f"{where}.{key}: invalid value {section[key]!r}")
     return section[key]
+
+
+def _build(where: str, make, *args, **kwargs):
+    """make(*args, **kwargs), an invalid value a ConfigError naming where."""
+    try:
+        return make(*args, **kwargs)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _fields(section: dict, table: dict, where: str) -> dict:
+    """Field values from one config section, read through its schema table."""
+    _check_keys(section, table, where)
+    fields = {}
+    for key, value in section.items():
+        field, scale = table[key]
+        if isinstance(scale, dict):
+            if not isinstance(value, list):
+                raise ConfigError(f"{where}.{key}: invalid value {value!r}")
+            value = [_record(rec, scale, f"{where}.{key}[{i}]")
+                     for i, rec in enumerate(value)]
+        elif scale is not None:
+            value = _num(section, key, where) * scale
+        fields[field] = value
+    return fields
+
+
+def _record(record: dict, scales: dict, where: str) -> tuple:
+    """One record of a list, every key required, as a tuple in key order."""
+    _check_keys(record, scales, where)
+    return tuple(_num(record, key, where) * scale for key, scale in scales.items())
+
+
+def _section(get, table: dict) -> dict:
+    """A config section from field values get(field), through its schema
+    table (the inverse of _fields)."""
+    section = {}
+    for key, (field, scale) in table.items():
+        value = get(field)
+        if isinstance(scale, dict):
+            value = [{k: v / s for (k, s), v in zip(scale.items(), rec)}
+                     for rec in value]
+        elif scale is not None:
+            value = value / scale
+        section[key] = value
+    return section
+
+
+def _construct(cls, section: dict, table: dict, where: str):
+    """The dataclass cls from one config section, read through its table."""
+    fields = _build(where, _fields, section, table, where)
+    for key, (field, _) in table.items():
+        if field not in fields and cls.__dataclass_fields__[field].default is MISSING:
+            raise ConfigError(f"missing required key '{where}.{key}'")
+    return _build(where, cls, **fields)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration (raw, normalized dict form)."""
+    """A run configuration, each section validated and built once."""
 
-    data: dict
+    data: dict  # the config as read, for the run record
+    rotor: RotorModel
+    optics: OpticalSetup
+    noise: NoiseProfile
+    modes: tuple[LibrationMode, LibrationMode]
+    synthesis: dict  # every key, in Hz
 
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":
-        _check_keys(raw, _TOP_KEYS, "<root>")
-        for name, keys in (("rotor", _ROTOR_KEYS), ("optics", _OPTICS_KEYS),
-                           ("heating", _HEATING_KEYS), ("noise", _NOISE_KEYS),
-                           ("synthesis", set(_SYNTH_CHECKS)),
-                           ("analysis", _ANALYSIS_KEYS)):
-            if name in raw:
-                _check_keys(raw[name], keys, name)
-        for name in ("rotor", "optics", "heating", "noise"):
-            for key, value in raw.get(name, {}).items():
-                if key not in ("gamma_euler_branch", "notches") and not _real(value):
-                    raise ConfigError(f"{name}.{key}: invalid value {value!r}")
-        cfg = RunConfig(data=raw)
-        # fail early on invariant violations: build every section once
-        for name, build in (("rotor", cfg.rotor), ("optics", cfg.optics),
-                            ("noise", cfg.noise), ("heating", cfg.modes)):
-            try:
-                build()
-            except (ArithmeticError, TypeError, ValueError) as exc:
-                raise ConfigError(f"{name}: {exc}") from None
-        synth = cfg.synthesis()
-        for key, valid in _SYNTH_CHECKS.items():
-            if not valid(synth[key]):
-                raise ConfigError(f"synthesis.{key}: invalid value {synth[key]!r}")
-        method = raw.get("analysis", {}).get("method", "ratio")
-        if method not in ("ratio", "diffcal", "difference_calibrated"):
-            raise ConfigError(f"analysis.method: unknown value {method!r}")
-        return cfg
+        _check_keys(raw, _SECTIONS, "<root>")
+        rotor_sec, optics_sec, heating_sec, noise_sec, synth_sec = (
+            raw.get(name, {}) for name in _SECTIONS)
+        rotor = _construct(RotorModel, rotor_sec, _ROTOR, "rotor")
+        # a config may leave out the field phases and the cavity occupation
+        optics = _build("optics", lambda: optics_from_fields(
+            {"e_tw0_phase_rad": 0.0, "e_cav0_phase_rad": 0.0, "n_cav": 0.0,
+             **optics_sec}))
+        _check_keys(optics_sec, {*optics_fields(optics), "detuning_hz"}, "optics")
+        noise = _construct(NoiseProfile, noise_sec, _NOISE, "noise")
+        heating = _build("heating", _fields, heating_sec, _HEATING, "heating")
+        modes = _build("heating", lambda: tuple(
+            replace(mode, **{name: v for (i, name), v in heating.items() if i == n})
+            for n, mode in enumerate(build_modes(rotor, optics))))
+        _check_keys(synth_sec, _SYNTHESIS, "synthesis")
+        synthesis = {**{key: default for key, (default, _) in _SYNTHESIS.items()},
+                     "detunings_hz": [optics_sec["detuning_hz"]], **synth_sec}
+        for key, (_, valid) in _SYNTHESIS.items():
+            if not valid(synthesis[key]):
+                raise ConfigError(f"synthesis.{key}: invalid value {synthesis[key]!r}")
+        return RunConfig(raw, rotor, optics, noise, modes, synthesis)
 
     @staticmethod
     def load(path: str) -> "RunConfig":
@@ -349,107 +423,23 @@ class RunConfig:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
         return RunConfig.from_dict(raw)
 
-    def dump(self) -> str:
-        return format_json(self.data)
-
-    # -- section builders ---------------------------------------------------
-
-    def rotor(self) -> RotorModel:
-        sec = self.data.get("rotor")
-        if sec is None:
-            raise ConfigError("missing required section 'rotor'")
-        return RotorModel(
-            *(_req(sec, key, "rotor") for key in ("inertia_a", "inertia_b",
-              "inertia_c", "chi_a", "chi_b", "chi_c", "volume_m3")),
-            gamma_euler_branch=sec.get("gamma_euler_branch", GAMMA_HALF_PI))
-
-    def optics(self) -> OpticalSetup:
-        sec = self.data.get("optics")
-        if sec is None:
-            raise ConfigError("missing required section 'optics'")
-        # a config may leave out the field phases and the cavity occupation
-        return optics_from_fields({"e_tw0_phase_rad": 0.0, "e_cav0_phase_rad": 0.0,
-                                   "n_cav": 0.0, **sec})
-
-    def noise(self) -> NoiseProfile:
-        sec = self.data.get("noise", {})
-        notches = []
-        for n in sec.get("notches", []):
-            _check_keys(n, _NOTCH_KEYS, "noise.notches[]")
-            notches.append((TWO_PI * _req(n, "center_hz", "noise.notches[]"),
-                            _req(n, "depth_db", "noise.notches[]"),
-                            TWO_PI * _req(n, "width_hz", "noise.notches[]")))
-        return NoiseProfile(
-            shot_level=sec.get("shot_level", 1.0),
-            dark_level=sec.get("dark_level", 0.0),
-            phase_noise_base=sec.get("phase_noise_base", 1e-9),
-            notch_list=notches,
-            cavity_noise_center=TWO_PI * sec.get("cavity_noise_center_hz", 0.0),
-            cavity_noise_width=TWO_PI * sec.get("cavity_noise_width_hz",
-                                                1.0 / TWO_PI))
-
-    def modes(self):
-        heat = self.data.get("heating", {})
-        return build_modes(
-            self.rotor(), self.optics(),
-            gamma_thermal=(heat.get("gamma_thermal_alpha", 0.0),
-                           heat.get("gamma_thermal_beta", 0.0)),
-            gamma_recoil=(heat.get("gamma_recoil_alpha", 0.0),
-                          heat.get("gamma_recoil_beta", 0.0)),
-            gamma_intrinsic=(TWO_PI * heat.get("gamma_intrinsic_alpha_hz", 0.0),
-                             TWO_PI * heat.get("gamma_intrinsic_beta_hz", 0.0)))
-
-    def synthesis(self) -> dict:
-        return {"n_bins": 2048, "span_factor": 1.5, "het_freq_hz": 4.99814e6,
-                "averages": 100, "seed": 0,
-                "sideband_orientation": ORIENT_LO_BLUE,
-                "detunings_hz": [self.data["optics"]["detuning_hz"]],
-                "area_scale_c": 1.0, "channels": ["backscatter_y"],
-                "write_calibration": True, **self.data.get("synthesis", {})}
-
 
 def config_from_scenario(scenario, detunings_hz, channels=("backscatter_y",),
-                         averages=100, seed=1, n_bins=2048, span_factor=1.5,
-                         write_calibration=True) -> dict:
+                         averages=100, seed=1, n_bins=2048) -> dict:
     """Build a config dict from a presets.Scenario (handy for tests/demos)."""
-    rotor, optics, noise = scenario.rotor, scenario.optics, scenario.noise
-    ma, mb = scenario.mode_alpha, scenario.mode_beta
     return {
-        "rotor": {
-            "inertia_a": rotor.inertia_a, "inertia_b": rotor.inertia_b,
-            "inertia_c": rotor.inertia_c, "chi_a": rotor.chi_a,
-            "chi_b": rotor.chi_b, "chi_c": rotor.chi_c,
-            "volume_m3": rotor.volume,
-            "gamma_euler_branch": rotor.gamma_euler_branch,
-        },
-        "optics": {**optics_fields(optics),
-                   "detuning_hz": optics.detuning / TWO_PI},
-        "heating": {
-            "gamma_thermal_alpha": ma.gamma_thermal,
-            "gamma_thermal_beta": mb.gamma_thermal,
-            "gamma_recoil_alpha": ma.gamma_recoil,
-            "gamma_recoil_beta": mb.gamma_recoil,
-            "gamma_intrinsic_alpha_hz": ma.gamma_intrinsic / TWO_PI,
-            "gamma_intrinsic_beta_hz": mb.gamma_intrinsic / TWO_PI,
-        },
-        "noise": {
-            "shot_level": noise.shot_level, "dark_level": noise.dark_level,
-            "phase_noise_base": noise.phase_noise_base,
-            "notches": [{"center_hz": c / TWO_PI, "depth_db": d,
-                         "width_hz": w / TWO_PI}
-                        for c, d, w in noise.notch_list],
-            "cavity_noise_center_hz": noise.cavity_noise_center / TWO_PI,
-            "cavity_noise_width_hz": noise.cavity_noise_width / TWO_PI,
-        },
-        "synthesis": {
-            "n_bins": n_bins, "span_factor": span_factor,
-            "het_freq_hz": scenario.het_freq_hz, "averages": averages,
-            "seed": seed, "sideband_orientation": ORIENT_LO_BLUE,
-            "detunings_hz": list(detunings_hz),
-            "area_scale_c": scenario.area_scale_c,
-            "channels": list(channels),
-            "write_calibration": write_calibration,
-        },
+        "rotor": _section(partial(getattr, scenario.rotor), _ROTOR),
+        "optics": {**optics_fields(scenario.optics),
+                   "detuning_hz": scenario.optics.detuning / TWO_PI},
+        "heating": _section(lambda f: getattr(scenario.modes[f[0]], f[1]),
+                            _HEATING),
+        "noise": _section(partial(getattr, scenario.noise), _NOISE),
+        "synthesis": {**{key: default for key, (default, _) in _SYNTHESIS.items()},
+                      "n_bins": n_bins, "het_freq_hz": scenario.het_freq_hz,
+                      "averages": averages, "seed": seed,
+                      "detunings_hz": list(detunings_hz),
+                      "area_scale_c": scenario.area_scale_c,
+                      "channels": list(channels)},
     }
 
 

@@ -328,11 +328,6 @@ class ModeScanReport:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    modes: list[ModeScanReport]
-
-
 def _auto_hint(trace: PsdTrace) -> float:
     """Locate the dominant sideband offset from the heterodyne carrier."""
     het = trace.meta["het_freq_hz"]
@@ -347,8 +342,8 @@ def _auto_hint(trace: PsdTrace) -> float:
 
 def analyze_scan(traces, setup: OpticalSetup,
                  resp: DetectorResponse | None = None,
-                 method: str = METHOD_DIFFCAL) -> ScanReport:
-    """End-to-end analysis of a detuning scan.
+                 method: str = METHOD_DIFFCAL) -> list[ModeScanReport]:
+    """End-to-end analysis of a detuning scan, one report per channel.
 
     Traces are grouped by detection channel (one librational mode per cavity
     channel).  Per-trace sideband fits feed the C calibration, the
@@ -364,7 +359,7 @@ def analyze_scan(traces, setup: OpticalSetup,
                for channel, ch_traces in sorted(by_channel.items())]
     if all(mode.n_best is None for mode in reports):
         raise UnderdeterminedScanError("; ".join(mode.error for mode in reports))
-    return ScanReport(modes=reports)
+    return reports
 
 
 def _analyze_channel(channel, ch_traces, setup, resp, method) -> ModeScanReport:

@@ -187,7 +187,7 @@ def test_criterion_09_scan_fit_recovery():
                          seed=77, channel="cavity_y")
     report = analyze_scan([p.trace for p in points], sc.optics,
                           method=METHOD_RATIO)
-    mode = report.modes[0]
+    mode = report[0]
     g_true = abs(sc.mode_alpha.g)
     g_err = abs(mode.linewidth_fit.g_abs - g_true) / g_true
     gamma_err = abs(mode.occupation_fit.gamma_total_heating - 6.8e3) / 6.8e3

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -84,9 +85,9 @@ class TestFormats:
 class TestRunConfig:
     def test_round_trip_identity(self, config_path):
         cfg = io.RunConfig.load(config_path)
-        text = cfg.dump()
+        text = io.format_json(cfg.data)
         again = io.RunConfig.from_dict(json.loads(text))
-        assert again.dump() == text
+        assert io.format_json(again.data) == text
 
     def test_unknown_key_rejected(self, config_path):
         raw = json.load(open(config_path))
@@ -106,7 +107,7 @@ class TestRunConfig:
 
     def test_hz_boundary_is_exactly_two_pi(self, config_path):
         cfg = io.RunConfig.load(config_path)
-        optics = cfg.optics()
+        optics = cfg.optics
         assert optics.kappa == TWO_PI * cfg.data["optics"]["kappa_hz"]
         assert optics.detuning == TWO_PI * cfg.data["optics"]["detuning_hz"]
 
@@ -115,6 +116,63 @@ class TestRunConfig:
         del raw["optics"]["kappa_hz"]
         with pytest.raises(ConfigError, match="optics.kappa_hz"):
             io.RunConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("section,key", [("rotor", "volume_m3"),
+                                             ("noise", "notches[0].width_hz")])
+    def test_missing_key_is_named(self, config_path, section, key):
+        raw = json.load(open(config_path))
+        if section == "rotor":
+            del raw["rotor"]["volume_m3"]
+        else:
+            del raw["noise"]["notches"][0]["width_hz"]
+        with pytest.raises(ConfigError, match=re.escape(f"'{section}.{key}'")):
+            io.RunConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("section,key", [
+        *(("optics", key) for key in ("finesse", "fsr_hz", "waist_x_m",
+                                      "waist_y_m", "waist_cav_m",
+                                      "pol_angle_phi_rad")),
+        ("noise", "seed"),
+        *(("analysis", key) for key in ("method", "window_halfwidth_hz",
+                                        "clip_sigma", "max_clip_rounds",
+                                        "temperature_method"))])
+    def test_only_written_keys_are_accepted(self, config_path, section, key):
+        """Each section takes the keys config_from_scenario writes (the
+        config_path fixture loads) and none of the keys nothing reads."""
+        raw = json.load(open(config_path))
+        raw.setdefault(section, {})[key] = "ratio" if key == "method" else 1.0
+        with pytest.raises(ConfigError, match="analysis" if section == "analysis"
+                           else key):
+            io.RunConfig.from_dict(raw)
+
+    def test_simulate_builds_the_modes_once(self, tmp_path, config_path,
+                                            monkeypatch):
+        calls = []
+        build_modes = io.build_modes
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build_modes(*args, **kwargs)
+
+        monkeypatch.setattr(io, "build_modes", counting)
+        assert main(["simulate", "--config", config_path,
+                     "--out", str(tmp_path / "run")]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("key,value", [("center_hz", math.nan),
+                                           ("width_hz", math.inf),
+                                           ("center_hz", "x"),
+                                           ("depth_db", True)])
+    def test_notch_numbers_are_checked(self, tmp_path, config_path, capsys,
+                                       key, value):
+        raw = json.load(open(config_path))
+        raw["noise"]["notches"][0][key] = value
+        path = str(tmp_path / "bad.json")
+        with open(path, "w") as fh:
+            json.dump(raw, fh)  # NaN and Infinity as Python's json reads them
+        assert main(["simulate", "--config", path, "--out",
+                     str(tmp_path / "x")]) == 2
+        assert f"noise.notches[0].{key}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +378,16 @@ class TestAnalyze:
                      "--out", str(tmp_path / "o.json")]) == 2
         assert "small.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["blue", 7, None])
+    def test_bad_sideband_orientation_exit_2(self, tmp_path, capsys, value):
+        path = write_small_trace(tmp_path)
+        meta = json.load(open(io.sidecar_path(path)))
+        meta["sideband_orientation"] = value
+        io.atomic_write_text(io.sidecar_path(path), io.format_json(meta))
+        assert main(["analyze", "--traces", path,
+                     "--out", str(tmp_path / "o.json")]) == 2
+        assert "small.meta.json" in capsys.readouterr().err
+
     def test_all_failures_exit_3(self, tmp_path, capsys):
         """A trace whose 'anti-Stokes' outweighs its Stokes peak is
         unphysical; when every trace fails, analyze exits 3 but still
@@ -364,6 +432,32 @@ class TestAnalyze:
         c_vals = {entry["c_factor"] for entry in results["traces"]}
         assert len(c_vals) == 1  # one shared calibrated C
         assert results["traces"][0]["method"] == "difference_calibrated"
+
+    def test_diffcal_calibrates_c_per_channel(self, tmp_path):
+        """Noise-free sideband pairs on two channels whose area scales C
+        differ twofold: each channel gets its own C, so every occupation
+        comes back."""
+        from librotor.spectrum import lorentzian
+        het, f_mode = 5.0e6, 1.03e6
+        grid = np.linspace(het - 1.5e6, het + 1.5e6, 4096)
+        n_true = {}
+        for channel, c in (("cavity_y", 1e5), ("cavity_z", 2e5)):
+            for i, n in enumerate((0.3, 0.5, 0.7, 0.9, 1.2, 1.5)):
+                # LO on the blue side: the Stokes line lies above the carrier
+                vals = (1.0 + lorentzian(grid, het + f_mode, 5e3, c * (n + 1))
+                        + lorentzian(grid, het - f_mode, 5e3, c * n))
+                name = f"trace_{i:03d}_{channel}.csv"
+                io.write_psd_csv(str(tmp_path / name), PsdTrace(
+                    grid, vals, {"het_freq_hz": het, "averages": 200,
+                                 "channel": channel, "detuning_hz": 1e6}))
+                n_true[name] = (n, c)
+        out = str(tmp_path / "out" / "r.json")
+        assert main(["analyze", "--traces", str(tmp_path / "trace_*.csv"),
+                     "--out", out, "--method", "diffcal"]) == 0
+        for entry in json.load(open(out))["traces"]:
+            n, c = n_true[entry["file"]]
+            assert entry["c_factor"] == pytest.approx(c, rel=1e-3)
+            assert entry["n"] == pytest.approx(n, rel=1e-2)
 
     def test_diffcal_fits_each_trace_once(self, tmp_path, sim_dir,
                                           monkeypatch):

@@ -168,10 +168,10 @@ def test_config_gives_back_the_scenario(scenario):
     scenario's rotor, optical setup, noise profile and modes again."""
     raw = io.config_from_scenario(scenario, [1e6])
     cfg = io.RunConfig.from_dict(json.loads(io.format_json(raw)))
-    assert cfg.rotor() == scenario.rotor
-    assert_same(cfg.optics(), scenario.optics)
-    assert_same(cfg.noise(), scenario.noise)
-    for built, expected in zip(cfg.modes(), scenario.modes):
+    assert cfg.rotor == scenario.rotor
+    assert_same(cfg.optics, scenario.optics)
+    assert_same(cfg.noise, scenario.noise)
+    for built, expected in zip(cfg.modes, scenario.modes):
         assert_same(built, expected)
 
 

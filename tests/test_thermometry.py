@@ -238,8 +238,8 @@ class TestAnalyzeScan:
         inverted inertia all match the generator to well under 1%."""
         sc, traces = self._scan_traces(math.inf)
         report = analyze_scan(traces, sc.optics, method=METHOD_RATIO)
-        assert len(report.modes) == 1
-        mode = report.modes[0]
+        assert len(report) == 1
+        mode = report[0]
         assert mode.label == "alpha" and mode.channel == "cavity_y"
         g_true = abs(sc.mode_alpha.g)
         assert mode.linewidth_fit.g_abs == pytest.approx(g_true, rel=1e-3)
@@ -254,7 +254,7 @@ class TestAnalyzeScan:
     def test_diffcal_consistency(self):
         sc, traces = self._scan_traces(500, seed=40)
         report = analyze_scan(traces, sc.optics, method=METHOD_DIFFCAL)
-        mode = report.modes[0]
+        mode = report[0]
         assert mode.c_cal.c == pytest.approx(sc.area_scale_c, rel=0.02)
         # best occupation near the generator's optimum of ~0.135
         assert mode.n_best == pytest.approx(0.135, abs=0.05)
@@ -269,7 +269,7 @@ class TestAnalyzeScan:
 
         monkeypatch.setattr(thermometry, "fit_sideband_pair", counting)
         report = analyze_scan(traces, sc.optics, method=METHOD_DIFFCAL)
-        assert report.modes[0].n_best is not None
+        assert report[0].n_best is not None
         assert sorted(calls) == sorted(t.meta["detuning_hz"] for t in traces)
 
     def test_underdetermined(self):

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import __version__, io
 from .errors import ConfigError, LibrotorError, UnderdeterminedScanError
+from .fitting import window_bins
 from .geometry import DampingMeasurement, classify
 from .physics import TWO_PI
 from .spectrum import (PsdTrace, default_grid, lorentzian, periodogram_draw,
@@ -134,12 +135,11 @@ def _write_plot_data(out_dir, trace_path, trace, resp, occ):
     vals = gain_corrected(trace, resp)
     f_cols, d_cols, m_cols = [], [], []
     for fit in (occ.stokes_fit, occ.anti_fit):
-        lo = fit.center - 5.0 * fit.linewidth_fwhm
-        hi = fit.center + 5.0 * fit.linewidth_fwhm
-        mask = (freq >= lo) & (freq <= hi)
-        f_cols.append(freq[mask])
-        d_cols.append(vals[mask])
-        m_cols.append(lorentzian(freq[mask], fit.center, fit.linewidth_fwhm,
+        bins = window_bins(freq, (fit.center - 5.0 * fit.linewidth_fwhm,
+                                  fit.center + 5.0 * fit.linewidth_fwhm))
+        f_cols.append(freq[bins])
+        d_cols.append(vals[bins])
+        m_cols.append(lorentzian(freq[bins], fit.center, fit.linewidth_fwhm,
                                  fit.area, fit.offset))
     f, d, m = (np.concatenate(c) for c in (f_cols, d_cols, m_cols))
     r = d - m

@@ -47,7 +47,7 @@ def levenberg_marquardt(model, jacobian, x, y, p0, weights=None):
 
     def cost_of(params):
         r = y - model(x, params)
-        return r, float(np.sum(w * r * r))
+        return r, float((w * r * r).sum())
 
     r, cost = cost_of(p)
     lam = 1e-3
@@ -57,29 +57,31 @@ def levenberg_marquardt(model, jacobian, x, y, p0, weights=None):
         jtw = jac.T * w
         a_mat = jtw @ jac
         grad = jtw @ r
-        diag = np.diag(a_mat).copy()
-        if np.any(diag <= 0) or not np.all(np.isfinite(a_mat)):
+        diag = a_mat.diagonal()
+        if min(diag.tolist()) <= 0 or not all(map(math.isfinite, a_mat.flat)):
             raise DegenerateFitError("degenerate fit window")
-        accepted = False
+        damped = a_mat + 0.0  # a + lam diag(d) off the diagonal; on it, set per lam
+        damped_diag = damped.reshape(-1)[::p.size + 1]
         for _ in range(60):
+            np.multiply(diag, lam, out=damped_diag)
+            damped_diag += diag
             try:
-                step = np.linalg.solve(a_mat + lam * np.diag(diag), grad)
+                step = np.linalg.solve(damped, grad)
             except np.linalg.LinAlgError:
                 raise DegenerateFitError("degenerate fit window") from None
             p_new = p + step
             r_new, cost_new = cost_of(p_new)
-            if np.isfinite(cost_new) and cost_new <= cost:
-                accepted = True
+            if math.isfinite(cost_new) and cost_new <= cost:
                 break
             lam *= 10.0
-        if not accepted:
+        else:  # no step in 60 was accepted
             break
-        rel_step = float(np.max(np.abs(step) / (np.abs(p) + 1e-300)))
-        rel_dcost = (cost - cost_new) / max(cost, 1e-300)
+        converged = (cost - cost_new) / max(cost, 1e-300) < FTOL and all(
+            abs(s) / (abs(q) + 1e-300) < XTOL
+            for s, q in zip(step.tolist(), p.tolist()))
         p, r, cost = p_new, r_new, cost_new
         lam = max(lam / 10.0, 1e-14)
-        if rel_step < XTOL and rel_dcost < FTOL:
-            converged = True
+        if converged:
             break
 
     jac = jacobian(x, p)
@@ -139,17 +141,22 @@ def _lorentz_model(x, p):
 
 
 def _lorentz_jac(x, p):
-    c, fwhm, area, offset = p
-    half = abs(fwhm) / 2.0
+    c, fwhm, area, _ = p.tolist()
+    half, scale = abs(fwhm) / 2.0, area / math.pi
     dx = x - c
-    den = dx * dx + half * half
+    dx2 = dx * dx
+    den = dx2 + half * half
     jac = np.empty((x.size, 4))
+    col0, col1, col2 = jac[:, 0], jac[:, 1], jac[:, 2]
     # trial steps may explore huge linewidths; an inf here just makes the
     # step rejectable, so the overflow is not worth a warning
     with np.errstate(over="ignore"):
-        jac[:, 0] = (area / math.pi) * half * 2.0 * dx / den ** 2
-        jac[:, 1] = (area / math.pi) * (dx * dx - half * half) / den ** 2 / 2.0
-    jac[:, 2] = half / (math.pi * den)
+        den2 = den * den
+        np.divide(np.multiply(dx, scale * half * 2.0, out=col0), den2, out=col0)
+        np.multiply(np.subtract(dx2, half * half, out=col1), scale, out=col1)
+        col1 /= den2
+        col1 /= 2.0
+    np.divide(half, np.multiply(den, math.pi, out=col2), out=col2)
     jac[:, 3] = 1.0
     return jac
 
@@ -180,6 +187,22 @@ def initial_lorentzian_guess(freq, vals):
     return np.array([center, fwhm, area, offset])
 
 
+def window_bins(freq, window: tuple[float, float]) -> slice:
+    """The bins of the increasing grid freq in [window[0], window[1]]."""
+    return slice(np.searchsorted(freq, window[0], "left"),
+                 np.searchsorted(freq, window[1], "right"))
+
+
+def fifth_percentile(vals) -> float:
+    """np.percentile(vals, 5) of finite values from one partial sort:
+    numpy's linear rule between the order statistics around 0.05 (n - 1)."""
+    pos = (vals.size - 1) * 0.05
+    kth = [int(pos), min(int(pos) + 1, vals.size - 1)]
+    a, b = np.partition(vals, kth)[kth].tolist()
+    t = pos - kth[0]
+    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1.0 - t)
+
+
 def trace_averages(trace: PsdTrace) -> float | None:
     """The averages behind a trace, from its metadata: None (unweighted
     fits) when unknown or infinite."""
@@ -195,9 +218,8 @@ def fit_lorentzian(trace: PsdTrace, window: tuple[float, float],
     averaged-periodogram variance model sigma_i^2 = model_i^2 / averages,
     iterated once on the fitted model; otherwise unit weights.
     """
-    mask = (trace.freq_hz >= window[0]) & (trace.freq_hz <= window[1])
-    freq = trace.freq_hz[mask]
-    vals = trace.values[mask]
+    bins = window_bins(trace.freq_hz, window)
+    freq, vals = trace.freq_hz[bins], trace.values[bins]
     if freq.size < 8:
         raise DegenerateFitError("degenerate fit window: fewer than 8 bins")
     averages = trace_averages(trace)
@@ -205,7 +227,7 @@ def fit_lorentzian(trace: PsdTrace, window: tuple[float, float],
 
     weights = None
     if averages is not None:
-        var = np.maximum(vals, np.percentile(vals, 5)) ** 2 / averages
+        var = np.maximum(vals, fifth_percentile(vals)) ** 2 / averages
         weights = 1.0 / var
     p, cov, converged, _ = levenberg_marquardt(_lorentz_model, _lorentz_jac,
                                                freq, vals, p0, weights)

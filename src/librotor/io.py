@@ -287,10 +287,14 @@ _HEATING = {"gamma_thermal_alpha": ((0, "gamma_thermal"), 1.0),
             "gamma_intrinsic_alpha_hz": ((0, "gamma_intrinsic"), TWO_PI),
             "gamma_intrinsic_beta_hz": ((1, "gamma_intrinsic"), TWO_PI)}
 
+# Most bins a synthesized trace may have: 8 MB per array.
+MAX_N_BINS = 2 ** 20
+
 # Synthesis settings stay in Hz: key -> (default, what the value may hold).
 # The default detunings are the optics detuning.
 _SYNTHESIS = {
-    "n_bins": (2048, lambda v: _real(v, 15) and isinstance(v, numbers.Integral)),
+    "n_bins": (2048, lambda v: isinstance(v, numbers.Integral)
+               and _real(v, 15) and v <= MAX_N_BINS),
     "span_factor": (1.5, lambda v: _real(v, 0.0)),
     "het_freq_hz": (4.99814e6, lambda v: _real(v, 0.0)),
     "averages": (100, lambda v: v == math.inf or _real(v) and v >= 1),
@@ -419,7 +423,7 @@ class RunConfig:
                 raw = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8, an over-long integer
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
         return RunConfig.from_dict(raw)
 

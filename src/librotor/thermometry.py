@@ -14,9 +14,9 @@ from . import physics
 from .errors import (CalibrationError, DegenerateFitError, LibrotorError,
                      UnderdeterminedScanError, UnphysicalAsymmetryError)
 from .fitting import (MIN_SCAN_POINTS, LorentzianFit, ScanFitResult,
-                      fit_lorentzian, fit_occupation_curve, fit_scan_frequency,
-                      fit_scan_linewidth, linear_lstsq, lorentzian,
-                      trace_averages)
+                      fifth_percentile, fit_lorentzian, fit_occupation_curve,
+                      fit_scan_frequency, fit_scan_linewidth, linear_lstsq,
+                      lorentzian, trace_averages, window_bins)
 from .noise import DetectorResponse, detector_gain
 from .physics import TWO_PI, DerivedScalars, LibrationMode, OpticalSetup
 from .spectrum import ORIENT_LO_BLUE, PsdTrace, sideband_frequencies
@@ -90,7 +90,7 @@ def _constrained_area_fit(freq, vals, center, fwhm, averages):
     design = np.column_stack([shape, np.ones_like(freq)])
     params, cov = linear_lstsq(design, vals)
     if averages is not None:
-        w = averages / np.maximum(design @ params, np.percentile(vals, 5)) ** 2
+        w = averages / np.maximum(design @ params, fifth_percentile(vals)) ** 2
         params, cov = linear_lstsq(design, vals, w)
     full_cov = np.zeros((4, 4))
     full_cov[2, 2] = cov[0, 0]
@@ -142,8 +142,8 @@ def fit_sideband_pair(trace: PsdTrace, resp: DetectorResponse | None,
     except DegenerateFitError:
         anti, ok = None, False
     if not ok:
-        mask = (freq >= window[0]) & (freq <= window[1])
-        anti = _constrained_area_fit(freq[mask], corrected.values[mask],
+        bins = window_bins(freq, window)
+        anti = _constrained_area_fit(freq[bins], corrected.values[bins],
                                      mirror, stokes.linewidth_fwhm,
                                      trace_averages(trace))
     return stokes, anti

@@ -159,6 +159,42 @@ class TestRunConfig:
                      "--out", str(tmp_path / "run")]) == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("n_bins", [10 ** 400, 10 ** 9, 2 ** 20 + 1],
+                             ids=["1e400", "1e9", "cap+1"])
+    def test_n_bins_above_the_cap_exit_2(self, tmp_path, config_path, capsys,
+                                         n_bins):
+        """A bin count above MAX_N_BINS is refused while the config is read,
+        before any grid is allocated."""
+        raw = json.load(open(config_path))
+        raw["synthesis"]["n_bins"] = n_bins
+        with pytest.raises(ConfigError, match=re.escape("synthesis.n_bins")):
+            io.RunConfig.from_dict(raw)
+        path = str(tmp_path / "big.json")
+        io.atomic_write_text(path, io.format_json(raw))
+        assert main(["simulate", "--config", path, "--out",
+                     str(tmp_path / "x")]) == 2
+        assert "synthesis.n_bins" in capsys.readouterr().err
+
+    def test_n_bins_cap_is_inclusive(self, config_path):
+        raw = json.load(open(config_path))
+        raw["synthesis"]["n_bins"] = io.MAX_N_BINS
+        assert io.RunConfig.from_dict(raw).synthesis["n_bins"] == io.MAX_N_BINS
+
+    @pytest.mark.parametrize("value", [b"1" + b"0" * 5000, b"\xff"],
+                             ids=["long-integer", "not-utf8"])
+    def test_unparsable_config_exit_2(self, tmp_path, config_path, capsys,
+                                      value):
+        """An integer longer than Python parses from text, or a byte that
+        is not UTF-8, is a config error."""
+        data = open(config_path, "rb").read()
+        data, count = re.subn(rb'"n_bins": \d+', b'"n_bins": ' + value, data)
+        assert count == 1
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        assert main(["simulate", "--config", str(path), "--out",
+                     str(tmp_path / "x")]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key,value", [("center_hz", math.nan),
                                            ("width_hz", math.inf),
                                            ("center_hz", "x"),

@@ -3,7 +3,6 @@ synthetic heterodyne spectra, and the sideband-thermometry inverse pipeline."""
 
 __version__ = "0.1.0"
 
-from . import (fitting, geometry, noise, physics, presets, spectrum,
+from . import (fitting, geometry, io, noise, physics, presets, spectrum,
                thermometry)
-from . import cli, io  # noqa: E402  (need __version__ defined first)
 from .errors import LibrotorError

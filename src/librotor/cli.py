@@ -21,8 +21,8 @@ from .spectrum import (PsdTrace, default_grid, lorentzian, periodogram_draw,
                        scan_series)
 from .thermometry import (CHANNEL_MODE, METHOD_DIFFCAL, METHOD_RATIO,
                           OccupationResult, _auto_hint, analyze_scan,
-                          calibrate_c, calibrate_response, fit_sideband_pairs,
-                          gain_corrected, occupations_from_pairs)
+                          calibrate_response, channel_occupations,
+                          gain_corrected, group_by_channel)
 
 # Trace channel used for calibration (shot / dark) spectra.
 CAL_CHANNEL = "calibration"
@@ -151,82 +151,55 @@ def _write_plot_data(out_dir, trace_path, trace, resp, occ):
         + io.format_csv_rows(f[order], d[order], m[order], r[order]))
 
 
-def _diffcal_by_channel(traces, pairs) -> list:
-    """Difference-calibrated occupations, with C calibrated per channel as
-    scanfit does: each cavity channel has its own sideband area scale.  A
-    channel with fewer than 2 analyzable traces fails each of them."""
-    channels = [trace.meta.get("channel") for _, trace in traces]
-    out = [None] * len(pairs)
-    for channel in dict.fromkeys(channels):
-        idx = [i for i, c in enumerate(channels) if c == channel]
-        ch_pairs = [pairs[i] for i in idx]
-        results = occupations_from_pairs(ch_pairs, METHOD_RATIO, None)
-        ratio = [o for o in results if isinstance(o, OccupationResult)]
-        if len(ratio) < 2:
-            error = LibrotorError(f"difference-calibrated analysis needs at least "
-                                  f"2 analyzable traces on channel {channel} "
-                                  f"to calibrate C")
-            results = [error if isinstance(o, OccupationResult) else o
-                       for o in results]
-        else:
-            c_cal = calibrate_c([(*o.areas[0], *o.areas[1]) for o in ratio])
-            if not c_cal.consistent:
-                _warn(f"sideband area differences on channel {channel} are "
-                      f"mutually inconsistent; C calibration may be biased")
-            results = occupations_from_pairs(ch_pairs, METHOD_DIFFCAL,
-                                             (c_cal.c, c_cal.c_err))
-        for i, occ in zip(idx, results):
-            out[i] = occ
-    return out
-
-
 def cmd_analyze(args) -> int:
+    if bool(args.shot) != bool(args.dark):
+        given, missing = ("--shot", "--dark") if args.shot else ("--dark", "--shot")
+        raise ConfigError(f"{given} needs {missing}: pass both calibration "
+                          f"traces or neither")
     paths = sorted(glob.glob(args.traces))
     if not paths:
         raise ConfigError(f"no trace files match {args.traces!r}")
     cal = {"shot": io.read_psd_csv(args.shot),
-           "dark": io.read_psd_csv(args.dark)} if args.shot and args.dark else None
+           "dark": io.read_psd_csv(args.dark)} if args.shot else None
     traces, resp = _load_traces(paths, cal)
     if not traces:
         raise ConfigError(f"no analyzable (non-calibration) traces in "
                           f"{args.traces!r}")
     out_dir = os.path.dirname(os.path.abspath(args.out))
 
-    # Each sideband pair is fitted once; both estimators read its areas.
-    pairs = fit_sideband_pairs([t for _, t in traces], resp, _auto_hint)
-    if args.method == "diffcal":
-        occupations = _diffcal_by_channel(traces, pairs)
-    else:
-        occupations = occupations_from_pairs(pairs, METHOD_RATIO, None)
-
-    entries = []
-    failures = 0
-    for (path, trace), occ in zip(traces, occupations):
-        entry = {"file": os.path.basename(path),
-                 "detuning_hz": trace.meta.get("detuning_hz"),
-                 "channel": trace.meta.get("channel")}
-        if isinstance(occ, OccupationResult):
-            entry.update({
-                "n": occ.n, "n_err": occ.n_err,
-                "ground_state_prob": occ.ground_state_prob,
-                "c_factor": occ.c_factor,
-                "area_stokes": occ.areas[0][0],
-                "area_stokes_err": occ.areas[0][1],
-                "area_anti_stokes": occ.areas[1][0],
-                "area_anti_stokes_err": occ.areas[1][1],
-                "method": occ.method,
-            })
-            _write_plot_data(out_dir, path, trace, resp, occ)
-        else:
-            entry["error"] = str(occ)
-            failures += 1
-        entries.append(entry)
+    method = METHOD_DIFFCAL if args.method == "diffcal" else METHOD_RATIO
+    entries = [None] * len(traces)
+    for channel, idx in group_by_channel([t for _, t in traces]).items():
+        results, c_cal = channel_occupations(
+            channel, [traces[i][1] for i in idx], resp, _auto_hint, method)
+        if method == METHOD_DIFFCAL and c_cal and not c_cal.consistent:
+            _warn(f"sideband area differences on channel {channel} are "
+                  f"mutually inconsistent; C calibration may be biased")
+        for i, occ in zip(idx, results):
+            path, trace = traces[i]
+            entries[i] = entry = {"file": os.path.basename(path),
+                                  "detuning_hz": trace.meta.get("detuning_hz"),
+                                  "channel": trace.meta.get("channel")}
+            if isinstance(occ, OccupationResult):
+                entry.update({
+                    "n": occ.n, "n_err": occ.n_err,
+                    "ground_state_prob": occ.ground_state_prob,
+                    "c_factor": occ.c_factor,
+                    "area_stokes": occ.areas[0][0],
+                    "area_stokes_err": occ.areas[0][1],
+                    "area_anti_stokes": occ.areas[1][0],
+                    "area_anti_stokes_err": occ.areas[1][1],
+                    "method": occ.method,
+                })
+                _write_plot_data(out_dir, path, trace, resp, occ)
+            else:
+                entry["error"] = str(occ)
 
     result = {"schema": io.RESULTS_SCHEMA, "command": "analyze",
               "tool_version": __version__, "method": args.method,
               "traces": entries}
     io.atomic_write_text(args.out, io.format_json(result))
-    if failures == len(entries):
+    if all("error" in entry for entry in entries):
         print("error: all traces failed analysis", file=sys.stderr)
         return 3
     return 0

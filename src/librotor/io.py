@@ -214,6 +214,8 @@ def read_psd_csv(path: str) -> PsdTrace:
         try:
             with open(side, "r", encoding="utf-8") as fh:
                 meta = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read {side}: {exc}") from None
         except ValueError as exc:
             raise ConfigError(f"{side}: malformed sidecar JSON: {exc}") from None
         if not isinstance(meta, dict):

@@ -157,16 +157,9 @@ def _or_error(fn, *args):
         return exc
 
 
-def fit_sideband_pairs(traces, resp: DetectorResponse | None, hint) -> list:
-    """fit_sideband_pair for each trace at the mode frequency hint(trace):
-    the (stokes, anti) pair, or the LibrotorError that stopped the fit."""
-    return [_or_error(lambda t: fit_sideband_pair(t, resp, hint(t)), trace)
-            for trace in traces]
-
-
 def occupations_from_pairs(pairs, method: str,
                            c: tuple[float, float] | float | None) -> list:
-    """occupation_from_fits for each entry of fit_sideband_pairs: the
+    """occupation_from_fits for each fitted (stokes, anti) pair: the
     OccupationResult, or the LibrotorError of the fit or of the estimator."""
     return [pair if isinstance(pair, LibrotorError)
             else _or_error(occupation_from_fits, *pair, method, c) for pair in pairs]
@@ -340,6 +333,40 @@ def _auto_hint(trace: PsdTrace) -> float:
     return float(offsets[best])
 
 
+def group_by_channel(traces) -> dict[str, list[int]]:
+    """Indices of each detection channel's traces, in input order; a trace
+    without a channel is on backscatter_y."""
+    groups: dict[str, list[int]] = {}
+    for i, trace in enumerate(traces):
+        groups.setdefault(trace.meta.get("channel", "backscatter_y"), []).append(i)
+    return groups
+
+
+def channel_occupations(channel: str, traces, resp: DetectorResponse | None,
+                        hint, method: str) -> tuple[list, CFactor | None]:
+    """Each trace's OccupationResult or LibrotorError, from one fit of its
+    sideband pair at the mode frequency hint(trace), and the channel's area
+    scale C, calibrated from the ratio areas when at least 2 traces give
+    them (else None).  Without C every difference-calibrated trace fails."""
+    pairs = [_or_error(lambda t: fit_sideband_pair(t, resp, hint(t)), trace)
+             for trace in traces]
+    results = occupations_from_pairs(pairs, METHOD_RATIO, None)
+    ratio = [o for o in results if isinstance(o, OccupationResult)]
+    c_cal = None
+    if len(ratio) >= 2:
+        c_cal = calibrate_c([(*o.areas[0], *o.areas[1]) for o in ratio])
+    if method == METHOD_DIFFCAL and c_cal is not None:
+        results = occupations_from_pairs(pairs, METHOD_DIFFCAL,
+                                         (c_cal.c, c_cal.c_err))
+    elif method == METHOD_DIFFCAL:
+        error = LibrotorError(f"difference-calibrated analysis needs at least "
+                              f"2 analyzable traces on channel {channel} "
+                              f"to calibrate C")
+        results = [error if isinstance(o, OccupationResult) else o
+                   for o in results]
+    return results, c_cal
+
+
 def analyze_scan(traces, setup: OpticalSetup,
                  resp: DetectorResponse | None = None,
                  method: str = METHOD_DIFFCAL) -> list[ModeScanReport]:
@@ -352,11 +379,10 @@ def analyze_scan(traces, setup: OpticalSetup,
     UnderdeterminedScanError is raised only when no channel has enough
     analyzable traces.
     """
-    by_channel: dict[str, list[PsdTrace]] = {}
-    for tr in traces:
-        by_channel.setdefault(tr.meta.get("channel", "backscatter_y"), []).append(tr)
-    reports = [_analyze_channel(channel, ch_traces, setup, resp, method)
-               for channel, ch_traces in sorted(by_channel.items())]
+    groups = group_by_channel(traces)
+    reports = [_analyze_channel(channel, [traces[i] for i in groups[channel]],
+                                setup, resp, method)
+               for channel in sorted(groups)]
     if all(mode.n_best is None for mode in reports):
         raise UnderdeterminedScanError("; ".join(mode.error for mode in reports))
     return reports
@@ -365,31 +391,18 @@ def analyze_scan(traces, setup: OpticalSetup,
 def _analyze_channel(channel, ch_traces, setup, resp, method) -> ModeScanReport:
     ch_traces = sorted(ch_traces, key=lambda t: t.meta.get("detuning_hz") or 0.0)
     label = CHANNEL_MODE.get(channel, "alpha")
-
-    # Each sideband pair is fitted once; both estimators read its areas.
-    pairs = fit_sideband_pairs(ch_traces, resp, lambda _: _auto_hint(ch_traces[0]))
-    results = occupations_from_pairs(pairs, METHOD_RATIO, None)
-    ratio = [o for o in results if isinstance(o, OccupationResult)]
-    c_cal = error = None
-    if len(ratio) < MIN_SCAN_POINTS:
-        error = (f"underdetermined scan: only {len(ratio)} analyzable traces "
-                 f"on channel {channel}")
-    else:
-        c_cal = calibrate_c([(*o.areas[0], *o.areas[1]) for o in ratio])
-        if method == METHOD_DIFFCAL:
-            results = occupations_from_pairs(pairs, METHOD_DIFFCAL,
-                                             (c_cal.c, c_cal.c_err))
+    results, c_cal = channel_occupations(
+        channel, ch_traces, resp, lambda _: _auto_hint(ch_traces[0]), method)
     fitted = [(tr, o) for tr, o in zip(ch_traces, results)
               if isinstance(o, OccupationResult)]
-    if error is None and len(fitted) < MIN_SCAN_POINTS:
-        error = ("underdetermined scan after difference calibration on "
-                 f"channel {channel}")
     analyses = [TraceAnalysis(tr.meta.get("detuning_hz"),
                               *((o, None) if isinstance(o, OccupationResult)
                                 else (None, str(o))))
                 for tr, o in zip(ch_traces, results)]
-    if error is not None:
-        return ModeScanReport(label, channel, analyses, c_cal, error=error)
+    if len(fitted) < MIN_SCAN_POINTS:
+        return ModeScanReport(label, channel, analyses, c_cal,
+                              error=f"underdetermined scan: only {len(fitted)} "
+                                    f"analyzable traces on channel {channel}")
 
     # Build scan-fit inputs: the sideband pair gives two estimates each of
     # the effective frequency and linewidth; combine by inverse variance.
@@ -414,6 +427,7 @@ def _analyze_channel(channel, ch_traces, setup, resp, method) -> ModeScanReport:
         occ_pts.append((det, occ.n, occ.n_err))
 
     frequency_fit = linewidth_fit = occupation_fit = inertia = derived = None
+    error = None
     try:
         frequency_fit = fit_scan_frequency(freq_pts, setup.kappa)
         omega_bare = frequency_fit.omega_bare

@@ -390,6 +390,16 @@ class TestAnalyze:
                      "--out", str(tmp_path / "o.json")]) == 2
         assert "small.meta.json" in capsys.readouterr().err
 
+    def test_unreadable_sidecar_exit_2(self, tmp_path, capsys):
+        """A directory stands in for an unreadable sidecar (file modes do
+        not stop root)."""
+        path = write_small_trace(tmp_path)
+        os.remove(io.sidecar_path(path))
+        os.mkdir(io.sidecar_path(path))
+        assert main(["analyze", "--traces", path,
+                     "--out", str(tmp_path / "o.json")]) == 2
+        assert "small.meta.json" in capsys.readouterr().err
+
     def test_missing_sidecar_exit_2(self, tmp_path, capsys):
         path = write_small_trace(tmp_path)
         os.remove(io.sidecar_path(path))
@@ -405,6 +415,19 @@ class TestAnalyze:
                      "--dark", str(tmp_path / "nope2.csv"),
                      "--out", str(tmp_path / "o.json")]) == 2
         assert "nope.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("given, missing", [("--shot", "--dark"),
+                                                ("--dark", "--shot")])
+    def test_calibration_flag_alone_exit_2(self, tmp_path, capsys, given,
+                                           missing):
+        """One of --shot and --dark is an input error, even when the file it
+        names does not exist, not a silent fall back to a flat response."""
+        path = write_small_trace(tmp_path)
+        assert main(["analyze", "--traces", path,
+                     given, str(tmp_path / "nope.csv"),
+                     "--out", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"{given} needs {missing}" in err and "flat" not in err
 
     def test_non_utf8_trace_exit_2(self, tmp_path, capsys):
         path = write_small_trace(tmp_path)
@@ -469,31 +492,71 @@ class TestAnalyze:
         assert len(c_vals) == 1  # one shared calibrated C
         assert results["traces"][0]["method"] == "difference_calibrated"
 
-    def test_diffcal_calibrates_c_per_channel(self, tmp_path):
+    @pytest.mark.parametrize("z_channel, z_scales", [
+        ("cavity_z", (2e5,) * 6),
+        ("cavity_z", (2e5,) * 3),  # C, but too few traces for scan fits
+        ("cavity_z", (2e5,) * 2),
+        ("cavity_z", (2e5,)),  # no C: each diffcal trace fails
+        ("cavity_z", (2e5, 3e5) * 3),  # inconsistent C
+        (None, (2e5,)),  # no channel in the sidecar: on backscatter_y
+    ], ids=["two_channels", "z_three_traces", "z_two_traces", "z_one_trace",
+            "z_inconsistent", "no_channel_one_trace"])
+    def test_diffcal_calibrates_c_per_channel(self, tmp_path, capsys,
+                                              z_channel, z_scales):
         """Noise-free sideband pairs on two channels whose area scales C
-        differ twofold: each channel gets its own C, so every occupation
-        comes back."""
+        differ: each channel gets its own C, calibrated whenever it has 2
+        analyzable traces, and analyze and scanfit calibrate the same C
+        bit for bit from the same traces."""
         from librotor.spectrum import lorentzian
         het, f_mode = 5.0e6, 1.03e6
         grid = np.linspace(het - 1.5e6, het + 1.5e6, 4096)
+        optics = io.optics_fields(cluster_1d().optics)
         n_true = {}
-        for channel, c in (("cavity_y", 1e5), ("cavity_z", 2e5)):
-            for i, n in enumerate((0.3, 0.5, 0.7, 0.9, 1.2, 1.5)):
+        for channel, scales in (("cavity_y", (1e5,) * 6), (z_channel, z_scales)):
+            for i, (n, c) in enumerate(zip((0.3, 0.5, 0.7, 0.9, 1.2, 1.5),
+                                           scales)):
                 # LO on the blue side: the Stokes line lies above the carrier
                 vals = (1.0 + lorentzian(grid, het + f_mode, 5e3, c * (n + 1))
                         + lorentzian(grid, het - f_mode, 5e3, c * n))
+                meta = {**optics, "het_freq_hz": het, "averages": 200,
+                        "detuning_hz": 1e6 + 1e4 * i}
+                if channel is not None:
+                    meta["channel"] = channel
                 name = f"trace_{i:03d}_{channel}.csv"
-                io.write_psd_csv(str(tmp_path / name), PsdTrace(
-                    grid, vals, {"het_freq_hz": het, "averages": 200,
-                                 "channel": channel, "detuning_hz": 1e6}))
-                n_true[name] = (n, c)
+                io.write_psd_csv(str(tmp_path / name), PsdTrace(grid, vals, meta))
+                n_true[name] = (channel, n, c)
         out = str(tmp_path / "out" / "r.json")
         assert main(["analyze", "--traces", str(tmp_path / "trace_*.csv"),
                      "--out", out, "--method", "diffcal"]) == 0
+        inconsistent = len(set(z_scales)) > 1
+        assert ("mutually inconsistent" in capsys.readouterr().err) \
+            == inconsistent
+        analyzed = {}
         for entry in json.load(open(out))["traces"]:
-            n, c = n_true[entry["file"]]
-            assert entry["c_factor"] == pytest.approx(c, rel=1e-3)
-            assert entry["n"] == pytest.approx(n, rel=1e-2)
+            channel, n, c = n_true[entry["file"]]
+            assert entry["channel"] == channel  # as read, also when absent
+            group = channel or "backscatter_y"
+            analyzed.setdefault(group, []).append(entry)
+            if channel == z_channel and len(z_scales) == 1:
+                assert entry["error"] == (
+                    "difference-calibrated analysis needs at least 2 "
+                    f"analyzable traces on channel {group} to calibrate C")
+            elif not (channel == z_channel and inconsistent):
+                assert entry["c_factor"] == pytest.approx(c, rel=1e-3)
+                assert entry["n"] == pytest.approx(n, rel=1e-2)
+
+        scan = str(tmp_path / "scan.json")
+        assert main(["scanfit", "--traces", str(tmp_path), "--out", scan]) == 0
+        modes = {m["channel"]: m for m in json.load(open(scan))["modes"]}
+        assert sorted(modes) == sorted(analyzed)
+        for group, entries in analyzed.items():
+            mode = modes[group]
+            assert mode["c_factor"] == entries[0].get("c_factor")
+            assert [t["n"] for t in mode["occupations"]] == \
+                [e.get("n") for e in entries]
+            assert [t["error"] for t in mode["occupations"]] == \
+                [e.get("error") for e in entries]
+            assert (mode["n_best"] is None) == (len(entries) < 4)
 
     def test_diffcal_fits_each_trace_once(self, tmp_path, sim_dir,
                                           monkeypatch):
@@ -700,6 +763,16 @@ class TestTopLevel:
             main(["--version"])
         assert exc.value.code == 0
         assert "librotor" in capsys.readouterr().out
+
+    def test_run_as_module_without_runtime_warning(self):
+        """`import librotor` leaves librotor.cli unimported, so runpy does
+        not find it in sys.modules before running it as __main__."""
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "librotor.cli", "--version"], env=src_env(),
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "librotor" in proc.stdout
 
     def test_cli_import_leaves_out_scipy_stats(self):
         """Importing scipy makes up most of the start-up time; the runtime

@@ -11,8 +11,8 @@ from librotor.noise import DetectorResponse, NoiseProfile, detector_gain
 from librotor.physics import LibrationMode
 from librotor.presets import cluster_1d
 from librotor.spectrum import (ORIENT_LO_BLUE, ORIENT_LO_RED, PsdTrace,
-                               SidebandSpec, default_grid, mean_psd,
-                               scan_series, synthesize_psd)
+                               SidebandSpec, default_grid, lorentzian,
+                               mean_psd, scan_series, synthesize_psd)
 from librotor.thermometry import (METHOD_DIFFCAL, METHOD_RATIO,
                                   _occupation_from_areas, analyze_scan,
                                   calibrate_c, calibrate_response,
@@ -276,3 +276,22 @@ class TestAnalyzeScan:
         sc, traces = self._scan_traces(math.inf)
         with pytest.raises(UnderdeterminedScanError):
             analyze_scan(traces[:3], sc.optics)
+
+    def test_underdetermined_counts_the_calibrated_occupations(self):
+        """Five traces give ratio occupations, but C comes out near the
+        three heavily averaged ones, and the two traces with a tenth of
+        their area scale fall below zero beyond 2 sigma under it: 3
+        analyzable traces are too few for the scan fits."""
+        het, f_mode = 5.0e6, 1.03e6
+        grid = np.linspace(het - 1.5e6, het + 1.5e6, 4096)
+        traces = []
+        for i, (c, averages) in enumerate([(2e5, 1e6)] * 3 + [(2e4, 200)] * 2):
+            vals = (1.0 + lorentzian(grid, het + f_mode, 5e3, c * 1.3)
+                    + lorentzian(grid, het - f_mode, 5e3, c * 0.3))
+            traces.append(PsdTrace(grid, vals, {
+                "het_freq_hz": het, "averages": averages,
+                "channel": "cavity_z", "detuning_hz": 1e6 + 1e4 * i}))
+        with pytest.raises(UnderdeterminedScanError) as exc:
+            analyze_scan(traces, cluster_1d().optics)
+        assert str(exc.value) == ("underdetermined scan: only 3 analyzable "
+                                  "traces on channel cavity_z")

@@ -20,9 +20,8 @@ from .physics import TWO_PI
 from .spectrum import (PsdTrace, default_grid, lorentzian, periodogram_draw,
                        scan_series)
 from .thermometry import (CHANNEL_MODE, METHOD_DIFFCAL, METHOD_RATIO,
-                          OccupationResult, _auto_hint, analyze_scan,
-                          calibrate_response, channel_occupations,
-                          gain_corrected, group_by_channel)
+                          OccupationResult, analyze_scan, calibrate_response,
+                          channel_occupations, gain_corrected)
 
 # Trace channel used for calibration (shot / dark) spectra.
 CAL_CHANNEL = "calibration"
@@ -169,9 +168,8 @@ def cmd_analyze(args) -> int:
 
     method = METHOD_DIFFCAL if args.method == "diffcal" else METHOD_RATIO
     entries = [None] * len(traces)
-    for channel, idx in group_by_channel([t for _, t in traces]).items():
-        results, c_cal = channel_occupations(
-            channel, [traces[i][1] for i in idx], resp, _auto_hint, method)
+    passes = channel_occupations([t for _, t in traces], resp, method)
+    for channel, (idx, results, c_cal) in passes.items():
         if method == METHOD_DIFFCAL and c_cal and not c_cal.consistent:
             _warn(f"sideband area differences on channel {channel} are "
                   f"mutually inconsistent; C calibration may be biased")

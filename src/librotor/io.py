@@ -24,7 +24,9 @@ from .errors import ConfigError
 from .noise import NoiseProfile
 from .physics import (TWO_PI, LibrationMode, OpticalSetup, RotorModel,
                       build_modes)
-from .spectrum import CHANNELS, ORIENT_LO_BLUE, ORIENT_LO_RED, PsdTrace
+from .presets import HET_FREQ_HZ
+from .spectrum import (CHANNELS, DEFAULT_CHANNEL, ORIENT_LO_BLUE, ORIENT_LO_RED,
+                       PsdTrace)
 
 PSD_MAGIC = "# librotor-psd v1"
 RESULTS_SCHEMA = "librotor-results/1"
@@ -298,13 +300,13 @@ _SYNTHESIS = {
     "n_bins": (2048, lambda v: isinstance(v, numbers.Integral)
                and _real(v, 15) and v <= MAX_N_BINS),
     "span_factor": (1.5, lambda v: _real(v, 0.0)),
-    "het_freq_hz": (4.99814e6, lambda v: _real(v, 0.0)),
+    "het_freq_hz": (HET_FREQ_HZ, lambda v: _real(v, 0.0)),
     "averages": (100, lambda v: v == math.inf or _real(v) and v >= 1),
     "seed": (0, lambda v: _real(v, -1) and isinstance(v, numbers.Integral)),
     "sideband_orientation": (ORIENT_LO_BLUE, _orientation),
     "detunings_hz": (None, lambda v: isinstance(v, list) and all(map(_real, v))),
     "area_scale_c": (1.0, lambda v: _real(v, 0.0)),
-    "channels": (["backscatter_y"],
+    "channels": ([DEFAULT_CHANNEL],
                  lambda v: isinstance(v, list) and all(c in CHANNELS for c in v)),
     "write_calibration": (True, lambda v: isinstance(v, bool)),
 }
@@ -430,7 +432,7 @@ class RunConfig:
         return RunConfig.from_dict(raw)
 
 
-def config_from_scenario(scenario, detunings_hz, channels=("backscatter_y",),
+def config_from_scenario(scenario, detunings_hz, channels=(DEFAULT_CHANNEL,),
                          averages=100, seed=1, n_bins=2048) -> dict:
     """Build a config dict from a presets.Scenario (handy for tests/demos)."""
     return {

@@ -15,6 +15,7 @@ from .noise import (DetectorResponse, NoiseProfile, cavity_noise_background,
 from .physics import TWO_PI, LibrationMode, OpticalSetup
 
 CHANNELS = ("backscatter_y", "cavity_y", "cavity_z", "split_x", "split_y")
+DEFAULT_CHANNEL = CHANNELS[0]  # of a trace whose sidecar names none
 
 # With the LO blue of the tweezer, the up-converted (anti-Stokes) photon
 # beats at omega_het - Omega and the Stokes photon at omega_het + Omega.
@@ -127,7 +128,7 @@ def synthesize_psd(specs, noise: NoiseProfile, resp: DetectorResponse | None,
                    grid_hz: np.ndarray, averages: float,
                    het_freq_hz: float, seed: int = 0,
                    sideband_orientation: str = ORIENT_LO_BLUE,
-                   channel: str = "backscatter_y",
+                   channel: str = DEFAULT_CHANNEL,
                    detuning_hz: float | None = None) -> PsdTrace:
     """Synthesize one averaged-periodogram PSD trace.
 
@@ -167,7 +168,7 @@ def scan_series(modes, optics: OpticalSetup, noise: NoiseProfile,
                 averages: float, het_freq_hz: float, detunings_hz,
                 area_scale_c: float = 1.0, seed: int = 0,
                 sideband_orientation: str = ORIENT_LO_BLUE,
-                channel: str = "backscatter_y") -> list[ScanPoint]:
+                channel: str = DEFAULT_CHANNEL) -> list[ScanPoint]:
     """Synthesize a detuning scan.
 
     For each detuning the occupation, effective linewidth, and effective

@@ -19,7 +19,8 @@ from .fitting import (MIN_SCAN_POINTS, LorentzianFit, ScanFitResult,
                       lorentzian, trace_averages, window_bins)
 from .noise import DetectorResponse, detector_gain
 from .physics import TWO_PI, DerivedScalars, LibrationMode, OpticalSetup
-from .spectrum import ORIENT_LO_BLUE, PsdTrace, sideband_frequencies
+from .spectrum import (DEFAULT_CHANNEL, ORIENT_LO_BLUE, PsdTrace,
+                       sideband_frequencies)
 
 # Half-width (Hz) of the window each sideband peak is fitted in.
 WINDOW_HALFWIDTH_HZ = 50e3
@@ -155,14 +156,6 @@ def _or_error(fn, *args):
         return fn(*args)
     except LibrotorError as exc:
         return exc
-
-
-def occupations_from_pairs(pairs, method: str,
-                           c: tuple[float, float] | float | None) -> list:
-    """occupation_from_fits for each fitted (stokes, anti) pair: the
-    OccupationResult, or the LibrotorError of the fit or of the estimator."""
-    return [pair if isinstance(pair, LibrotorError)
-            else _or_error(occupation_from_fits, *pair, method, c) for pair in pairs]
 
 
 def _occupation_from_areas(a_s, err_s, a_as, err_as, method, c, c_err):
@@ -333,38 +326,47 @@ def _auto_hint(trace: PsdTrace) -> float:
     return float(offsets[best])
 
 
-def group_by_channel(traces) -> dict[str, list[int]]:
-    """Indices of each detection channel's traces, in input order; a trace
-    without a channel is on backscatter_y."""
+def channel_occupations(traces, resp: DetectorResponse | None, method: str,
+                        ) -> dict[str, tuple[list[int], list, CFactor | None]]:
+    """The per-channel occupation pass.  For each detection channel, in name
+    order (a trace without one is on DEFAULT_CHANNEL): the indices of its
+    traces in scan (detuning) order, each trace's OccupationResult or
+    LibrotorError, and the channel's area scale C.
+
+    Each sideband pair is fitted once, at the mode frequency _auto_hint reads
+    from the channel's first trace with a sideband band on its grid, so a
+    two-mode channel is analysed at one line.  C is calibrated from the
+    ratio areas when 2 traces give them; without C each diffcal trace fails."""
+    def occupations(pairs, estimator, c=None):
+        return [pair if isinstance(pair, LibrotorError)
+                else _or_error(occupation_from_fits, *pair, estimator, c)
+                for pair in pairs]
+
     groups: dict[str, list[int]] = {}
     for i, trace in enumerate(traces):
-        groups.setdefault(trace.meta.get("channel", "backscatter_y"), []).append(i)
-    return groups
-
-
-def channel_occupations(channel: str, traces, resp: DetectorResponse | None,
-                        hint, method: str) -> tuple[list, CFactor | None]:
-    """Each trace's OccupationResult or LibrotorError, from one fit of its
-    sideband pair at the mode frequency hint(trace), and the channel's area
-    scale C, calibrated from the ratio areas when at least 2 traces give
-    them (else None).  Without C every difference-calibrated trace fails."""
-    pairs = [_or_error(lambda t: fit_sideband_pair(t, resp, hint(t)), trace)
-             for trace in traces]
-    results = occupations_from_pairs(pairs, METHOD_RATIO, None)
-    ratio = [o for o in results if isinstance(o, OccupationResult)]
-    c_cal = None
-    if len(ratio) >= 2:
-        c_cal = calibrate_c([(*o.areas[0], *o.areas[1]) for o in ratio])
-    if method == METHOD_DIFFCAL and c_cal is not None:
-        results = occupations_from_pairs(pairs, METHOD_DIFFCAL,
-                                         (c_cal.c, c_cal.c_err))
-    elif method == METHOD_DIFFCAL:
-        error = LibrotorError(f"difference-calibrated analysis needs at least "
-                              f"2 analyzable traces on channel {channel} "
-                              f"to calibrate C")
-        results = [error if isinstance(o, OccupationResult) else o
-                   for o in results]
-    return results, c_cal
+        groups.setdefault(trace.meta.get("channel", DEFAULT_CHANNEL), []).append(i)
+    passes = {}
+    for channel in sorted(groups):
+        idx = sorted(groups[channel],
+                     key=lambda i: traces[i].meta.get("detuning_hz") or 0.0)
+        hints = [_or_error(_auto_hint, traces[i]) for i in idx]
+        hint = next((h for h in hints if isinstance(h, float)), None)
+        pairs = [_or_error(fit_sideband_pair, traces[i], resp, hint)
+                 if isinstance(h, float) else h for i, h in zip(idx, hints)]
+        results = occupations(pairs, METHOD_RATIO)
+        ratio = [o for o in results if isinstance(o, OccupationResult)]
+        c_cal = (calibrate_c([(*o.areas[0], *o.areas[1]) for o in ratio])
+                 if len(ratio) >= 2 else None)
+        if method == METHOD_DIFFCAL and c_cal is not None:
+            results = occupations(pairs, METHOD_DIFFCAL, (c_cal.c, c_cal.c_err))
+        elif method == METHOD_DIFFCAL:
+            error = LibrotorError(f"difference-calibrated analysis needs at "
+                                  f"least 2 analyzable traces on channel "
+                                  f"{channel} to calibrate C")
+            results = [error if isinstance(o, OccupationResult) else o
+                       for o in results]
+        passes[channel] = idx, results, c_cal
+    return passes
 
 
 def analyze_scan(traces, setup: OpticalSetup,
@@ -379,20 +381,17 @@ def analyze_scan(traces, setup: OpticalSetup,
     UnderdeterminedScanError is raised only when no channel has enough
     analyzable traces.
     """
-    groups = group_by_channel(traces)
-    reports = [_analyze_channel(channel, [traces[i] for i in groups[channel]],
-                                setup, resp, method)
-               for channel in sorted(groups)]
+    reports = [_analyze_channel(channel, [traces[i] for i in idx], results,
+                                c_cal, setup)
+               for channel, (idx, results, c_cal)
+               in channel_occupations(traces, resp, method).items()]
     if all(mode.n_best is None for mode in reports):
         raise UnderdeterminedScanError("; ".join(mode.error for mode in reports))
     return reports
 
 
-def _analyze_channel(channel, ch_traces, setup, resp, method) -> ModeScanReport:
-    ch_traces = sorted(ch_traces, key=lambda t: t.meta.get("detuning_hz") or 0.0)
+def _analyze_channel(channel, ch_traces, results, c_cal, setup) -> ModeScanReport:
     label = CHANNEL_MODE.get(channel, "alpha")
-    results, c_cal = channel_occupations(
-        channel, ch_traces, resp, lambda _: _auto_hint(ch_traces[0]), method)
     fitted = [(tr, o) for tr, o in zip(ch_traces, results)
               if isinstance(o, OccupationResult)]
     analyses = [TraceAnalysis(tr.meta.get("detuning_hz"),

@@ -111,12 +111,13 @@ def cmd_simulate(args) -> int:
 def _load_traces(paths, cal=None):
     """Scan traces as (path, trace) pairs in path order, and the detector
     response from the shot and dark calibration traces: those in `cal`
-    (keyed by kind) or else those among paths, flat when either is missing."""
+    (kind -> (path, trace)) or else those among paths, flat when either is
+    missing."""
     traces, found = [], {}
     for path in sorted(paths):
         trace = io.read_psd_csv(path)
         if trace.meta.get("channel") == CAL_CHANNEL:
-            found[trace.meta.get("kind")] = trace
+            found[trace.meta.get("kind")] = (path, trace)
         elif "het_freq_hz" not in trace.meta:
             raise ConfigError(f"{path}: trace metadata lacks het_freq_hz; missing "
                               f"or incomplete sidecar {io.sidecar_path(path)}")
@@ -124,7 +125,11 @@ def _load_traces(paths, cal=None):
             traces.append((path, trace))
     cal = cal or found
     if "shot" in cal and "dark" in cal:
-        return traces, calibrate_response(cal["shot"], cal["dark"])
+        (shot_path, shot), (dark_path, dark) = cal["shot"], cal["dark"]
+        if not np.array_equal(shot.freq_hz, dark.freq_hz):
+            raise ConfigError(f"calibration traces {shot_path} and {dark_path} "
+                              f"do not share a frequency grid")
+        return traces, calibrate_response(shot, dark)
     _warn("no shot and dark calibration traces; assuming a flat detector response")
     return traces, None
 
@@ -158,8 +163,8 @@ def cmd_analyze(args) -> int:
     paths = sorted(glob.glob(args.traces))
     if not paths:
         raise ConfigError(f"no trace files match {args.traces!r}")
-    cal = {"shot": io.read_psd_csv(args.shot),
-           "dark": io.read_psd_csv(args.dark)} if args.shot else None
+    cal = {"shot": (args.shot, io.read_psd_csv(args.shot)),
+           "dark": (args.dark, io.read_psd_csv(args.dark))} if args.shot else None
     traces, resp = _load_traces(paths, cal)
     if not traces:
         raise ConfigError(f"no analyzable (non-calibration) traces in "

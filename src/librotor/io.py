@@ -163,16 +163,40 @@ _META_CHECKS = {
 }
 
 
-def _parse_rows(lines: list[str]) -> np.ndarray:
-    """Bulk parse of two-column data lines into a (2, n) array of
-    frequencies and values; ValueError on any bad line."""
+# One-entry cache of the last grid read: each data row's frequency text up
+# to and including its comma, and the read-only array parsed from them.
+# Every trace of a scan and both calibration traces share one grid, so its
+# frequency column is parsed once; keyed by text, not by value, so that a
+# hit parses exactly what a full parse would.  Read once and replaced in one
+# assignment, so no text is paired with another grid's frequencies.
+_psd_read_grid = ((), np.empty(0))
+
+
+def _parse_rows(lines: list[str], commas: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bulk parse of two-column data lines, which hold `commas` commas in
+    all, into frequencies and values; ValueError on any bad line.  Lines
+    that repeat the cached grid's frequency text, one comma each, have only
+    their values parsed."""
+    global _psd_read_grid
+    prefixes, grid = _psd_read_grid
+    hit = (len(lines) == len(prefixes) == commas
+           and all(map(str.startswith, lines, prefixes)))
     with warnings.catch_warnings():
         # no data rows: rejected by PsdTrace's bin count, not warned about
         warnings.simplefilter("ignore", UserWarning)
+        if hit:
+            return grid, np.loadtxt(lines, delimiter=",", comments="#",
+                                    usecols=1, ndmin=1)
         rows = np.loadtxt(lines, delimiter=",", comments="#", ndmin=2)
     if rows.shape[1:] != (2,):
         raise ValueError("expected 2 columns")
-    return rows.T.copy()
+    freqs, vals = rows[:, 0].copy(), rows[:, 1].copy()
+    # Every line a data row with one comma: its text up to the comma is
+    # all the frequency column there is, so a file repeating it can hit.
+    if len(lines) == len(rows) == commas:
+        freqs.flags.writeable = False
+        _psd_read_grid = ([line[:line.index(",") + 1] for line in lines], freqs)
+    return freqs, vals
 
 
 def _parse_rows_by_line(path: str, lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -197,17 +221,25 @@ def _parse_rows_by_line(path: str, lines: list[str]) -> tuple[np.ndarray, np.nda
 
 def read_psd_csv(path: str) -> PsdTrace:
     """Trace from a PSD CSV; the header line after the magic line is
-    optional.  Metadata comes from the sidecar when there is one."""
+    optional.  Metadata comes from the sidecar when there is one.
+
+    A file whose every data line starts with the same frequency text as
+    the last grid read by a full parse (and holds no other comma) has only
+    its value column parsed, and its trace shares that grid's read-only
+    frequency array; any other file takes the full parse.  Both give the
+    same bits and accept the same files."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
+    lines = text.splitlines()
     if not lines or lines[0].strip() != PSD_MAGIC:
         raise ConfigError(f"{path}: missing '{PSD_MAGIC}' header")
-    body = lines[2:] if len(lines) > 1 and lines[1].strip() == PSD_HEADER else lines[1:]
+    # the magic line has no comma, the header line one
+    head = 2 if len(lines) > 1 and lines[1].strip() == PSD_HEADER else 1
     try:
-        freqs, vals = _parse_rows(body)
+        freqs, vals = _parse_rows(lines[head:], text.count(",") - (head - 1))
     except ValueError:
         freqs, vals = _parse_rows_by_line(path, lines)
     meta = {}

@@ -59,8 +59,7 @@ def calibrate_response(shot_trace: PsdTrace, dark_trace: PsdTrace) -> DetectorRe
     gain = (shot - dark) per bin, median-smoothed over 5 bins and normalized
     to unit median; bins with shot <= dark are invalidated and interpolated.
     """
-    if shot_trace.freq_hz.shape != dark_trace.freq_hz.shape or \
-            not np.allclose(shot_trace.freq_hz, dark_trace.freq_hz):
+    if not np.array_equal(shot_trace.freq_hz, dark_trace.freq_hz):
         raise CalibrationError("calibration traces do not share a frequency grid")
     diff = shot_trace.values - dark_trace.values
     bad = diff <= 0

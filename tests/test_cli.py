@@ -37,6 +37,11 @@ def read_bytes(path):
         return fh.read()
 
 
+def read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 # ---------------------------------------------------------------------------
 # file formats
 
@@ -90,17 +95,17 @@ class TestRunConfig:
         assert io.format_json(again.data) == text
 
     def test_unknown_key_rejected(self, config_path):
-        raw = json.load(open(config_path))
+        raw = read_json(config_path)
         raw["rotor"]["bogus_key"] = 1.0
         with pytest.raises(ConfigError, match="bogus_key"):
             io.RunConfig.from_dict(raw)
-        raw2 = json.load(open(config_path))
+        raw2 = read_json(config_path)
         raw2["typo_section"] = {}
         with pytest.raises(ConfigError, match="typo_section"):
             io.RunConfig.from_dict(raw2)
 
     def test_invariants_checked_on_load(self, config_path):
-        raw = json.load(open(config_path))
+        raw = read_json(config_path)
         raw["rotor"]["inertia_b"] = -1.0
         with pytest.raises(ConfigError, match="inertia_b"):
             io.RunConfig.from_dict(raw)
@@ -112,7 +117,7 @@ class TestRunConfig:
         assert optics.detuning == TWO_PI * cfg.data["optics"]["detuning_hz"]
 
     def test_missing_required_key(self, config_path):
-        raw = json.load(open(config_path))
+        raw = read_json(config_path)
         del raw["optics"]["kappa_hz"]
         with pytest.raises(ConfigError, match="optics.kappa_hz"):
             io.RunConfig.from_dict(raw)
@@ -120,7 +125,7 @@ class TestRunConfig:
     @pytest.mark.parametrize("section,key", [("rotor", "volume_m3"),
                                              ("noise", "notches[0].width_hz")])
     def test_missing_key_is_named(self, config_path, section, key):
-        raw = json.load(open(config_path))
+        raw = read_json(config_path)
         if section == "rotor":
             del raw["rotor"]["volume_m3"]
         else:
@@ -139,7 +144,7 @@ class TestRunConfig:
     def test_only_written_keys_are_accepted(self, config_path, section, key):
         """Each section takes the keys config_from_scenario writes (the
         config_path fixture loads) and none of the keys nothing reads."""
-        raw = json.load(open(config_path))
+        raw = read_json(config_path)
         raw.setdefault(section, {})[key] = "ratio" if key == "method" else 1.0
         with pytest.raises(ConfigError, match="analysis" if section == "analysis"
                            else key):
@@ -165,7 +170,7 @@ class TestRunConfig:
                                          n_bins):
         """A bin count above MAX_N_BINS is refused while the config is read,
         before any grid is allocated."""
-        raw = json.load(open(config_path))
+        raw = read_json(config_path)
         raw["synthesis"]["n_bins"] = n_bins
         with pytest.raises(ConfigError, match=re.escape("synthesis.n_bins")):
             io.RunConfig.from_dict(raw)
@@ -176,7 +181,7 @@ class TestRunConfig:
         assert "synthesis.n_bins" in capsys.readouterr().err
 
     def test_n_bins_cap_is_inclusive(self, config_path):
-        raw = json.load(open(config_path))
+        raw = read_json(config_path)
         raw["synthesis"]["n_bins"] = io.MAX_N_BINS
         assert io.RunConfig.from_dict(raw).synthesis["n_bins"] == io.MAX_N_BINS
 
@@ -186,7 +191,7 @@ class TestRunConfig:
                                       value):
         """An integer longer than Python parses from text, or a byte that
         is not UTF-8, is a config error."""
-        data = open(config_path, "rb").read()
+        data = read_bytes(config_path)
         data, count = re.subn(rb'"n_bins": \d+', b'"n_bins": ' + value, data)
         assert count == 1
         path = tmp_path / "bad.json"
@@ -201,7 +206,7 @@ class TestRunConfig:
                                            ("depth_db", True)])
     def test_notch_numbers_are_checked(self, tmp_path, config_path, capsys,
                                        key, value):
-        raw = json.load(open(config_path))
+        raw = read_json(config_path)
         raw["noise"]["notches"][0][key] = value
         path = str(tmp_path / "bad.json")
         with open(path, "w") as fh:
@@ -241,16 +246,16 @@ class TestSimulate:
     def test_run_record(self, tmp_path, config_path):
         out = str(tmp_path / "r")
         main(["simulate", "--config", config_path, "--out", out])
-        record = json.load(open(os.path.join(out, "run_record.json")))
+        record = read_json(os.path.join(out, "run_record.json"))
         assert record["schema"] == "librotor-run/1"
-        assert record["config"] == json.load(open(config_path))
+        assert record["config"] == read_json(config_path)
         for entry in record["outputs"]:
             assert io.sha256_file(os.path.join(out, entry["path"])) == \
                 entry["sha256"]
 
     def test_zero_detuning_warns_but_succeeds(self, tmp_path, config_path,
                                               capsys):
-        raw = json.load(open(config_path))
+        raw = read_json(config_path)
         raw["synthesis"]["detunings_hz"] = [0.0, 1020e3, 1042e3, 1060e3]
         path = str(tmp_path / "cfg0.json")
         io.atomic_write_text(path, io.format_json(raw))
@@ -261,12 +266,12 @@ class TestSimulate:
         csvs = [n for n in os.listdir(out) if n.startswith("trace_")
                 and n.endswith(".csv")]
         assert len(csvs) == 3
-        record = json.load(open(os.path.join(out, "run_record.json")))
+        record = read_json(os.path.join(out, "run_record.json"))
         invalid = [p for p in record["summary"]["points"] if not p["valid"]]
         assert len(invalid) == 1 and invalid[0]["detuning_hz"] == 0.0
 
     def test_invalid_config_exit_2(self, tmp_path, config_path, capsys):
-        raw = json.load(open(config_path))
+        raw = read_json(config_path)
         raw["noise"]["shot_level"] = 0.0
         path = str(tmp_path / "bad.json")
         io.atomic_write_text(path, io.format_json(raw))
@@ -345,9 +350,9 @@ class TestAnalyze:
                      "--dark", os.path.join(sim_dir, "dark.csv"),
                      "--out", out])
         assert code == 0
-        results = json.load(open(out))
+        results = read_json(out)
         assert results["schema"] == "librotor-results/1"
-        record = json.load(open(os.path.join(sim_dir, "run_record.json")))
+        record = read_json(os.path.join(sim_dir, "run_record.json"))
         truth = {p["detuning_hz"]: p["truth"]["alpha"]["n"]
                  for p in record["summary"]["points"] if p["valid"]}
         assert len(results["traces"]) == 5
@@ -430,6 +435,19 @@ class TestAnalyze:
                      "--out", str(tmp_path / "o.json")]) == 2
         assert "nope.csv" in capsys.readouterr().err
 
+    def test_calibration_grids_differ_exit_2(self, tmp_path, capsys):
+        """A dark trace 10 Hz off the shot trace's grid is an input error
+        that names both calibration files."""
+        path = write_small_trace(tmp_path)
+        grid = np.linspace(4e6, 6e6, 64)
+        shot, dark = str(tmp_path / "shot.csv"), str(tmp_path / "dark.csv")
+        io.write_psd_csv(shot, PsdTrace(grid, 2.0 * np.ones(64), {}))
+        io.write_psd_csv(dark, PsdTrace(grid + 10.0, np.ones(64), {}))
+        assert main(["analyze", "--traces", path, "--shot", shot,
+                     "--dark", dark, "--out", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert shot in err and dark in err and "frequency grid" in err
+
     @pytest.mark.parametrize("given, missing", [("--shot", "--dark"),
                                                 ("--dark", "--shot")])
     def test_calibration_flag_alone_exit_2(self, tmp_path, capsys, given,
@@ -454,7 +472,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("value", ["blue", 7, None])
     def test_bad_sideband_orientation_exit_2(self, tmp_path, capsys, value):
         path = write_small_trace(tmp_path)
-        meta = json.load(open(io.sidecar_path(path)))
+        meta = read_json(io.sidecar_path(path))
         meta["sideband_orientation"] = value
         io.atomic_write_text(io.sidecar_path(path), io.format_json(meta))
         assert main(["analyze", "--traces", path,
@@ -477,7 +495,7 @@ class TestAnalyze:
         io.write_psd_csv(path, trace)
         out = str(tmp_path / "o.json")
         assert main(["analyze", "--traces", path, "--out", out]) == 3
-        results = json.load(open(out))
+        results = read_json(out)
         assert "unphysical asymmetry" in results["traces"][0]["error"]
 
     def test_carrier_off_the_grid_fails_only_its_trace(self, tmp_path,
@@ -485,13 +503,13 @@ class TestAnalyze:
         """A carrier so far from the grid that no bin lies in the sideband
         search band is that trace's error; the other traces are analysed."""
         side = os.path.join(sim_dir, "trace_000_cavity_y.meta.json")
-        meta = json.load(open(side))
+        meta = read_json(side)
         meta["het_freq_hz"] = 1e9
         io.atomic_write_text(side, io.format_json(meta))
         out = str(tmp_path / "results.json")
         assert main(["analyze", "--traces", os.path.join(sim_dir, "trace_*.csv"),
                      "--out", out]) == 0
-        first, *rest = json.load(open(out))["traces"]
+        first, *rest = read_json(out)["traces"]
         assert "no sideband band" in first["error"]
         assert all("error" not in entry for entry in rest)
 
@@ -499,7 +517,7 @@ class TestAnalyze:
         # band, so the other traces still give the scan its points
         scan = str(tmp_path / "scan.json")
         assert main(["scanfit", "--traces", sim_dir, "--out", scan]) == 0
-        (mode,) = json.load(open(scan))["modes"]
+        (mode,) = read_json(scan)["modes"]
         first, *rest = mode["occupations"]
         assert first["n"] is None and "no sideband band" in first["error"]
         assert all(t["error"] is None for t in rest)
@@ -510,7 +528,7 @@ class TestAnalyze:
                      os.path.join(sim_dir, "trace_*.csv"),
                      "--out", out, "--method", "diffcal"])
         assert code == 0
-        results = json.load(open(out))
+        results = read_json(out)
         c_vals = {entry["c_factor"] for entry in results["traces"]}
         assert len(c_vals) == 1  # one shared calibrated C
         assert results["traces"][0]["method"] == "difference_calibrated"
@@ -555,7 +573,7 @@ class TestAnalyze:
         assert ("mutually inconsistent" in capsys.readouterr().err) \
             == inconsistent
         analyzed = {}
-        for entry in json.load(open(out))["traces"]:
+        for entry in read_json(out)["traces"]:
             channel, n, c = n_true[entry["file"]]
             assert entry["channel"] == channel  # as read, also when absent
             group = channel or "backscatter_y"
@@ -570,7 +588,7 @@ class TestAnalyze:
 
         scan = str(tmp_path / "scan.json")
         assert main(["scanfit", "--traces", str(tmp_path), "--out", scan]) == 0
-        modes = {m["channel"]: m for m in json.load(open(scan))["modes"]}
+        modes = {m["channel"]: m for m in read_json(scan)["modes"]}
         assert sorted(modes) == sorted(analyzed)
         for group, entries in analyzed.items():
             mode = modes[group]
@@ -593,8 +611,8 @@ class TestAnalyze:
                      "--out", out, "--method", "diffcal"]) == 0
         scan = str(tmp_path / "scan.json")
         assert main(["scanfit", "--traces", run, "--out", scan]) == 0
-        entries = json.load(open(out))["traces"]
-        modes = json.load(open(scan))["modes"]
+        entries = read_json(out)["traces"]
+        modes = read_json(scan)["modes"]
         assert [m["channel"] for m in modes] == ["cavity_y", "cavity_z"]
         for mode in modes:
             mine = sorted((e for e in entries if e["channel"] == mode["channel"]),
@@ -629,7 +647,7 @@ class TestAnalyze:
 
         scan = str(tmp_path / "scan.json")
         assert main(["scanfit", "--traces", run, "--out", scan]) == 0
-        (mode,) = json.load(open(scan))["modes"]
+        (mode,) = read_json(scan)["modes"]
         # beta's |g| is 45% below alpha's; on this two-mode channel the fit
         # reads alpha's about 5% low (-4.8% to -6.7% over seeds 1-10)
         assert mode["linewidth_fit"]["g_hz"] == pytest.approx(
@@ -657,7 +675,7 @@ class TestAnalyze:
 class TestScanfit:
     def test_full_report(self, tmp_path, config_path):
         # a denser scan so the three curve fits are well conditioned
-        raw = json.load(open(config_path))
+        raw = read_json(config_path)
         raw["synthesis"]["detunings_hz"] = list(
             np.linspace(990e3, 1080e3, 10))
         raw["synthesis"]["averages"] = 500
@@ -668,7 +686,7 @@ class TestScanfit:
         assert main(["simulate", "--config", path, "--out", run]) == 0
         out = str(tmp_path / "scan.json")
         assert main(["scanfit", "--traces", run, "--out", out]) == 0
-        report = json.load(open(out))
+        report = read_json(out)
         assert report["schema"] == "librotor-results/1"
         (mode,) = report["modes"]
         assert mode["mode"] == "alpha" and mode["channel"] == "cavity_y"
@@ -696,7 +714,7 @@ class TestScanfit:
         """The beta line (n ~ 300, 4 Hz wide) is not resolved by 190 Hz
         bins, so its traces cannot be analysed and the channel is
         underdetermined.  The alpha channel is still fitted and reported."""
-        raw = json.load(open(config_path))
+        raw = read_json(config_path)
         raw["synthesis"].update({
             "detunings_hz": list(np.linspace(990e3, 1080e3, 12)),
             "channels": ["cavity_y", "cavity_z"], "n_bins": 16384,
@@ -707,7 +725,7 @@ class TestScanfit:
         assert main(["simulate", "--config", path, "--out", run]) == 0
         out = str(tmp_path / "scan.json")
         assert main(["scanfit", "--traces", run, "--out", out]) == 0
-        alpha, beta = json.load(open(out))["modes"]
+        alpha, beta = read_json(out)["modes"]
         assert alpha["channel"] == "cavity_y" and alpha["error"] is None
         assert alpha["linewidth_fit"]["g_hz"] == pytest.approx(8042.6, rel=0.05)
         assert beta["channel"] == "cavity_z"
@@ -720,7 +738,7 @@ class TestScanfit:
         """At this seed the free Stokes fits of the 4 Hz beta line come out
         a few Hz wide, narrower than a quarter of a 190 Hz bin: each beta
         trace is rejected as unresolved instead of giving an occupation."""
-        raw = json.load(open(config_path))
+        raw = read_json(config_path)
         raw["synthesis"].update({
             "detunings_hz": list(np.linspace(990e3, 1080e3, 12)),
             "channels": ["cavity_y", "cavity_z"], "n_bins": 16384,
@@ -732,7 +750,7 @@ class TestScanfit:
         out = str(tmp_path / "analyze.json")
         assert main(["analyze", "--traces", os.path.join(run, "trace_*.csv"),
                      "--out", out]) == 0
-        entries = json.load(open(out))["traces"]
+        entries = read_json(out)["traces"]
         beta = [e for e in entries if e["channel"] == "cavity_z"]
         assert len(beta) == 12
         for entry in beta:
@@ -741,7 +759,7 @@ class TestScanfit:
 
         out = str(tmp_path / "scan.json")
         assert main(["scanfit", "--traces", run, "--out", out]) == 0
-        alpha, beta = json.load(open(out))["modes"]
+        alpha, beta = read_json(out)["modes"]
         assert alpha["error"] is None
         assert alpha["linewidth_fit"]["g_hz"] == pytest.approx(8042.6, rel=0.05)
         assert "underdetermined" in beta["error"]
@@ -758,7 +776,7 @@ class TestScanfit:
         """scanfit reads the optical setup from the first trace's sidecar;
         a missing field is an input error, not a default."""
         side = os.path.join(sim_dir, "trace_000_cavity_y.meta.json")
-        meta = json.load(open(side))
+        meta = read_json(side)
         del meta[key]
         io.atomic_write_text(side, io.format_json(meta))
         assert main(["scanfit", "--traces", sim_dir,
@@ -801,7 +819,7 @@ class TestClassify:
                      "0,0,100,0\n")
         out = str(tmp_path / "geo.json")
         assert main(["classify", "--input", path, "--out", out]) == 0
-        rows = json.load(open(out))["rows"]
+        rows = read_json(out)["rows"]
         assert [r.get("label") for r in rows[:3]] == ["sphere", "dumbbell",
                                                       "trimer"]
         assert "error" in rows[3] and "label" not in rows[3]

@@ -85,6 +85,110 @@ def test_psd_csv_round_trip_is_exact(pair):
             assert back.values.tobytes() == vals.tobytes()
 
 
+# ---------------------------------------------------------------------------
+# the reader's grid cache
+
+# A grid with a zero, so that "-0" and "0" are different text for it.
+CACHE_GRID = [0.0] + [1e6 + 1e3 * i for i in range(19)]
+CACHE_ROWS = [f"{f:.17g},{0.5 + i:.17g}" for i, f in enumerate(CACHE_GRID)]
+
+
+def cache_variant(name):
+    """The data lines of a file on (or near) the cached grid."""
+    rows = list(CACHE_ROWS)
+    if name == "1e+06 for 1000000":
+        rows[1] = rows[1].replace("1000000,", "1e+06,")
+    elif name == "-0 for 0":
+        rows[0] = "-" + rows[0]
+    elif name == "third column":
+        rows[5] += ",7"
+    elif name == "inline comment":
+        rows[5] += " # note"
+    elif name == "comment with a comma":
+        rows[5] += " # a, b"
+    elif name == "comment for a value":
+        rows[5] = rows[5].split(",")[0] + ",# 7"
+    elif name == "bad value":
+        rows[5] = rows[5].split(",")[0] + ",x"
+    elif name == "blank line":
+        rows.insert(7, "")
+    elif name == "trailing blank line":
+        rows.append("")
+    elif name == "one row fewer":
+        rows.pop()
+    elif name == "one row more":
+        rows.append("1e9,1")
+    return rows
+
+
+CACHE_VARIANTS = ["1e+06 for 1000000", "-0 for 0", "third column",
+                  "inline comment", "comment with a comma",
+                  "comment for a value", "bad value", "blank line",
+                  "trailing blank line", "one row fewer", "one row more"]
+
+
+def write_rows(path, rows, header=True, newline="\n"):
+    lines = [io.PSD_MAGIC] + (["freq_hz,psd"] if header else []) + rows
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(newline.join(lines) + newline)
+
+
+def read_outcome(path):
+    """The trace's arrays as bytes, or the ConfigError text."""
+    try:
+        trace = io.read_psd_csv(path)
+    except ConfigError as exc:
+        return str(exc)
+    return trace.freq_hz.tobytes(), trace.values.tobytes()
+
+
+def cold_outcome(path, monkeypatch):
+    """read_outcome with the grid cache empty; the cache is left as it was."""
+    with monkeypatch.context() as patch:
+        patch.setattr(io, "_psd_read_grid", ((), np.empty(0)))
+        return read_outcome(path)
+
+
+@pytest.mark.parametrize("header", [True, False])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("name", ["same"] + CACHE_VARIANTS)
+def test_read_after_a_cached_grid_is_a_cold_read(tmp_path, monkeypatch, name,
+                                                 header, newline):
+    """Read after the cached grid, each file gives what a read with an
+    empty cache gives, bit for bit or the same error text; and so does
+    the cached grid's own file read after it."""
+    base, path = str(tmp_path / "base.csv"), str(tmp_path / "v.csv")
+    write_rows(base, CACHE_ROWS)
+    write_rows(path, cache_variant(name), header, newline)
+    for p in (base, path, base):
+        assert read_outcome(p) == cold_outcome(p, monkeypatch), p
+
+
+def test_reads_in_sequence_are_cold_reads(tmp_path, monkeypatch):
+    """Every variant read in turn, each after the one before it filled
+    or kept the cache, gives what a read with an empty cache gives."""
+    paths = []
+    for i, name in enumerate(["same"] + CACHE_VARIANTS * 2):
+        paths.append(str(tmp_path / f"v{i}.csv"))
+        write_rows(paths[-1], cache_variant(name),
+                   newline=("\n", "\r\n")[i % 2])
+    for p in paths:
+        assert read_outcome(p) == cold_outcome(p, monkeypatch), p
+
+
+def test_traces_on_one_grid_share_a_read_only_array(tmp_path):
+    """A second file with the grid's text shares the first trace's
+    frequency array, which no trace can write to."""
+    first, second = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    write_rows(first, CACHE_ROWS)
+    write_rows(second, [row.replace(",", ",1") for row in CACHE_ROWS])
+    a, b = io.read_psd_csv(first), io.read_psd_csv(second)
+    assert b.freq_hz is a.freq_hz
+    assert b.values.tobytes() != a.values.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        a.freq_hz[0] = 1.0
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 20).flatmap(
     lambda n: st.lists(st.lists(finite, min_size=n, max_size=n),

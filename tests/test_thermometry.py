@@ -66,6 +66,15 @@ class TestCalibrateResponse:
             calibrate_response(PsdTrace(g1, np.ones(64), {}),
                                PsdTrace(g2, np.ones(64), {}))
 
+    def test_grids_ten_hz_apart(self):
+        """A dark grid 10 Hz off the shot grid is rejected, though the two
+        agree to np.allclose's default tolerance."""
+        grid = np.linspace(4e6, 6e6, 64)
+        assert np.allclose(grid, grid + 10.0)
+        with pytest.raises(CalibrationError, match="frequency grid"):
+            calibrate_response(PsdTrace(grid, 2.0 * np.ones(64), {}),
+                               PsdTrace(grid + 10.0, np.ones(64), {}))
+
     def test_shot_below_dark(self):
         grid = np.linspace(1e6, 2e6, 64)
         with pytest.raises(CalibrationError, match="shot <= dark"):

@@ -135,15 +135,14 @@ def _load_traces(paths, cal=None):
 
 
 def _write_plot_data(out_dir, trace_path, trace, resp, occ):
-    freq = trace.freq_hz
-    vals = gain_corrected(trace, resp)
     f_cols, d_cols, m_cols = [], [], []
     for fit in (occ.stokes_fit, occ.anti_fit):
-        bins = window_bins(freq, (fit.center - 5.0 * fit.linewidth_fwhm,
-                                  fit.center + 5.0 * fit.linewidth_fwhm))
-        f_cols.append(freq[bins])
-        d_cols.append(vals[bins])
-        m_cols.append(lorentzian(freq[bins], fit.center, fit.linewidth_fwhm,
+        bins = window_bins(trace.freq_hz, (fit.center - 5.0 * fit.linewidth_fwhm,
+                                           fit.center + 5.0 * fit.linewidth_fwhm))
+        freq = trace.freq_hz[bins]
+        f_cols.append(freq)
+        d_cols.append(gain_corrected(freq, trace.values[bins], resp))
+        m_cols.append(lorentzian(freq, fit.center, fit.linewidth_fwhm,
                                  fit.area, fit.offset))
     f, d, m = (np.concatenate(c) for c in (f_cols, d_cols, m_cols))
     r = d - m

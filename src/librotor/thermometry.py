@@ -76,12 +76,28 @@ def calibrate_response(shot_trace: PsdTrace, dark_trace: PsdTrace) -> DetectorRe
     return DetectorResponse(TWO_PI * shot_trace.freq_hz, gain)
 
 
-def gain_corrected(trace: PsdTrace, resp: DetectorResponse | None) -> np.ndarray:
-    """The trace values divided by the detector gain (as they are without
-    a response)."""
+def gain_corrected(freq, vals, resp: DetectorResponse | None) -> np.ndarray:
+    """Values measured at freq (Hz) divided by the detector gain (as they
+    are without a response)."""
     if resp is None:
-        return trace.values
-    return trace.values / detector_gain(resp, TWO_PI * trace.freq_hz)
+        return vals
+    return vals / detector_gain(resp, TWO_PI * freq)
+
+
+def _corrected_window(trace: PsdTrace, resp: DetectorResponse | None,
+                      window: tuple[float, float]) -> PsdTrace:
+    """The trace fit_lorentzian fits in [window[0], window[1]] Hz: trace
+    itself without a response (its values are >= 0 already); otherwise the
+    window's bins gain-corrected and floored at 0, widened to the 16 bins a
+    PsdTrace holds when the window has fewer."""
+    if resp is None:
+        return trace
+    bins = window_bins(trace.freq_hz, window)
+    start = min(bins.start, max(bins.stop, 16) - 16)
+    bins = slice(start, max(bins.stop, start + 16))
+    freq = trace.freq_hz[bins]
+    return PsdTrace(freq, np.maximum(gain_corrected(freq, trace.values[bins],
+                                                    resp), 0.0), trace.meta)
 
 
 def _constrained_area_fit(freq, vals, center, fwhm, averages):
@@ -103,7 +119,8 @@ def _constrained_area_fit(freq, vals, center, fwhm, averages):
 
 def fit_sideband_pair(trace: PsdTrace, resp: DetectorResponse | None,
                       mode_freq_hint_hz: float) -> tuple[LorentzianFit, LorentzianFit]:
-    """Gain-correct the trace and fit the Stokes and anti-Stokes peaks.
+    """Gain-correct the two sideband windows and fit the Stokes and
+    anti-Stokes peaks.
 
     Each sideband gets its own local offset.  When the free anti-Stokes fit
     fails or wanders off the mirrored position, the fit is retried with
@@ -116,14 +133,15 @@ def fit_sideband_pair(trace: PsdTrace, resp: DetectorResponse | None,
     if het is None:
         raise LibrotorError("trace metadata lacks het_freq_hz")
     freq = trace.freq_hz
-    corrected = PsdTrace(freq, np.maximum(gain_corrected(trace, resp), 0.0),
-                         dict(trace.meta))
+    if resp is not None:  # the whole grid must lie in the calibrated span
+        detector_gain(resp, TWO_PI * freq[[0, -1]])
     f_stokes, f_anti = sideband_frequencies(
         het, mode_freq_hint_hz,
         trace.meta.get("sideband_orientation", ORIENT_LO_BLUE))
     hw = WINDOW_HALFWIDTH_HZ
 
-    stokes = fit_lorentzian(corrected, (f_stokes - hw, f_stokes + hw))
+    window = (f_stokes - hw, f_stokes + hw)
+    stokes = fit_lorentzian(_corrected_window(trace, resp, window), window)
     bin_hz = (freq[-1] - freq[0]) / (freq.size - 1)
     if stokes.linewidth_fwhm < 0.25 * bin_hz:
         raise LibrotorError(
@@ -133,6 +151,7 @@ def fit_sideband_pair(trace: PsdTrace, resp: DetectorResponse | None,
     init = np.array([mirror, stokes.linewidth_fwhm, stokes.area * 0.5,
                      stokes.offset])
     window = (f_anti - hw, f_anti + hw)
+    corrected = _corrected_window(trace, resp, window)
     try:
         anti = fit_lorentzian(corrected, window, init=init)
         ok = (anti.converged
@@ -142,8 +161,9 @@ def fit_sideband_pair(trace: PsdTrace, resp: DetectorResponse | None,
     except DegenerateFitError:
         anti, ok = None, False
     if not ok:
-        bins = window_bins(freq, window)
-        anti = _constrained_area_fit(freq[bins], corrected.values[bins],
+        bins = window_bins(corrected.freq_hz, window)
+        anti = _constrained_area_fit(corrected.freq_hz[bins],
+                                     corrected.values[bins],
                                      mirror, stokes.linewidth_fwhm,
                                      trace_averages(trace))
     return stokes, anti

@@ -1,8 +1,10 @@
 """Weighted nonlinear least squares (damped Gauss-Newton) and the model
 fitters used by the thermometry and scan pipelines.
 
-All models carry analytic Jacobians.  Convergence: relative parameter step
-< 1e-10 and relative cost decrease < 1e-12, or 200 iterations.
+All models carry analytic Jacobians.  A fit converges when an accepted
+step is below STEP_SIGMA standard errors, measured in the metric of the
+undamped normal matrix; it stops unconverged after MAX_ITER iterations or
+when no damping in 60 gives a step that lowers the cost.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from . import physics
 from .errors import DegenerateFitError, UnderdeterminedScanError
 from .spectrum import PsdTrace, lorentzian
 
-XTOL = 1e-10
-FTOL = 1e-12
+# A step this many standard errors long (or shorter) ends a fit.
+STEP_SIGMA = 1e-4
 MAX_ITER = 200
 
 # Scan-fit residual clipping: points beyond CLIP_SIGMA are dropped and the
@@ -37,13 +39,27 @@ def levenberg_marquardt(model, jacobian, x, y, p0, weights=None):
 
     weights are 1/sigma^2 per point.  Returns (params, covariance,
     converged, cost).  Covariance is (J^T W J)^-1 at the solution; with unit
-    weights it is scaled by the reduced chi-square.
+    weights it is scaled by the reduced chi-square s2.
+
+    converged: an accepted step ended the fit because step^T (J^T W J) step
+    <= STEP_SIGMA^2 s2, with J^T W J the undamped matrix the step was
+    solved from, i.e. the step is at most STEP_SIGMA standard errors long.
+    The test is scale-free, so it holds as well for a parameter near 0 as
+    for a large one.  Weighted fits take s2 = 1; unit-weight fits take the
+    reduced chi-square at the accepted point, floored at
+    (eps / STEP_SIGMA)^2 sum(y^2).  The floor is the rounding of y: a step's
+    step^T (J^T J) step never exceeds the cost it starts from, and on
+    noise-free data the cost falls to about eps^2 sum(y^2), where steps are
+    rounding noise.  Without the floor such a fit would run to MAX_ITER.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     p = np.asarray(p0, dtype=float).copy()
     unit_weights = weights is None
     w = np.ones_like(y) if unit_weights else np.asarray(weights, dtype=float)
+    dof = max(y.size - p.size, 1)
+    if unit_weights:
+        s2_floor = (np.finfo(float).eps / STEP_SIGMA) ** 2 * float(y @ y)
 
     def cost_of(params):
         r = y - model(x, params)
@@ -76,12 +92,11 @@ def levenberg_marquardt(model, jacobian, x, y, p0, weights=None):
             lam *= 10.0
         else:  # no step in 60 was accepted
             break
-        converged = (cost - cost_new) / max(cost, 1e-300) < FTOL and all(
-            abs(s) / (abs(q) + 1e-300) < XTOL
-            for s, q in zip(step.tolist(), p.tolist()))
         p, r, cost = p_new, r_new, cost_new
         lam = max(lam / 10.0, 1e-14)
-        if converged:
+        s2 = max(cost / dof, s2_floor) if unit_weights else 1.0
+        if float(step @ a_mat @ step) <= STEP_SIGMA ** 2 * s2:
+            converged = True
             break
 
     jac = jacobian(x, p)
@@ -92,7 +107,6 @@ def levenberg_marquardt(model, jacobian, x, y, p0, weights=None):
     except np.linalg.LinAlgError:
         raise DegenerateFitError("degenerate fit window") from None
     if unit_weights:
-        dof = max(y.size - p.size, 1)
         cov = cov * (cost / dof)
     return p, cov, converged, cost
 

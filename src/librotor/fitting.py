@@ -4,7 +4,7 @@ fitters used by the thermometry and scan pipelines.
 All models carry analytic Jacobians.  A fit converges when an accepted
 step is below STEP_SIGMA standard errors, measured in the metric of the
 undamped normal matrix; it stops unconverged after MAX_ITER iterations or
-when no damping in 60 gives a step that lowers the cost.
+when none of 60 dampings gives a step that keeps the cost from rising.
 """
 
 from __future__ import annotations

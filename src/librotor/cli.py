@@ -112,9 +112,9 @@ def _load_traces(paths, cal=None):
     """Scan traces as (path, trace) pairs in path order, and the detector
     response from the shot and dark calibration traces: those in `cal`
     (kind -> (path, trace)) or else those among paths, flat when either is
-    missing."""
+    missing.  Plot data that analyze wrote among paths is skipped."""
     traces, found = [], {}
-    for path in sorted(paths):
+    for path in sorted(p for p in paths if not p.endswith(".plotdata.csv")):
         trace = io.read_psd_csv(path)
         if trace.meta.get("channel") == CAL_CHANNEL:
             found[trace.meta.get("kind")] = (path, trace)
@@ -229,8 +229,7 @@ def _fit_block(fit):
 def cmd_scanfit(args) -> int:
     if not os.path.isdir(args.traces):
         raise ConfigError(f"{args.traces} is not a directory")
-    paths = sorted(p for p in glob.glob(os.path.join(args.traces, "*.csv"))
-                   if not p.endswith(".plotdata.csv"))
+    paths = glob.glob(os.path.join(args.traces, "*.csv"))
     if not paths:
         raise ConfigError(f"no trace files in {args.traces}")
     traces, resp = _load_traces(paths)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import physics
 from .errors import DegenerateFitError, UnderdeterminedScanError
-from .spectrum import PsdTrace, lorentzian
+from .spectrum import lorentzian
 
 # A step this many standard errors long (or shorter) ends a fit.
 STEP_SIGMA = 1e-4
@@ -217,26 +217,18 @@ def fifth_percentile(vals) -> float:
     return a + (b - a) * t if t < 0.5 else b - (b - a) * (1.0 - t)
 
 
-def trace_averages(trace: PsdTrace) -> float | None:
-    """The averages behind a trace, from its metadata: None (unweighted
-    fits) when unknown or infinite."""
-    averages = trace.meta.get("averages")
-    return None if averages is None or math.isinf(averages) else averages
-
-
-def fit_lorentzian(trace: PsdTrace, window: tuple[float, float],
+def fit_lorentzian(freq, vals, averages: float | None,
                    init=None) -> LorentzianFit:
-    """Fit a single Lorentzian inside [window[0], window[1]] Hz.
+    """Fit a single Lorentzian to the bins of one window: increasing
+    frequencies freq (Hz) and their PSD values vals.
 
-    With known averages (see trace_averages) the weights follow the
-    averaged-periodogram variance model sigma_i^2 = model_i^2 / averages,
-    iterated once on the fitted model; otherwise unit weights.
+    With known averages (the periodogram averages behind vals; None when
+    unknown or infinite) the weights follow the averaged-periodogram
+    variance model sigma_i^2 = model_i^2 / averages, iterated once on the
+    fitted model; otherwise unit weights.
     """
-    bins = window_bins(trace.freq_hz, window)
-    freq, vals = trace.freq_hz[bins], trace.values[bins]
     if freq.size < 8:
         raise DegenerateFitError("degenerate fit window: fewer than 8 bins")
-    averages = trace_averages(trace)
     p0 = np.asarray(init, float) if init is not None else initial_lorentzian_guess(freq, vals)
 
     weights = None

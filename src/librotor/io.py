@@ -23,7 +23,7 @@ from . import __version__
 from .errors import ConfigError
 from .noise import NoiseProfile
 from .physics import (TWO_PI, LibrationMode, OpticalSetup, RotorModel,
-                      build_modes)
+                      build_modes, libration_frequencies)
 from .presets import HET_FREQ_HZ
 from .spectrum import (CHANNELS, DEFAULT_CHANNEL, ORIENT_LO_BLUE, ORIENT_LO_RED,
                        PsdTrace)
@@ -417,6 +417,26 @@ def _construct(cls, section: dict, table: dict, where: str):
     return _build(where, cls, **fields)
 
 
+def _trapped_modes(rotor: RotorModel, optics: OpticalSetup):
+    """build_modes(rotor, optics); a libration left untrapped is a
+    ConfigError that names the mode and its cause: the rotor's degenerate
+    susceptibility (which libration_frequencies warns of) or else the
+    tweezer field."""
+    with warnings.catch_warnings(record=True) as degenerate:
+        warnings.simplefilter("always", UserWarning)
+        try:
+            return build_modes(rotor, optics)
+        except ValueError:  # a zero libration frequency
+            freqs = libration_frequencies(rotor, optics)
+    modes = ", ".join(label for label, omega in zip(("alpha", "beta"), freqs)
+                      if not omega > 0)
+    if degenerate:
+        raise ConfigError(f"rotor: untrapped libration ({modes}): degenerate "
+                          f"susceptibility, chi_c must exceed chi_b")
+    raise ConfigError(f"optics: untrapped libration ({modes}): "
+                      f"e_tw0_v_per_m is {abs(optics.e_tw0):g}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """A run configuration, each section validated and built once."""
@@ -443,7 +463,7 @@ class RunConfig:
         heating = _build("heating", _fields, heating_sec, _HEATING, "heating")
         modes = _build("heating", lambda: tuple(
             replace(mode, **{name: v for (i, name), v in heating.items() if i == n})
-            for n, mode in enumerate(build_modes(rotor, optics))))
+            for n, mode in enumerate(_trapped_modes(rotor, optics))))
         _check_keys(synth_sec, _SYNTHESIS, "synthesis")
         synthesis = {**{key: default for key, (default, _) in _SYNTHESIS.items()},
                      "detunings_hz": [optics_sec["detuning_hz"]], **synth_sec}

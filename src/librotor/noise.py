@@ -86,8 +86,8 @@ def cavity_noise_background(profile: NoiseProfile, omega, s_phi):
     """Phase-noise pedestal in cavity transmission around the cavity line.
 
     A Lorentzian bump (FWHM = cavity_noise_width) centered on the cavity
-    resonance, with peak value s_phi.  Also serves as the fit model when the
-    bump is used to calibrate the actual tweezer-cavity detuning.
+    resonance, with peak value s_phi.  A forward-model term only: no
+    inverse code fits it.
     """
     omega = np.asarray(omega, dtype=float)
     half2 = (profile.cavity_noise_width / 2.0) ** 2

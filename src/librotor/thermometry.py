@@ -16,7 +16,7 @@ from .errors import (CalibrationError, DegenerateFitError, LibrotorError,
 from .fitting import (MIN_SCAN_POINTS, LorentzianFit, ScanFitResult,
                       fifth_percentile, fit_lorentzian, fit_occupation_curve,
                       fit_scan_frequency, fit_scan_linewidth, linear_lstsq,
-                      lorentzian, trace_averages, window_bins)
+                      lorentzian, window_bins)
 from .noise import DetectorResponse, detector_gain
 from .physics import TWO_PI, DerivedScalars, LibrationMode, OpticalSetup
 from .spectrum import (DEFAULT_CHANNEL, ORIENT_LO_BLUE, PsdTrace,
@@ -84,22 +84,6 @@ def gain_corrected(freq, vals, resp: DetectorResponse | None) -> np.ndarray:
     return vals / detector_gain(resp, TWO_PI * freq)
 
 
-def _corrected_window(trace: PsdTrace, resp: DetectorResponse | None,
-                      window: tuple[float, float]) -> PsdTrace:
-    """The trace fit_lorentzian fits in [window[0], window[1]] Hz: trace
-    itself without a response (its values are >= 0 already); otherwise the
-    window's bins gain-corrected and floored at 0, widened to the 16 bins a
-    PsdTrace holds when the window has fewer."""
-    if resp is None:
-        return trace
-    bins = window_bins(trace.freq_hz, window)
-    start = min(bins.start, max(bins.stop, 16) - 16)
-    bins = slice(start, max(bins.stop, start + 16))
-    freq = trace.freq_hz[bins]
-    return PsdTrace(freq, np.maximum(gain_corrected(freq, trace.values[bins],
-                                                    resp), 0.0), trace.meta)
-
-
 def _constrained_area_fit(freq, vals, center, fwhm, averages):
     """Linear weighted LSQ for (area, offset) with the peak shape pinned."""
     shape = lorentzian(freq, center, fwhm, 1.0)
@@ -115,6 +99,13 @@ def _constrained_area_fit(freq, vals, center, fwhm, averages):
     return LorentzianFit(center=center, linewidth_fwhm=fwhm,
                          area=float(params[0]), offset=float(params[1]),
                          covariance=full_cov, converged=True, pinned=True)
+
+
+def trace_averages(trace: PsdTrace) -> float | None:
+    """The averages behind a trace, from its metadata: None (unweighted
+    fits) when unknown or infinite."""
+    averages = trace.meta.get("averages")
+    return None if averages is None or math.isinf(averages) else averages
 
 
 def fit_sideband_pair(trace: PsdTrace, resp: DetectorResponse | None,
@@ -138,10 +129,14 @@ def fit_sideband_pair(trace: PsdTrace, resp: DetectorResponse | None,
     f_stokes, f_anti = sideband_frequencies(
         het, mode_freq_hint_hz,
         trace.meta.get("sideband_orientation", ORIENT_LO_BLUE))
+    averages = trace_averages(trace)
     hw = WINDOW_HALFWIDTH_HZ
 
-    window = (f_stokes - hw, f_stokes + hw)
-    stokes = fit_lorentzian(_corrected_window(trace, resp, window), window)
+    def window(f_center):  # the bins within hw of f_center, gain-corrected
+        bins = window_bins(freq, (f_center - hw, f_center + hw))
+        return freq[bins], gain_corrected(freq[bins], trace.values[bins], resp)
+
+    stokes = fit_lorentzian(*window(f_stokes), averages)
     bin_hz = (freq[-1] - freq[0]) / (freq.size - 1)
     if stokes.linewidth_fwhm < 0.25 * bin_hz:
         raise LibrotorError(
@@ -150,10 +145,9 @@ def fit_sideband_pair(trace: PsdTrace, resp: DetectorResponse | None,
     mirror = 2.0 * het - stokes.center
     init = np.array([mirror, stokes.linewidth_fwhm, stokes.area * 0.5,
                      stokes.offset])
-    window = (f_anti - hw, f_anti + hw)
-    corrected = _corrected_window(trace, resp, window)
+    anti_freq, anti_vals = window(f_anti)
     try:
-        anti = fit_lorentzian(corrected, window, init=init)
+        anti = fit_lorentzian(anti_freq, anti_vals, averages, init=init)
         ok = (anti.converged
               and 0.25 * stokes.linewidth_fwhm <= anti.linewidth_fwhm
               <= 4.0 * stokes.linewidth_fwhm
@@ -161,11 +155,8 @@ def fit_sideband_pair(trace: PsdTrace, resp: DetectorResponse | None,
     except DegenerateFitError:
         anti, ok = None, False
     if not ok:
-        bins = window_bins(corrected.freq_hz, window)
-        anti = _constrained_area_fit(corrected.freq_hz[bins],
-                                     corrected.values[bins],
-                                     mirror, stokes.linewidth_fwhm,
-                                     trace_averages(trace))
+        anti = _constrained_area_fit(anti_freq, anti_vals, mirror,
+                                     stokes.linewidth_fwhm, averages)
     return stokes, anti
 
 

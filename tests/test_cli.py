@@ -270,6 +270,31 @@ class TestSimulate:
         invalid = [p for p in record["summary"]["points"] if not p["valid"]]
         assert len(invalid) == 1 and invalid[0]["detuning_hz"] == 0.0
 
+    @pytest.mark.parametrize("edit,cause", [
+        ({"chi_a": "chi_c", "chi_b": "chi_c"},
+         "rotor: untrapped libration (alpha, beta)"),
+        ({"chi_b": "chi_c"}, "rotor: untrapped libration (beta)"),
+        ({"e_tw0_v_per_m": 0.0}, "optics: untrapped libration (alpha, beta)")],
+        ids=["chi_a-is-chi_c", "chi_b-is-chi_c", "no-tweezer-field"])
+    def test_untrapped_mode_names_its_cause(self, tmp_path, config_path, edit,
+                                            cause):
+        """A libration the config leaves untrapped is a config error on the
+        section at fault, naming the mode, with no warning printed.  An edit
+        sets a key to a number or to another key's value."""
+        raw = read_json(config_path)
+        section = raw[cause.split(":")[0]]
+        for key, value in edit.items():
+            section[key] = section.get(value, value)
+        path = str(tmp_path / "untrapped.json")
+        io.atomic_write_text(path, io.format_json(raw))
+        proc = subprocess.run(
+            [sys.executable, "-m", "librotor.cli", "simulate", "--config",
+             path, "--out", str(tmp_path / "x")], env=src_env(),
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert proc.stderr.startswith(f"error: {cause}:")
+
     def test_invalid_config_exit_2(self, tmp_path, config_path, capsys):
         raw = read_json(config_path)
         raw["noise"]["shot_level"] = 0.0
@@ -373,6 +398,18 @@ class TestAnalyze:
         assert len(row) == 4
         assert float(row[1]) - float(row[2]) == pytest.approx(float(row[3]),
                                                               rel=1e-9)
+
+    def test_second_run_skips_its_plot_data(self, tmp_path, sim_dir):
+        """With the results next to the traces, the trace glob also matches
+        the plot data the first run wrote; the second run skips it."""
+        out = os.path.join(sim_dir, "analyze.json")
+        argv = ["analyze", "--traces", os.path.join(sim_dir, "trace_*.csv"),
+                "--out", out]
+        assert main(argv) == 0
+        first = read_bytes(out)
+        assert any(n.endswith(".plotdata.csv") for n in os.listdir(sim_dir))
+        assert main(argv) == 0
+        assert read_bytes(out) == first
 
     def test_missing_calibration_warns(self, tmp_path, sim_dir, capsys):
         out = str(tmp_path / "results.json")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from librotor import thermometry
 from librotor.errors import (CalibrationError, LibrotorError,
@@ -12,8 +14,10 @@ from librotor.physics import LibrationMode
 from librotor.presets import cluster_1d
 from librotor.spectrum import (ORIENT_LO_BLUE, ORIENT_LO_RED, PsdTrace,
                                SidebandSpec, default_grid, lorentzian,
-                               mean_psd, scan_series, synthesize_psd)
+                               mean_psd, scan_series, sideband_frequencies,
+                               synthesize_psd)
 from librotor.thermometry import (METHOD_DIFFCAL, METHOD_RATIO,
+                                  WINDOW_HALFWIDTH_HZ,
                                   _occupation_from_areas, analyze_scan,
                                   calibrate_c, calibrate_response,
                                   extract_occupation, fit_sideband_pair)
@@ -195,6 +199,51 @@ class TestExtractOccupation:
         without = extract_occupation(trace, None, 1e6)
         assert with_corr.n == pytest.approx(n_true, rel=1e-4)
         assert abs(without.n - n_true) > 10 * abs(with_corr.n - n_true)
+
+
+def pair_outcome(trace, resp, hint):
+    """fit_sideband_pair's result as bytes and flags, or the error it raised."""
+    try:
+        pair = fit_sideband_pair(trace, resp, hint)
+    except LibrotorError as exc:
+        return type(exc), str(exc)
+    return [(np.array([f.center, f.linewidth_fwhm, f.area, f.offset]).tobytes(),
+             f.covariance.tobytes(), f.converged, f.pinned) for f in pair]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_bins=st.integers(16, 512),
+       window_bins=st.integers(8, 48), edge=st.floats(0.2, 1.05),
+       fwhm_bins=st.floats(0.5, 4.0), anti_share=st.floats(0.0, 0.9),
+       averages=st.sampled_from([math.inf, 5, 100]),
+       gain=st.lists(st.floats(0.3, 3.0), min_size=2, max_size=12))
+@example(seed=1, n_bins=16, window_bins=8, edge=0.5, fwhm_bins=2.0,
+         anti_share=0.5, averages=100, gain=[0.5, 2.0])
+@example(seed=2, n_bins=40, window_bins=15, edge=1.0, fwhm_bins=2.0,
+         anti_share=0.0, averages=math.inf, gain=[1.0, 0.4, 2.5])
+def test_window_gain_correction_is_whole_trace_correction(
+        seed, n_bins, window_bins, edge, fwhm_bins, anti_share, averages,
+        gain):
+    """Gain-correcting only the two sideband windows fits exactly what
+    correcting the whole trace and fitting it without a response does, bit
+    for bit: on windows of 8-15 bins, at the grid edge (edge = 1 puts a
+    sideband on the last bin), weighted or not, pinned or free."""
+    bin_hz = 2.0 * WINDOW_HALFWIDTH_HZ / window_bins
+    freq = HET + bin_hz * (np.arange(n_bins) - (n_bins - 1) / 2.0)
+    hint = edge * (freq[-1] - HET)
+    f_stokes, f_anti = sideband_frequencies(HET, hint, ORIENT_LO_BLUE)
+    fwhm = fwhm_bins * bin_hz
+    mean = (lorentzian(freq, f_stokes, fwhm, 30.0 * fwhm, 1.0)
+            + lorentzian(freq, f_anti, fwhm, 30.0 * fwhm * anti_share))
+    rng = np.random.default_rng(seed)
+    vals = mean if math.isinf(averages) else \
+        mean * rng.gamma(averages, 1.0 / averages, n_bins)
+    meta = {"het_freq_hz": HET, "averages": averages}
+    resp = DetectorResponse(TWO_PI * np.linspace(freq[0], freq[-1], len(gain)),
+                            np.array(gain))
+    corrected = np.maximum(vals / detector_gain(resp, TWO_PI * freq), 0.0)
+    assert pair_outcome(PsdTrace(freq, vals, meta), resp, hint) == \
+        pair_outcome(PsdTrace(freq, corrected, meta), None, hint)
 
 
 class TestCalibrateC:

@@ -163,46 +163,65 @@ _META_CHECKS = {
 }
 
 
-# One-entry cache of the last grid read: each data row's frequency text up
-# to and including its comma, and the read-only array parsed from them.
-# Every trace of a scan and both calibration traces share one grid, so its
-# frequency column is parsed once; keyed by text, not by value, so that a
-# hit parses exactly what a full parse would.  Read once and replaced in one
-# assignment, so no text is paired with another grid's frequencies.
+# What a file `write_psd_csv` wrote starts with, and the bytes of its
+# numbers: within these `float` and `np.loadtxt` both end in CPython's
+# PyOS_string_to_double, so they give the same bits and refuse the same
+# fields (there is no whitespace, `_` or inf/nan word to treat apart).
+_PSD_START = f"{PSD_MAGIC}\n{PSD_HEADER}\n".encode()
+_NUMBER_BYTES = b"0123456789.eE+-"
+_PSD_START_SKELETON = _PSD_START.translate(None, _NUMBER_BYTES)
+
+# One-entry cache of the last grid the bytes pass parsed: its frequency
+# fields and the read-only array parsed from them, replaced in one
+# assignment so that they stay paired.  Traces of a scan share one grid, so
+# it is parsed once; keyed by text, not by value, so a hit gives what a
+# full parse would.
 _psd_read_grid = ((), np.empty(0))
 
 
-def _parse_rows(lines: list[str], commas: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bulk parse of two-column data lines, which hold `commas` commas in
-    all, into frequencies and values; ValueError on any bad line.  Lines
-    that repeat the cached grid's frequency text, one comma each, have only
-    their values parsed."""
+def _parse_psd_bytes(raw: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies and values of a file that is exactly the PSD start then
+    LF-ended `<number>,<number>` lines; ValueError for any other file."""
     global _psd_read_grid
-    prefixes, grid = _psd_read_grid
-    hit = (len(lines) == len(prefixes) == commas
-           and all(map(str.startswith, lines, prefixes)))
-    with warnings.catch_warnings():
-        # no data rows: rejected by PsdTrace's bin count, not warned about
-        warnings.simplefilter("ignore", UserWarning)
-        if hit:
-            return grid, np.loadtxt(lines, delimiter=",", comments="#",
-                                    usecols=1, ndmin=1)
-        rows = np.loadtxt(lines, delimiter=",", comments="#", ndmin=2)
-    if rows.shape[1:] != (2,):
-        raise ValueError("expected 2 columns")
-    freqs, vals = rows[:, 0].copy(), rows[:, 1].copy()
-    # Every line a data row with one comma: its text up to the comma is
-    # all the frequency column there is, so a file repeating it can hit.
-    if len(lines) == len(rows) == commas:
-        freqs.flags.writeable = False
-        _psd_read_grid = ([line[:line.index(",") + 1] for line in lines], freqs)
-    return freqs, vals
+    skeleton = raw.translate(None, _NUMBER_BYTES)
+    n = (len(skeleton) - len(_PSD_START_SKELETON)) // 2
+    # number bytes after the last LF would be invisible to the skeleton
+    if not (raw.startswith(_PSD_START) and raw.endswith(b"\n")
+            and skeleton == _PSD_START_SKELETON + b",\n" * n):
+        raise ValueError("not a plain PSD file")
+    # fields: the magic, "freq_hz", "psd", then 2n numbers and an empty one
+    fields = raw.replace(b",", b"\n").split(b"\n")
+    freq_fields = fields[3:-1:2]
+    vals = np.fromiter(map(float, fields[4::2]), float, count=n)
+    key, grid = _psd_read_grid
+    if freq_fields != key:
+        grid = np.fromiter(map(float, freq_fields), float, count=n)
+        grid.flags.writeable = False
+        _psd_read_grid = (freq_fields, grid)
+    return grid, vals
 
 
-def _parse_rows_by_line(path: str, lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Line-by-line parse of everything after the magic line: names the
-    first malformed row, and accepts what the bulk parse does not
-    (whitespace-only lines, a header line after a comment)."""
+def _parse_psd_text(path: str, raw: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The full parse of any PSD CSV: decode, one `np.loadtxt` of the rows
+    after the magic and optional header lines, and on any bad row the
+    line-by-line parse, which names it and accepts what `np.loadtxt` does
+    not (whitespace-only lines, a header line after a comment)."""
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    if not lines or lines[0].strip() != PSD_MAGIC:
+        raise ConfigError(f"{path}: missing '{PSD_MAGIC}' header")
+    head = 2 if len(lines) > 1 and lines[1].strip() == PSD_HEADER else 1
+    try:
+        with warnings.catch_warnings():
+            # no data rows: rejected by PsdTrace's bin count, not warned about
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(lines[head:], delimiter=",", comments="#", ndmin=2)
+        if rows.shape[1:] == (2,):
+            return rows[:, 0].copy(), rows[:, 1].copy()
+    except ValueError:
+        pass
     freqs, vals = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         line = line.strip()
@@ -210,7 +229,8 @@ def _parse_rows_by_line(path: str, lines: list[str]) -> tuple[np.ndarray, np.nda
             continue
         parts = line.split(",")
         try:
-            if len(parts) != 2:
+            # float() reads "1_0" as 10, which np.loadtxt refuses
+            if len(parts) != 2 or "_" in line:
                 raise ValueError
             freqs.append(float(parts[0]))
             vals.append(float(parts[1]))
@@ -223,25 +243,21 @@ def read_psd_csv(path: str) -> PsdTrace:
     """Trace from a PSD CSV; the header line after the magic line is
     optional.  Metadata comes from the sidecar when there is one.
 
-    A file whose every data line starts with the same frequency text as
-    the last grid read by a full parse (and holds no other comma) has only
-    its value column parsed, and its trace shares that grid's read-only
-    frequency array; any other file takes the full parse.  Both give the
-    same bits and accept the same files."""
+    A file as `write_psd_csv` writes it (magic and header lines, then
+    LF-ended `<number>,<number>` lines of `0-9 . e E + -` only) is parsed
+    in one pass over its bytes, and shares the read-only frequency array
+    of the last such file with the same frequency text.  Any other file,
+    or a field `float` refuses, takes the full parse; both give the same
+    bits and accept the same files."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != PSD_MAGIC:
-        raise ConfigError(f"{path}: missing '{PSD_MAGIC}' header")
-    # the magic line has no comma, the header line one
-    head = 2 if len(lines) > 1 and lines[1].strip() == PSD_HEADER else 1
     try:
-        freqs, vals = _parse_rows(lines[head:], text.count(",") - (head - 1))
+        freqs, vals = _parse_psd_bytes(raw)
     except ValueError:
-        freqs, vals = _parse_rows_by_line(path, lines)
+        freqs, vals = _parse_psd_text(path, raw)
     meta = {}
     side = sidecar_path(path)
     if os.path.exists(side):

@@ -438,6 +438,19 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "small.csv" in err and "finite" in err
 
+    def test_underscore_in_a_value_exit_2(self, tmp_path, capsys):
+        """float() reads "1_0.5" as 10.5 (PEP 515 digit grouping); a PSD
+        field with an underscore is a malformed row, not a number."""
+        path = write_small_trace(tmp_path)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        lines[10] = lines[10].split(",")[0] + ",1_0.5"
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        assert main(["analyze", "--traces", path,
+                     "--out", str(tmp_path / "o.json")]) == 2
+        assert f"{path}: malformed CSV row at line 11" in capsys.readouterr().err
+
     def test_malformed_sidecar_exit_2(self, tmp_path, capsys):
         path = write_small_trace(tmp_path)
         with open(io.sidecar_path(path), "w") as fh:

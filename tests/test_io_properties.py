@@ -142,9 +142,9 @@ def read_outcome(path):
     return trace.freq_hz.tobytes(), trace.values.tobytes()
 
 
-def cold_outcome(path, monkeypatch):
+def cold_outcome(path):
     """read_outcome with the grid cache empty; the cache is left as it was."""
-    with monkeypatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(io, "_psd_read_grid", ((), np.empty(0)))
         return read_outcome(path)
 
@@ -152,8 +152,8 @@ def cold_outcome(path, monkeypatch):
 @pytest.mark.parametrize("header", [True, False])
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
 @pytest.mark.parametrize("name", ["same"] + CACHE_VARIANTS)
-def test_read_after_a_cached_grid_is_a_cold_read(tmp_path, monkeypatch, name,
-                                                 header, newline):
+def test_read_after_a_cached_grid_is_a_cold_read(tmp_path, name, header,
+                                                 newline):
     """Read after the cached grid, each file gives what a read with an
     empty cache gives, bit for bit or the same error text; and so does
     the cached grid's own file read after it."""
@@ -161,10 +161,10 @@ def test_read_after_a_cached_grid_is_a_cold_read(tmp_path, monkeypatch, name,
     write_rows(base, CACHE_ROWS)
     write_rows(path, cache_variant(name), header, newline)
     for p in (base, path, base):
-        assert read_outcome(p) == cold_outcome(p, monkeypatch), p
+        assert read_outcome(p) == cold_outcome(p), p
 
 
-def test_reads_in_sequence_are_cold_reads(tmp_path, monkeypatch):
+def test_reads_in_sequence_are_cold_reads(tmp_path):
     """Every variant read in turn, each after the one before it filled
     or kept the cache, gives what a read with an empty cache gives."""
     paths = []
@@ -173,7 +173,7 @@ def test_reads_in_sequence_are_cold_reads(tmp_path, monkeypatch):
         write_rows(paths[-1], cache_variant(name),
                    newline=("\n", "\r\n")[i % 2])
     for p in paths:
-        assert read_outcome(p) == cold_outcome(p, monkeypatch), p
+        assert read_outcome(p) == cold_outcome(p), p
 
 
 def test_traces_on_one_grid_share_a_read_only_array(tmp_path):
@@ -187,6 +187,89 @@ def test_traces_on_one_grid_share_a_read_only_array(tmp_path):
     assert b.values.tobytes() != a.values.tobytes()
     with pytest.raises(ValueError, match="read-only"):
         a.freq_hz[0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# the bytes pass against the full parse
+
+# Bytes that turn a written trace into a file the bytes pass must refuse,
+# or into another file it must still read as the full parse does.
+EDIT_BYTES = [bytes([b]) for b in b", \n\r\t#_eE+-.09in\xe9"]
+
+
+def refuse_bytes_pass(raw):
+    raise ValueError("full parse forced")
+
+
+def full_parse_outcome(path):
+    """read_outcome with every file sent to the full parse."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(io, "_parse_psd_bytes", refuse_bytes_pass)
+        return read_outcome(path)
+
+
+@st.composite
+def edited_traces(draw):
+    """A written trace's bytes, and the same bytes after one insert, delete
+    or replace of a byte from EDIT_BYTES."""
+    n = draw(st.integers(16, 24))
+    grid = draw(st.lists(finite, min_size=n, max_size=n, unique=True).map(sorted))
+    vals = draw(st.lists(non_negative, min_size=n, max_size=n))
+    raw = reference_bytes(PsdTrace(np.array(grid), np.array(vals), {}))
+    op = draw(st.sampled_from(["insert", "delete", "replace"]))
+    # as often in the magic and header lines, or in the last row, as in
+    # all the rest
+    last = len(raw) - (op != "insert")
+    at = draw(st.one_of(st.integers(0, len(io._PSD_START)),
+                        st.integers(last - 8, last), st.integers(0, last)))
+    new = b"" if op == "delete" else draw(st.sampled_from(EDIT_BYTES))
+    return raw, raw[:at] + new + raw[at + (op != "insert"):]
+
+
+# A digit after the last LF leaves the file's bytes other than digits
+# as they were, yet makes its last line a row of one column.
+CACHE_FILE = "\n".join([io.PSD_MAGIC, "freq_hz,psd", *CACHE_ROWS, ""]).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(edited_traces())
+@example((CACHE_FILE, CACHE_FILE + b"7"))
+def test_bytes_pass_reads_what_the_full_parse_reads(pair):
+    """An edited trace read with a cold cache, or right after its unedited
+    file filled the cache, gives the full parse's bits or error text."""
+    raw, edited = pair
+    with tempfile.TemporaryDirectory() as tmp:
+        base, path = os.path.join(tmp, "base.csv"), os.path.join(tmp, "e.csv")
+        for name, data in ((base, raw), (path, edited)):
+            with open(name, "wb") as fh:
+                fh.write(data)
+        expected = full_parse_outcome(path)
+        assert cold_outcome(path) == expected
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(io, "_psd_read_grid", ((), np.empty(0)))
+            assert read_outcome(base) == full_parse_outcome(base)
+            assert read_outcome(path) == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(grid_pairs())
+def test_first_seen_grid_is_shared_read_only(pair):
+    """A grid the bytes pass parses for the first time is one read-only
+    array, shared with the next trace on the same frequency text."""
+    grid, vals_a, _, vals_b = pair
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(io, "_psd_read_grid", ((), np.empty(0)))
+        traces = []
+        for name, vals in (("a.csv", vals_a), ("b.csv", vals_b)):
+            path = os.path.join(tmp, name)
+            with open(path, "wb") as fh:
+                fh.write(reference_bytes(PsdTrace(np.array(grid), np.array(vals), {})))
+            traces.append(io.read_psd_csv(path))
+    a, b = traces
+    assert b.freq_hz is a.freq_hz
+    assert a.freq_hz.tobytes() == np.array(grid).tobytes()
+    assert b.values.tobytes() == np.array(vals_b).tobytes()
+    assert not a.freq_hz.flags.writeable
 
 
 @settings(max_examples=100, deadline=None)

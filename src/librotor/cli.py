@@ -57,7 +57,7 @@ def cmd_simulate(args) -> int:
     grid = default_grid(synth["het_freq_hz"], max(m.omega for m in cfg.modes),
                         n_bins=synth["n_bins"],
                         span_factor=synth["span_factor"])
-    if not np.all(np.diff(grid) > 0):
+    if not np.all(grid[1:] > grid[:-1]):
         raise ConfigError(f"{args.config}: the synthesis span has no distinct bins")
     # the optical setup rides in every sidecar, so scanfit can invert
     # couplings without the config
@@ -279,23 +279,14 @@ def cmd_scanfit(args) -> int:
 # classify
 
 def cmd_classify(args) -> int:
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {args.input}: {exc}") from None
-    rows = []
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = [p.strip() for p in stripped.split(",")]
-        try:
-            rows.append((lineno, [float(p) for p in parts]))
-        except ValueError:
-            if rows:  # only a column-name header may precede the data
-                raise ConfigError(
-                    f"{args.input}: malformed CSV row at line {lineno}") from None
+    lines = io.decode_lines(args.input, io.read_file(args.input))
+    rows = [(lineno, values) for lineno, (text, values)
+            in enumerate(map(io.csv_fields, lines), start=1) if text]
+    if rows and all(v is None for v in rows[0][1]):
+        rows = rows[1:]  # the column names: a first line without a number
+    for lineno, values in rows:
+        if None in values:
+            raise ConfigError(f"{args.input}: malformed CSV row at line {lineno}")
     if not rows:
         raise ConfigError(f"{args.input}: no data rows")
 

@@ -164,9 +164,9 @@ _META_CHECKS = {
 
 
 # What a file `write_psd_csv` wrote starts with, and the bytes of its
-# numbers: within these `float` and `np.loadtxt` both end in CPython's
-# PyOS_string_to_double, so they give the same bits and refuse the same
-# fields (there is no whitespace, `_` or inf/nan word to treat apart).
+# numbers.  The bytes pass and the full parse both convert each field with
+# `float`, so they give the same bits; within these bytes there is no
+# blank, `#`, `_` or inf/nan word that the full parse would treat apart.
 _PSD_START = f"{PSD_MAGIC}\n{PSD_HEADER}\n".encode()
 _NUMBER_BYTES = b"0123456789.eE+-"
 _PSD_START_SKELETON = _PSD_START.translate(None, _NUMBER_BYTES)
@@ -201,42 +201,54 @@ def _parse_psd_bytes(raw: bytes) -> tuple[np.ndarray, np.ndarray]:
     return grid, vals
 
 
-def _parse_psd_text(path: str, raw: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """The full parse of any PSD CSV: decode, one `np.loadtxt` of the rows
-    after the magic and optional header lines, and on any bad row the
-    line-by-line parse, which names it and accepts what `np.loadtxt` does
-    not (whitespace-only lines, a header line after a comment)."""
+def read_file(path: str) -> bytes:
+    """A file's bytes; one that cannot be read is a ConfigError naming it."""
     try:
-        lines = raw.decode("utf-8").splitlines()
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+
+
+def decode_lines(path: str, raw: bytes) -> list[str]:
+    """The lines of raw as UTF-8 text; other bytes are a ConfigError naming path."""
+    try:
+        return raw.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
+
+
+def _number(field: str):
+    """float(field), or None where it is not a number: `float` refuses
+    it, or it holds `_`, which `float` reads as digit grouping."""
+    try:
+        return None if "_" in field else float(field)
+    except ValueError:
+        return None
+
+
+def csv_fields(line: str) -> tuple[str, list]:
+    """The line rule of every CSV file librotor reads: the line's text before
+    any `#`, stripped of blanks, and the _number of each comma-separated
+    field of that text."""
+    text = line.partition("#")[0].strip()
+    return text, [_number(field) for field in text.split(",")]
+
+
+def _parse_psd_text(path: str, raw: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The full parse of any PSD CSV, line by line: after the magic line,
+    each line with text but the column names must hold two numbers."""
+    lines = decode_lines(path, raw)
     if not lines or lines[0].strip() != PSD_MAGIC:
         raise ConfigError(f"{path}: missing '{PSD_MAGIC}' header")
-    head = 2 if len(lines) > 1 and lines[1].strip() == PSD_HEADER else 1
-    try:
-        with warnings.catch_warnings():
-            # no data rows: rejected by PsdTrace's bin count, not warned about
-            warnings.simplefilter("ignore", UserWarning)
-            rows = np.loadtxt(lines[head:], delimiter=",", comments="#", ndmin=2)
-        if rows.shape[1:] == (2,):
-            return rows[:, 0].copy(), rows[:, 1].copy()
-    except ValueError:
-        pass
-    freqs, vals = [], []
+    rows = []
     for lineno, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line or line.startswith("#") or line == PSD_HEADER:
-            continue
-        parts = line.split(",")
-        try:
-            # float() reads "1_0" as 10, which np.loadtxt refuses
-            if len(parts) != 2 or "_" in line:
-                raise ValueError
-            freqs.append(float(parts[0]))
-            vals.append(float(parts[1]))
-        except ValueError:
-            raise ConfigError(f"{path}: malformed CSV row at line {lineno}") from None
-    return np.asarray(freqs), np.asarray(vals)
+        text, fields = csv_fields(line)
+        if text and text != PSD_HEADER:
+            if len(fields) != 2 or None in fields:
+                raise ConfigError(f"{path}: malformed CSV row at line {lineno}")
+            rows += fields
+    return np.array(rows[::2], dtype=float), np.array(rows[1::2], dtype=float)
 
 
 def read_psd_csv(path: str) -> PsdTrace:
@@ -247,13 +259,9 @@ def read_psd_csv(path: str) -> PsdTrace:
     LF-ended `<number>,<number>` lines of `0-9 . e E + -` only) is parsed
     in one pass over its bytes, and shares the read-only frequency array
     of the last such file with the same frequency text.  Any other file,
-    or a field `float` refuses, takes the full parse; both give the same
-    bits and accept the same files."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
+    or a field `float` refuses, takes the full parse; both read each field
+    with `float`, so they give the same bits and accept the same files."""
+    raw = read_file(path)
     try:
         freqs, vals = _parse_psd_bytes(raw)
     except ValueError:

@@ -53,7 +53,7 @@ class DetectorResponse:
         gain = np.asarray(self.gain, dtype=float)
         if grid.ndim != 1 or grid.shape != gain.shape:
             raise ValueError("freq_grid and gain must be 1-d arrays of equal length")
-        if np.any(np.diff(grid) <= 0):
+        if np.any(grid[1:] <= grid[:-1]):
             raise ValueError("freq_grid must be strictly increasing")
         if np.any(gain <= 0):
             raise ValueError("gain must be positive everywhere")

@@ -39,7 +39,7 @@ class PsdTrace:
             raise ValueError("freq_hz and values must be equal-length 1-d arrays, >= 16 bins")
         if not (np.isfinite(freq).all() and np.isfinite(vals).all()):
             raise ValueError("freq_hz and values must be finite")
-        if np.any(np.diff(freq) <= 0):
+        if np.any(freq[1:] <= freq[:-1]):
             raise ValueError("freq_hz must be strictly increasing")
         if np.any(vals < 0):
             raise ValueError("PSD values must be >= 0")

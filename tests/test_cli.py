@@ -901,6 +901,47 @@ class TestClassify:
                      "--out", str(tmp_path / "o.json")]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def classify_bytes(self, tmp_path, raw):
+        """Exit code, rows (None unless the exit code is 0) and input path
+        of classify on a file of these bytes."""
+        path, out = str(tmp_path / "geo.csv"), str(tmp_path / "geo.json")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        code = main(["classify", "--input", path, "--out", out])
+        rows = read_json(out)["rows"] if code == 0 else None
+        return code, rows, path
+
+    def test_trailing_comment_on_the_first_row(self, tmp_path):
+        """A trailing comment is cut from the first data row, which is
+        read, not taken for the column names."""
+        code, rows, _ = self.classify_bytes(
+            tmp_path, b"gamma_x,sigma_x,gamma_y,sigma_y\n"
+                      b"100,1,126.6,1.2 # dumbbell\n100,1,100.5,1\n")
+        assert code == 0
+        assert [(r["line"], r.get("label")) for r in rows] == [
+            (2, "dumbbell"), (3, "sphere")]
+
+    def test_non_utf8_input_exit_2(self, tmp_path, capsys):
+        code, _, path = self.classify_bytes(
+            tmp_path, b"gamma_x,sigma_x,gamma_y,sigma_y\n"
+                      b"100,1,126.6,1.2 # caf\xe9\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert path in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("first", [
+        b"1_00,1,100.5,1", b"100,1,126.6,x", b"100,1,126.6,sigma_y",
+        b"gamma_x,1,126.6,1.2"])
+    def test_malformed_first_row_exit_2(self, tmp_path, capsys, first):
+        """Only a first line none of whose fields is a number is the
+        column names; a first line with a number is a row, and a
+        malformed one.  float() reads "1_00" as 100 (PEP 515 digit
+        grouping), but a field with an underscore is not a number."""
+        code, _, path = self.classify_bytes(
+            tmp_path, b"# damping rates\n" + first + b"\n100,1,100.5,1\n")
+        assert code == 2
+        assert f"{path}: malformed CSV row at line 2" in capsys.readouterr().err
+
 
 class TestTopLevel:
     def test_version(self, capsys):

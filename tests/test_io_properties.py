@@ -251,6 +251,54 @@ def test_bytes_pass_reads_what_the_full_parse_reads(pair):
             assert read_outcome(path) == expected
 
 
+# What a line-local edit inserts or appends: a whitespace-only line, a
+# comment line, or a trailing comment, each with or without commas.
+BLANK_LINES = ["", " ", "\t", " \t  "]
+COMMENT_LINES = ["# note", "  # a, b", "#1,2"]
+TRAILING_COMMENTS = [" # note", " # a, b", "\t#,"]
+
+
+@st.composite
+def line_edited_traces(draw):
+    """A written trace's bytes, LF or CRLF, and the same bytes after one
+    to four edits on lines after the magic line: a blank or comment line
+    inserted, or a trailing comment appended."""
+    n = draw(st.integers(16, 24))
+    grid = draw(st.lists(finite, min_size=n, max_size=n, unique=True).map(sorted))
+    vals = draw(st.lists(non_negative, min_size=n, max_size=n))
+    lines = reference_bytes(PsdTrace(np.array(grid), np.array(vals), {})) \
+        .decode().splitlines()
+    edited = list(lines)
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["blank", "comment", "trailing"]))
+        if kind == "trailing":
+            at = draw(st.integers(1, len(edited) - 1))
+            edited[at] += draw(st.sampled_from(TRAILING_COMMENTS))
+        else:
+            at = draw(st.integers(1, len(edited)))
+            edited.insert(at, draw(st.sampled_from(
+                BLANK_LINES if kind == "blank" else COMMENT_LINES)))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return tuple((newline.join(ls) + newline).encode() for ls in (lines, edited))
+
+
+@settings(max_examples=150, deadline=None)
+@given(line_edited_traces())
+def test_full_parse_is_line_local(pair):
+    """Blank lines, comment lines and trailing comments after the magic
+    line leave the full parse's bits as they are, wherever they meet."""
+    raw, edited = pair
+    with tempfile.TemporaryDirectory() as tmp:
+        outcomes = []
+        for name, data in (("base.csv", raw), ("e.csv", edited)):
+            path = os.path.join(tmp, name)
+            with open(path, "wb") as fh:
+                fh.write(data)
+            outcomes.append(full_parse_outcome(path))
+    assert isinstance(outcomes[0], tuple)
+    assert outcomes[1] == outcomes[0]
+
+
 @settings(max_examples=50, deadline=None)
 @given(grid_pairs())
 def test_first_seen_grid_is_shared_read_only(pair):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from librotor import physics
 from librotor.errors import SidebandOutsideBandError
 from librotor.fitting import fit_lorentzian, window_bins
-from librotor.noise import NoiseProfile, phase_noise_psd
+from librotor.noise import DetectorResponse, NoiseProfile, phase_noise_psd
 from librotor.physics import LibrationMode
 from librotor.presets import cluster_1d
 from librotor.spectrum import (ORIENT_LO_BLUE, ORIENT_LO_RED, PsdTrace,
@@ -68,6 +69,22 @@ class TestPsdTrace:
             freq[5] = bad
             with pytest.raises(ValueError, match="finite"):
                 PsdTrace(freq, np.ones(32), {})
+
+    def test_extreme_grid_is_checked_without_overflow(self):
+        """Neighbours -1e308 and 1e308 differ by more than the largest
+        double; the increasing-grid checks compare them without
+        subtracting, so they neither overflow nor warn."""
+        grid = np.concatenate([np.linspace(-1.7e308, -1e308, 8),
+                               np.linspace(1e308, 1.7e308, 8)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            PsdTrace(grid, np.ones(16), {})
+            DetectorResponse(grid, np.ones(16))
+            for bad in (grid[::-1], np.concatenate([grid[:8], grid[7:15]])):
+                with pytest.raises(ValueError, match="increasing"):
+                    PsdTrace(bad, np.ones(16), {})
+                with pytest.raises(ValueError, match="increasing"):
+                    DetectorResponse(bad, np.ones(16))
 
     def test_default_grid(self):
         grid = default_grid(HET, TWO_PI * 1e6, n_bins=1024, span_factor=1.5)

@@ -31,6 +31,66 @@ def _warn(msg: str) -> None:
     print(f"warning: {msg}", file=sys.stderr)
 
 
+def _attempts(fn, items):
+    """(True, fn(item)), or (False, the exception it raised), per item."""
+    out = []
+    for item in items:
+        try:
+            out.append((True, fn(item)))
+        except Exception as exc:  # raised in item order by _forked_map
+            out.append((False, exc))
+    return out
+
+
+def _send_attempts(fn, items, conn):
+    with conn:
+        conn.send(_attempts(fn, items))
+
+
+def _forked_map(fn, items):
+    """[fn(item) for item in items], shared among this process and one
+    forked child per further CPU in its affinity mask.  With k processes,
+    this one takes items[0::k] and child j items[j::k]; the children
+    inherit fn and the items through fork and pipe back only the results.
+    Each process holds its own interpreter lock, so CPU-bound work such as
+    float conversion runs k at a time.  Once every child is joined, the
+    first exception in item order is raised, as the serial loop would.
+    Serial on one CPU or where there is no fork."""
+    items = list(items)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    k = min(cpus, len(items)) if hasattr(os, "fork") else 1
+    if k < 2:
+        return [fn(item) for item in items]
+    import multiprocessing  # here: `import librotor.cli` leaves it out
+    ctx = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for j in range(1, k):
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_send_attempts,
+                                args=(fn, items[j::k], send))
+            child.start()
+            send.close()
+            children.append((child, recv))
+        shares = [_attempts(fn, items[0::k])]
+        for j, (_, recv) in enumerate(children, start=1):
+            try:
+                shares.append(recv.recv())
+            except EOFError:  # the child died before it sent: redo its share
+                shares.append(_attempts(fn, items[j::k]))
+    finally:
+        for child, recv in children:
+            recv.close()
+            child.join()
+    attempts = [None] * len(items)
+    for j, share in enumerate(shares):
+        attempts[j::k] = share
+    for ok, value in attempts:
+        if not ok:
+            raise value
+    return [value for _, value in attempts]
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -64,7 +124,7 @@ def cmd_simulate(args) -> int:
     extra_meta = io.optics_fields(cfg.optics)
 
     os.makedirs(args.out, exist_ok=True)
-    outputs = []
+    writes = []  # (path, trace) in run-record order
     summary = []
     for channel in synth["channels"]:
         label = CHANNEL_MODE.get(channel)
@@ -86,20 +146,22 @@ def cmd_simulate(args) -> int:
                 continue
             trace = PsdTrace(point.trace.freq_hz, point.trace.values,
                              {**point.trace.meta, **extra_meta})
-            path = os.path.join(args.out, f"trace_{i:03d}_{channel}.csv")
-            io.write_psd_csv(path, trace)
-            outputs.extend([path, io.sidecar_path(path)])
+            writes.append((os.path.join(args.out, f"trace_{i:03d}_{channel}.csv"),
+                           trace))
             summary.append({"detuning_hz": point.detuning_hz,
                             "channel": channel, "valid": True,
                             "truth": point.truth})
     if synth["write_calibration"]:
-        for name, trace in _calibration_traces(
-                cfg.noise, grid, synth["averages"], synth["het_freq_hz"],
-                seed):
-            path = os.path.join(args.out, f"{name}.csv")
-            io.write_psd_csv(path, trace)
-            outputs.extend([path, io.sidecar_path(path)])
+        writes += [(os.path.join(args.out, f"{name}.csv"), trace)
+                   for name, trace in _calibration_traces(
+                       cfg.noise, grid, synth["averages"],
+                       synth["het_freq_hz"], seed)]
 
+    # forked children inherit the traces, so only the digests come back
+    digests = _forked_map(lambda write: io.write_psd_csv(*write), writes)
+    outputs = []
+    for (path, _), (csv_sha, side_sha) in zip(writes, digests):
+        outputs += [(path, csv_sha), (io.sidecar_path(path), side_sha)]
     io.write_run_record(os.path.join(args.out, "run_record.json"),
                         cfg.data, outputs, {"points": summary})
     return 0
@@ -108,19 +170,32 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # analyze
 
-def _load_traces(paths, cal=None):
+def _read_trace(path, scan):
+    """The trace at path; a scan file's trace that is not a calibration
+    trace must carry het_freq_hz."""
+    trace = io.read_psd_csv(path)
+    if scan and trace.meta.get("channel") != CAL_CHANNEL \
+            and "het_freq_hz" not in trace.meta:
+        raise ConfigError(f"{path}: trace metadata lacks het_freq_hz; missing "
+                          f"or incomplete sidecar {io.sidecar_path(path)}")
+    return trace
+
+
+def _load_traces(paths, cal_paths=()):
     """Scan traces as (path, trace) pairs in path order, and the detector
-    response from the shot and dark calibration traces: those in `cal`
-    (kind -> (path, trace)) or else those among paths, flat when either is
-    missing.  Plot data that analyze wrote among paths is skipped."""
+    response from the shot and dark calibration traces: those at cal_paths
+    (shot, dark) if given, or else those among paths, flat when either is
+    missing.  Plot data that analyze wrote among paths is skipped.  The
+    files are read through _forked_map, cal_paths first, so the first bad
+    one in that order is the error."""
+    paths = sorted(p for p in paths if not p.endswith(".plotdata.csv"))
+    read = _forked_map(lambda item: _read_trace(*item),
+                       [(p, False) for p in cal_paths] + [(p, True) for p in paths])
+    cal = dict(zip(("shot", "dark"), zip(cal_paths, read)))
     traces, found = [], {}
-    for path in sorted(p for p in paths if not p.endswith(".plotdata.csv")):
-        trace = io.read_psd_csv(path)
+    for path, trace in zip(paths, read[len(cal_paths):]):
         if trace.meta.get("channel") == CAL_CHANNEL:
             found[trace.meta.get("kind")] = (path, trace)
-        elif "het_freq_hz" not in trace.meta:
-            raise ConfigError(f"{path}: trace metadata lacks het_freq_hz; missing "
-                              f"or incomplete sidecar {io.sidecar_path(path)}")
         else:
             traces.append((path, trace))
     cal = cal or found
@@ -162,9 +237,7 @@ def cmd_analyze(args) -> int:
     paths = sorted(glob.glob(args.traces))
     if not paths:
         raise ConfigError(f"no trace files match {args.traces!r}")
-    cal = {"shot": (args.shot, io.read_psd_csv(args.shot)),
-           "dark": (args.dark, io.read_psd_csv(args.dark))} if args.shot else None
-    traces, resp = _load_traces(paths, cal)
+    traces, resp = _load_traces(paths, (args.shot, args.dark) if args.shot else ())
     if not traces:
         raise ConfigError(f"no analyzable (non-calibration) traces in "
                           f"{args.traces!r}")

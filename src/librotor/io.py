@@ -88,14 +88,6 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def sha256_file(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # PSD CSV + sidecar
 
@@ -130,11 +122,15 @@ def _psd_rows(freq: np.ndarray, values: np.ndarray) -> str:
     return template % tuple(values.tolist())
 
 
-def write_psd_csv(path: str, trace: PsdTrace) -> None:
-    """CSV trace plus a <name>.meta.json sidecar carrying trace.meta."""
+def write_psd_csv(path: str, trace: PsdTrace) -> tuple[str, str]:
+    """CSV trace plus a <name>.meta.json sidecar carrying trace.meta;
+    returns the sha256 hex digests of the CSV and of the sidecar bytes."""
     text = f"{PSD_MAGIC}\n{PSD_HEADER}\n" + _psd_rows(trace.freq_hz, trace.values)
+    side = format_json(dict(trace.meta))
     atomic_write_text(path, text)
-    atomic_write_text(sidecar_path(path), format_json(dict(trace.meta)))
+    atomic_write_text(sidecar_path(path), side)
+    return (hashlib.sha256(text.encode()).hexdigest(),
+            hashlib.sha256(side.encode()).hexdigest())
 
 
 def sidecar_path(csv_path: str) -> str:
@@ -530,15 +526,17 @@ def config_from_scenario(scenario, detunings_hz, channels=(DEFAULT_CHANNEL,),
 # ---------------------------------------------------------------------------
 # run records
 
-def write_run_record(path: str, config: dict, outputs: list[str],
-                     summary: dict) -> None:
+def write_run_record(path: str, config: dict,
+                     outputs: list[tuple[str, str]], summary: dict) -> None:
+    """The run record: the config, each output as (path, sha256 hex digest
+    of its bytes) and the summary."""
     record = {
         "schema": RUN_SCHEMA,
         "tool_version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "config": config,
-        "outputs": [{"path": os.path.basename(p), "sha256": sha256_file(p)}
-                    for p in outputs],
+        "outputs": [{"path": os.path.basename(p), "sha256": sha256}
+                    for p, sha256 in outputs],
         "summary": summary,
     }
     atomic_write_text(path, format_json(record))

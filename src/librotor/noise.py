@@ -53,6 +53,8 @@ class DetectorResponse:
         gain = np.asarray(self.gain, dtype=float)
         if grid.ndim != 1 or grid.shape != gain.shape:
             raise ValueError("freq_grid and gain must be 1-d arrays of equal length")
+        if not (np.isfinite(grid).all() and np.isfinite(gain).all()):
+            raise ValueError("freq_grid and gain must be finite")
         if np.any(grid[1:] <= grid[:-1]):
             raise ValueError("freq_grid must be strictly increasing")
         if np.any(gain <= 0):

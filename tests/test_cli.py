@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -8,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from librotor import io, thermometry
+from librotor import cli, io, thermometry
 from librotor.cli import main
 from librotor.errors import ConfigError
 from librotor.presets import cluster_1d, dumbbell_2d
@@ -250,8 +252,8 @@ class TestSimulate:
         assert record["schema"] == "librotor-run/1"
         assert record["config"] == read_json(config_path)
         for entry in record["outputs"]:
-            assert io.sha256_file(os.path.join(out, entry["path"])) == \
-                entry["sha256"]
+            assert hashlib.sha256(read_bytes(os.path.join(out, entry["path"]))) \
+                .hexdigest() == entry["sha256"]
 
     def test_zero_detuning_warns_but_succeeds(self, tmp_path, config_path,
                                               capsys):
@@ -856,6 +858,94 @@ class TestScanfit:
 
 
 # ---------------------------------------------------------------------------
+# PSD files shared with forked children
+
+def on_cpus(monkeypatch, n):
+    """Make the affinity mask that _forked_map reads hold n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def fail_at(bad):
+    def fn(i):
+        if i in bad:
+            raise ConfigError(f"item {i} is bad")
+        return i
+    return fn
+
+
+def tree_bytes(root):
+    """Relative path -> bytes of every file under root."""
+    return {os.path.relpath(os.path.join(d, name), root):
+            read_bytes(os.path.join(d, name))
+            for d, _, names in os.walk(root) for name in names}
+
+
+class TestForkedMap:
+    def test_seven_items_on_three_cpus_in_order(self, monkeypatch):
+        on_cpus(monkeypatch, 3)
+        out = cli._forked_map(lambda i: (i * i, os.getpid()), range(7))
+        assert [v for v, _ in out] == [i * i for i in range(7)]
+        pids = [pid for _, pid in out]
+        assert pids[0::3] == [os.getpid()] * 3
+        assert len(set(pids[1::3])) == len(set(pids[2::3])) == 1
+        assert len(set(pids)) == 3
+        assert multiprocessing.active_children() == []
+
+    # item i falls to process i % 3: 0 is this one, 1 and 2 are children
+    @pytest.mark.parametrize("bad,first", [({2, 4}, 2), ({1, 3}, 1),
+                                           ({3, 5}, 3)])
+    def test_first_error_in_item_order(self, monkeypatch, bad, first):
+        on_cpus(monkeypatch, 3)
+        with pytest.raises(ConfigError, match=f"^item {first} is bad$"):
+            cli._forked_map(fail_at(bad), range(7))
+        assert multiprocessing.active_children() == []
+
+    def test_share_of_a_dead_child_is_redone(self, monkeypatch):
+        on_cpus(monkeypatch, 2)
+        parent = os.getpid()
+
+        def fn(i):
+            if os.getpid() != parent:
+                os._exit(1)
+            return i
+
+        assert cli._forked_map(fn, range(5)) == list(range(5))
+        assert multiprocessing.active_children() == []
+
+    def test_one_cpu_is_serial(self, monkeypatch):
+        on_cpus(monkeypatch, 1)
+        assert cli._forked_map(lambda i: os.getpid(), range(5)) == \
+            [os.getpid()] * 5
+        with pytest.raises(ConfigError, match="item 1"):
+            cli._forked_map(fail_at({1, 3}), range(5))
+
+    def test_commands_write_the_same_bytes_on_one_and_two_cpus(
+            self, tmp_path, monkeypatch, config_path):
+        trees = []
+        for n in (1, 2):
+            on_cpus(monkeypatch, n)
+            out = str(tmp_path / f"cpus{n}")
+            traces = os.path.join(out, "traces")
+            for argv in (
+                    ["simulate", "--config", config_path, "--out", traces],
+                    ["analyze", "--traces", os.path.join(traces, "trace_*.csv"),
+                     "--shot", os.path.join(traces, "shot.csv"),
+                     "--dark", os.path.join(traces, "dark.csv"),
+                     "--out", os.path.join(out, "analyze.json")],
+                    ["scanfit", "--traces", traces,
+                     "--out", os.path.join(out, "scanfit.json")]):
+                assert main(argv) == 0, argv
+            trees.append(tree_bytes(out))
+        records = [json.loads(tree.pop(os.path.join("traces", "run_record.json")))
+                   for tree in trees]
+        for record in records:
+            del record["created_utc"]
+        assert records[0] == records[1]
+        assert trees[0] == trees[1]
+        assert len(trees[0]) == 2 * 7 + 5 + 2  # traces, plot data, results
+
+
+# ---------------------------------------------------------------------------
 # classify
 
 class TestClassify:
@@ -972,6 +1062,14 @@ class TestTopLevel:
                              text=True).stdout.split("\n")
         assert out[0] == "False"
         assert out[1] == "[]"
+
+    def test_cli_import_leaves_out_multiprocessing(self):
+        """Only a command that shares its files with forked children
+        imports multiprocessing, so the start-up time does not include it."""
+        code = "import sys, librotor.cli; print('multiprocessing' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                             check=True, capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
     def test_every_command_runs_with_scipy_blocked(self, tmp_path,
                                                    config_path):

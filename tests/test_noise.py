@@ -125,3 +125,11 @@ class TestDetectorResponse:
             DetectorResponse(np.array([2.0, 1.0]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             DetectorResponse(np.array([1.0, 2.0]), np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("grid,gain", [
+        ([1, 2, 3], [1, math.nan, 1]), ([1, math.nan, 3], [1, 1, 1]),
+        ([1, 2, 3], [1, math.inf, 1]), ([1, 2, math.inf], [1, 1, 1])],
+        ids=["nan-gain", "nan-grid", "inf-gain", "inf-grid"])
+    def test_non_finite_refused(self, grid, gain):
+        with pytest.raises(ValueError, match="finite"):
+            DetectorResponse(grid, gain)

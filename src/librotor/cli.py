@@ -55,17 +55,17 @@ def _forked_map(fn, items):
     Each process holds its own interpreter lock, so CPU-bound work such as
     float conversion runs k at a time.  Once every child is joined, the
     first exception in item order is raised, as the serial loop would.
-    Serial on one CPU or where there is no fork."""
+    A child that dies before its whole message is sent has its share
+    redone here.  With one CPU, or no affinity mask to read, k is 1 and
+    no child is started."""
     items = list(items)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    k = min(cpus, len(items)) if hasattr(os, "fork") else 1
-    if k < 2:
-        return [fn(item) for item in items]
-    import multiprocessing  # here: `import librotor.cli` leaves it out
-    ctx = multiprocessing.get_context("fork")
+    k = max(1, min(cpus, len(items)))
     children = []
     try:
         for j in range(1, k):
+            import multiprocessing  # here: `import librotor.cli` leaves it out
+            ctx = multiprocessing.get_context("fork")
             recv, send = ctx.Pipe(duplex=False)
             child = ctx.Process(target=_send_attempts,
                                 args=(fn, items[j::k], send))
@@ -76,7 +76,7 @@ def _forked_map(fn, items):
         for j, (_, recv) in enumerate(children, start=1):
             try:
                 shares.append(recv.recv())
-            except EOFError:  # the child died before it sent: redo its share
+            except (EOFError, OSError):  # the child died before or while sending
                 shares.append(_attempts(fn, items[j::k]))
     finally:
         for child, recv in children:

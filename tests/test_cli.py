@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import re
+import struct
 import subprocess
 import sys
 
@@ -911,6 +912,22 @@ class TestForkedMap:
 
         assert cli._forked_map(fn, range(5)) == list(range(5))
         assert multiprocessing.active_children() == []
+
+    def test_share_of_a_child_dead_mid_message_is_redone(self, monkeypatch):
+        on_cpus(monkeypatch, 2)
+
+        def send_part(fn, items, conn):
+            # a length header for 1000 bytes, then 10 of them
+            os.write(conn.fileno(), struct.pack("!i", 1000) + b"x" * 10)
+            os._exit(1)
+
+        monkeypatch.setattr(cli, "_send_attempts", send_part)
+        assert cli._forked_map(lambda i: i, range(5)) == list(range(5))
+        assert multiprocessing.active_children() == []
+
+    def test_no_items(self, monkeypatch):
+        on_cpus(monkeypatch, 2)
+        assert cli._forked_map(abs, []) == []
 
     def test_one_cpu_is_serial(self, monkeypatch):
         on_cpus(monkeypatch, 1)

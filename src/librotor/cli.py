@@ -9,11 +9,13 @@ import argparse
 import glob
 import os
 import sys
+import traceback
 
 import numpy as np
 
 from . import __version__, io
-from .errors import ConfigError, LibrotorError, UnderdeterminedScanError
+from .errors import (CalibrationError, ConfigError, LibrotorError,
+                     UnderdeterminedScanError)
 from .fitting import window_bins
 from .geometry import DampingMeasurement, classify
 from .physics import TWO_PI
@@ -31,14 +33,27 @@ def _warn(msg: str) -> None:
     print(f"warning: {msg}", file=sys.stderr)
 
 
+def _warn_inconsistent_c(channel, c_cal) -> None:
+    if c_cal and not c_cal.consistent:
+        _warn(f"sideband area differences on channel {channel} are "
+              f"mutually inconsistent; C calibration may be biased")
+
+
+class _ChildTraceback(Exception):
+    """The traceback text of an exception raised in a forked child: the
+    cause of that exception as the parent raises it, as concurrent.futures
+    shows a worker's traceback."""
+
+
 def _attempts(fn, items):
-    """(True, fn(item)), or (False, the exception it raised), per item."""
+    """(True, fn(item)), or (False, (the exception it raised, its traceback
+    text)), per item."""
     out = []
     for item in items:
         try:
             out.append((True, fn(item)))
         except Exception as exc:  # raised in item order by _forked_map
-            out.append((False, exc))
+            out.append((False, (exc, traceback.format_exc())))
     return out
 
 
@@ -54,10 +69,11 @@ def _forked_map(fn, items):
     inherit fn and the items through fork and pipe back only the results.
     Each process holds its own interpreter lock, so CPU-bound work such as
     float conversion runs k at a time.  Once every child is joined, the
-    first exception in item order is raised, as the serial loop would.
-    A child that dies before its whole message is sent has its share
-    redone here.  With one CPU, or no affinity mask to read, k is 1 and
-    no child is started."""
+    first exception in item order is raised, as the serial loop would; one
+    unpickled from a child, which has lost its traceback, is raised from a
+    _ChildTraceback of it.  A child that dies before its whole message is
+    sent has its share redone here.  With one CPU, or no affinity mask to
+    read, k is 1 and no child is started."""
     items = list(items)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     k = max(1, min(cpus, len(items)))
@@ -87,7 +103,10 @@ def _forked_map(fn, items):
         attempts[j::k] = share
     for ok, value in attempts:
         if not ok:
-            raise value
+            exc, text = value
+            if exc.__traceback__ is None:  # unpickled from a child
+                raise exc from _ChildTraceback(text)
+            raise exc
     return [value for _, value in attempts]
 
 
@@ -158,10 +177,8 @@ def cmd_simulate(args) -> int:
                        synth["het_freq_hz"], seed)]
 
     # forked children inherit the traces, so only the digests come back
-    digests = _forked_map(lambda write: io.write_psd_csv(*write), writes)
-    outputs = []
-    for (path, _), (csv_sha, side_sha) in zip(writes, digests):
-        outputs += [(path, csv_sha), (io.sidecar_path(path), side_sha)]
+    outputs = [output for pair in _forked_map(lambda w: io.write_psd_csv(*w),
+                                              writes) for output in pair]
     io.write_run_record(os.path.join(args.out, "run_record.json"),
                         cfg.data, outputs, {"points": summary})
     return 0
@@ -170,41 +187,37 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # analyze
 
-def _read_trace(path, scan):
-    """The trace at path; a scan file's trace that is not a calibration
-    trace must carry het_freq_hz."""
-    trace = io.read_psd_csv(path)
-    if scan and trace.meta.get("channel") != CAL_CHANNEL \
-            and "het_freq_hz" not in trace.meta:
-        raise ConfigError(f"{path}: trace metadata lacks het_freq_hz; missing "
-                          f"or incomplete sidecar {io.sidecar_path(path)}")
-    return trace
-
-
-def _load_traces(paths, cal_paths=()):
-    """Scan traces as (path, trace) pairs in path order, and the detector
-    response from the shot and dark calibration traces: those at cal_paths
-    (shot, dark) if given, or else those among paths, flat when either is
-    missing.  Plot data that analyze wrote among paths is skipped.  The
-    files are read through _forked_map, cal_paths first, so the first bad
-    one in that order is the error."""
-    paths = sorted(p for p in paths if not p.endswith(".plotdata.csv"))
-    read = _forked_map(lambda item: _read_trace(*item),
-                       [(p, False) for p in cal_paths] + [(p, True) for p in paths])
+def _load_traces(pattern, cal_paths=()):
+    """Scan traces as (path, trace) pairs in path order from the files that
+    match the glob pattern, and the detector response from the shot and
+    dark calibration traces: those at cal_paths (shot, dark) if given, or
+    else those among the matches, flat when either is missing.  Plot data
+    that analyze wrote is skipped.  The files are read through _forked_map,
+    cal_paths first, so the first unreadable one in that order is the
+    error; then each scan trace must carry het_freq_hz."""
+    paths = sorted(p for p in glob.glob(pattern) if not p.endswith(".plotdata.csv"))
+    if not paths:
+        raise ConfigError(f"no trace files match {pattern!r}")
+    read = _forked_map(io.read_psd_csv, [*cal_paths, *paths])
     cal = dict(zip(("shot", "dark"), zip(cal_paths, read)))
     traces, found = [], {}
     for path, trace in zip(paths, read[len(cal_paths):]):
         if trace.meta.get("channel") == CAL_CHANNEL:
             found[trace.meta.get("kind")] = (path, trace)
+        elif "het_freq_hz" not in trace.meta:
+            raise ConfigError(f"{path}: trace metadata lacks het_freq_hz; missing "
+                              f"or incomplete sidecar {io.sidecar_path(path)}")
         else:
             traces.append((path, trace))
+    if not traces:
+        raise ConfigError(f"no scan traces match {pattern!r}")
     cal = cal or found
     if "shot" in cal and "dark" in cal:
         (shot_path, shot), (dark_path, dark) = cal["shot"], cal["dark"]
-        if not np.array_equal(shot.freq_hz, dark.freq_hz):
-            raise ConfigError(f"calibration traces {shot_path} and {dark_path} "
-                              f"do not share a frequency grid")
-        return traces, calibrate_response(shot, dark)
+        try:
+            return traces, calibrate_response(shot, dark)
+        except CalibrationError as exc:
+            raise ConfigError(f"{shot_path} and {dark_path}: {exc}") from None
     _warn("no shot and dark calibration traces; assuming a flat detector response")
     return traces, None
 
@@ -234,22 +247,16 @@ def cmd_analyze(args) -> int:
         given, missing = ("--shot", "--dark") if args.shot else ("--dark", "--shot")
         raise ConfigError(f"{given} needs {missing}: pass both calibration "
                           f"traces or neither")
-    paths = sorted(glob.glob(args.traces))
-    if not paths:
-        raise ConfigError(f"no trace files match {args.traces!r}")
-    traces, resp = _load_traces(paths, (args.shot, args.dark) if args.shot else ())
-    if not traces:
-        raise ConfigError(f"no analyzable (non-calibration) traces in "
-                          f"{args.traces!r}")
+    traces, resp = _load_traces(args.traces,
+                                (args.shot, args.dark) if args.shot else ())
     out_dir = os.path.dirname(os.path.abspath(args.out))
 
     method = METHOD_DIFFCAL if args.method == "diffcal" else METHOD_RATIO
     entries = [None] * len(traces)
     passes = channel_occupations([t for _, t in traces], resp, method)
     for channel, (idx, results, c_cal) in passes.items():
-        if method == METHOD_DIFFCAL and c_cal and not c_cal.consistent:
-            _warn(f"sideband area differences on channel {channel} are "
-                  f"mutually inconsistent; C calibration may be biased")
+        if method == METHOD_DIFFCAL:
+            _warn_inconsistent_c(channel, c_cal)
         for i, occ in zip(idx, results):
             path, trace = traces[i]
             entries[i] = entry = {"file": os.path.basename(path),
@@ -300,14 +307,7 @@ def _fit_block(fit):
 
 
 def cmd_scanfit(args) -> int:
-    if not os.path.isdir(args.traces):
-        raise ConfigError(f"{args.traces} is not a directory")
-    paths = glob.glob(os.path.join(args.traces, "*.csv"))
-    if not paths:
-        raise ConfigError(f"no trace files in {args.traces}")
-    traces, resp = _load_traces(paths)
-    if not traces:
-        raise ConfigError(f"no scan traces in {args.traces}")
+    traces, resp = _load_traces(os.path.join(args.traces, "*.csv"))
     path, first = traces[0]
     try:
         setup = io.optics_from_fields(first.meta)
@@ -316,6 +316,7 @@ def cmd_scanfit(args) -> int:
 
     modes_out = []
     for mode in analyze_scan([t for _, t in traces], setup, resp=resp):
+        _warn_inconsistent_c(mode.channel, mode.c_cal)
         derived = mode.derived
         modes_out.append({
             "mode": mode.label, "channel": mode.channel,

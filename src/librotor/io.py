@@ -32,23 +32,27 @@ PSD_MAGIC = "# librotor-psd v1"
 RESULTS_SCHEMA = "librotor-results/1"
 RUN_SCHEMA = "librotor-run/1"
 
+# Every float librotor writes, in JSON or CSV, has this format: 17
+# significant digits, so that parsing gives back the same double.
+_FLOAT = "%.17g"
+
 
 # ---------------------------------------------------------------------------
 # JSON with fixed float formatting
 
-def format_json(obj, indent: int = 2) -> str:
-    """Serialize to JSON with every float at 17 significant digits."""
+def format_json(obj) -> str:
+    """Serialize to JSON, indented by 2, with every float in _FLOAT."""
 
     def fmt(o, level):
-        pad = " " * (indent * level)
-        pad_in = " " * (indent * (level + 1))
+        pad = "  " * level
+        pad_in = pad + "  "
         if isinstance(o, bool):
             return "true" if o else "false"
         if isinstance(o, (np.floating, float)):
             o = float(o)
             if math.isnan(o) or math.isinf(o):
                 return "null"
-            return f"{o:.17g}"
+            return _FLOAT % o
         if isinstance(o, (np.integer, int)):
             return str(int(o))
         if o is None:
@@ -93,10 +97,6 @@ def atomic_write_text(path: str, text: str) -> None:
 
 PSD_HEADER = "freq_hz,psd"
 
-# Every float in a CSV file is written with this format: 17 significant
-# digits, so that parsing gives back the same double.
-_FLOAT = "%.17g"
-
 # One-entry cache: (copy of the last grid written, its row template
 # "<freq>,%.17g\n...").  All traces of a scan and both calibration traces
 # share one grid, so its frequency column is formatted once.  Keyed by
@@ -122,15 +122,17 @@ def _psd_rows(freq: np.ndarray, values: np.ndarray) -> str:
     return template % tuple(values.tolist())
 
 
-def write_psd_csv(path: str, trace: PsdTrace) -> tuple[str, str]:
+def write_psd_csv(path: str, trace: PsdTrace) -> list[tuple[str, str]]:
     """CSV trace plus a <name>.meta.json sidecar carrying trace.meta;
-    returns the sha256 hex digests of the CSV and of the sidecar bytes."""
-    text = f"{PSD_MAGIC}\n{PSD_HEADER}\n" + _psd_rows(trace.freq_hz, trace.values)
-    side = format_json(dict(trace.meta))
-    atomic_write_text(path, text)
-    atomic_write_text(sidecar_path(path), side)
-    return (hashlib.sha256(text.encode()).hexdigest(),
-            hashlib.sha256(side.encode()).hexdigest())
+    returns (path, sha256 hex digest of its bytes) for the CSV and for the
+    sidecar, as write_run_record takes them."""
+    files = [(path, f"{PSD_MAGIC}\n{PSD_HEADER}\n"
+              + _psd_rows(trace.freq_hz, trace.values)),
+             (sidecar_path(path), format_json(dict(trace.meta)))]
+    for name, text in files:
+        atomic_write_text(name, text)
+    return [(name, hashlib.sha256(text.encode()).hexdigest())
+            for name, text in files]
 
 
 def sidecar_path(csv_path: str) -> str:
@@ -207,11 +209,23 @@ def read_file(path: str) -> bytes:
 
 
 def decode_lines(path: str, raw: bytes) -> list[str]:
-    """The lines of raw as UTF-8 text; other bytes are a ConfigError naming path."""
+    """The lines of raw as UTF-8 text, split at CRLF, CR and LF only, as
+    Python's universal newlines split them, so that line numbers count as
+    an editor's do; other bytes are a ConfigError naming path."""
     try:
-        return raw.decode("utf-8").splitlines()
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def read_json(path: str):
+    """The JSON value in a UTF-8 file; a file that cannot be read or
+    parsed is a ConfigError naming it."""
+    try:
+        return json.loads(read_file(path).decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or JSON, an over-long integer
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _number(field: str):
@@ -265,13 +279,7 @@ def read_psd_csv(path: str) -> PsdTrace:
     meta = {}
     side = sidecar_path(path)
     if os.path.exists(side):
-        try:
-            with open(side, "r", encoding="utf-8") as fh:
-                meta = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read {side}: {exc}") from None
-        except ValueError as exc:
-            raise ConfigError(f"{side}: malformed sidecar JSON: {exc}") from None
+        meta = read_json(side)
         if not isinstance(meta, dict):
             raise ConfigError(f"{side}: sidecar must hold a JSON object")
         for key, valid in _META_CHECKS.items():
@@ -494,14 +502,7 @@ class RunConfig:
 
     @staticmethod
     def load(path: str) -> "RunConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from None
-        except ValueError as exc:  # bad JSON, bad UTF-8, an over-long integer
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-        return RunConfig.from_dict(raw)
+        return RunConfig.from_dict(read_json(path))
 
 
 def config_from_scenario(scenario, detunings_hz, channels=(DEFAULT_CHANNEL,),

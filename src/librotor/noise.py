@@ -67,7 +67,10 @@ def _notch_factor(omega, center, depth_db, width):
     # Inverted Lorentzian in the dB domain, normalized to full depth at the
     # notch center; width is the FWHM of the dB dip.
     half2 = (width / 2.0) ** 2
-    shape = half2 / ((omega - center) ** 2 + half2)
+    # far from the notch (|omega - center| >= ~1e154) the square overflows
+    # to inf and the shape to 0, which is the right limit: no warning
+    with np.errstate(over="ignore"):
+        shape = half2 / ((omega - center) ** 2 + half2)
     return 10.0 ** (-depth_db * shape / 10.0)
 
 

@@ -108,6 +108,14 @@ def trace_averages(trace: PsdTrace) -> float | None:
     return None if averages is None or math.isinf(averages) else averages
 
 
+def _het_freq_hz(trace: PsdTrace) -> float:
+    """The trace's heterodyne carrier (Hz), from its metadata."""
+    het = trace.meta.get("het_freq_hz")
+    if het is None:
+        raise LibrotorError("trace metadata lacks het_freq_hz")
+    return het
+
+
 def fit_sideband_pair(trace: PsdTrace, resp: DetectorResponse | None,
                       mode_freq_hint_hz: float) -> tuple[LorentzianFit, LorentzianFit]:
     """Gain-correct the two sideband windows and fit the Stokes and
@@ -120,9 +128,7 @@ def fit_sideband_pair(trace: PsdTrace, resp: DetectorResponse | None,
     narrower than a quarter of the bin spacing is not resolved: its fit
     measures noise, so the pair is rejected.
     """
-    het = trace.meta.get("het_freq_hz")
-    if het is None:
-        raise LibrotorError("trace metadata lacks het_freq_hz")
+    het = _het_freq_hz(trace)
     freq = trace.freq_hz
     if resp is not None:  # the whole grid must lie in the calibrated span
         detector_gain(resp, TWO_PI * freq[[0, -1]])
@@ -326,7 +332,7 @@ class ModeScanReport:
 
 def _auto_hint(trace: PsdTrace) -> float:
     """Locate the dominant sideband offset from the heterodyne carrier."""
-    het = trace.meta["het_freq_hz"]
+    het = _het_freq_hz(trace)
     offsets = np.abs(trace.freq_hz - het)
     span = trace.freq_hz[-1] - trace.freq_hz[0]
     idx = np.flatnonzero((offsets > 0.05 * span) & (offsets < 0.48 * span))
@@ -420,7 +426,7 @@ def _analyze_channel(channel, ch_traces, results, c_cal, setup) -> ModeScanRepor
         det_hz = tr.meta.get("detuning_hz")
         if det_hz is None:
             continue
-        het = tr.meta["het_freq_hz"]
+        het = _het_freq_hz(tr)
         ests_f, ests_w = [], []
         for fit in (occ.stokes_fit, occ.anti_fit):
             if fit.pinned:

@@ -76,11 +76,35 @@ class TestFormats:
         assert back.meta == trace.meta
 
     def test_malformed_row_names_line(self, tmp_path):
+        """Lines end at LF, CRLF or CR only, so line numbers are an
+        editor's: a form feed at the end of the 6th row ends no line."""
+        rows = [f"{1e6 + i:.1f},1.0" for i in range(20)]
+        rows[5] += "\f"
+        rows[9] = "1000009.0,1x"
         path = str(tmp_path / "bad.csv")
-        with open(path, "w") as fh:
-            fh.write("# librotor-psd v1\nfreq_hz,psd\n1.0,2.0\noops,3.0\n")
-        with pytest.raises(ConfigError, match="line 4"):
-            io.read_psd_csv(path)
+        for text, line in (
+                ("# librotor-psd v1\nfreq_hz,psd\n1.0,2.0\noops,3.0\n", 4),
+                ("\n".join([io.PSD_MAGIC, "freq_hz,psd", *rows]) + "\n", 12)):
+            with open(path, "w") as fh:
+                fh.write(text)
+            with pytest.raises(ConfigError, match=f"at line {line}$"):
+                io.read_psd_csv(path)
+
+    def test_lone_cr_trace_reads_as_lf(self, tmp_path):
+        """A copy of a written trace with CR line ends reads the same bits
+        and metadata as the LF file."""
+        freq = np.linspace(4e6, 6e6, 64)
+        trace = PsdTrace(freq, np.abs(np.sin(freq * 1e-6)) + 0.1,
+                         {"het_freq_hz": 5e6, "channel": "cavity_y"})
+        lf, cr = str(tmp_path / "lf.csv"), str(tmp_path / "cr.csv")
+        io.write_psd_csv(lf, trace)
+        io.write_psd_csv(cr, trace)
+        with open(cr, "wb") as fh:
+            fh.write(read_bytes(lf).replace(b"\n", b"\r"))
+        a, b = io.read_psd_csv(lf), io.read_psd_csv(cr)
+        assert a.freq_hz.tobytes() == b.freq_hz.tobytes() == freq.tobytes()
+        assert a.values.tobytes() == b.values.tobytes() == trace.values.tobytes()
+        assert a.meta == b.meta == trace.meta
 
     def test_missing_magic(self, tmp_path):
         path = str(tmp_path / "bad.csv")
@@ -489,17 +513,20 @@ class TestAnalyze:
         assert "nope.csv" in capsys.readouterr().err
 
     def test_calibration_grids_differ_exit_2(self, tmp_path, capsys):
-        """A dark trace 10 Hz off the shot trace's grid is an input error
-        that names both calibration files."""
+        """Shot and dark traces that disagree, a dark trace 10 Hz off the
+        shot trace's grid or shot <= dark in more than 20% of the bins, are
+        an input error that names both calibration files."""
         path = write_small_trace(tmp_path)
         grid = np.linspace(4e6, 6e6, 64)
         shot, dark = str(tmp_path / "shot.csv"), str(tmp_path / "dark.csv")
-        io.write_psd_csv(shot, PsdTrace(grid, 2.0 * np.ones(64), {}))
-        io.write_psd_csv(dark, PsdTrace(grid + 10.0, np.ones(64), {}))
-        assert main(["analyze", "--traces", path, "--shot", shot,
-                     "--dark", dark, "--out", str(tmp_path / "o.json")]) == 2
-        err = capsys.readouterr().err
-        assert shot in err and dark in err and "frequency grid" in err
+        for level, offset, reason in [(2.0, 10.0, "frequency grid"),
+                                      (1.0, 0.0, "shot <= dark")]:
+            io.write_psd_csv(shot, PsdTrace(grid, level * np.ones(64), {}))
+            io.write_psd_csv(dark, PsdTrace(grid + offset, np.ones(64), {}))
+            assert main(["analyze", "--traces", path, "--shot", shot, "--dark",
+                         dark, "--out", str(tmp_path / "o.json")]) == 2
+            err = capsys.readouterr().err
+            assert shot in err and dark in err and reason in err
 
     @pytest.mark.parametrize("given, missing", [("--shot", "--dark"),
                                                 ("--dark", "--shot")])
@@ -600,7 +627,8 @@ class TestAnalyze:
         """Noise-free sideband pairs on two channels whose area scales C
         differ: each channel gets its own C, calibrated whenever it has 2
         analyzable traces, and analyze and scanfit calibrate the same C
-        bit for bit from the same traces."""
+        bit for bit from the same traces, and warn alike of one from
+        mutually inconsistent traces."""
         from librotor.spectrum import lorentzian
         het, f_mode = 5.0e6, 1.03e6
         grid = np.linspace(het - 1.5e6, het + 1.5e6, 4096)
@@ -641,6 +669,8 @@ class TestAnalyze:
 
         scan = str(tmp_path / "scan.json")
         assert main(["scanfit", "--traces", str(tmp_path), "--out", scan]) == 0
+        assert ("mutually inconsistent" in capsys.readouterr().err) \
+            == inconsistent
         modes = {m["channel"]: m for m in read_json(scan)["modes"]}
         assert sorted(modes) == sorted(analyzed)
         for group, entries in analyzed.items():
@@ -923,6 +953,22 @@ class TestForkedMap:
 
         monkeypatch.setattr(cli, "_send_attempts", send_part)
         assert cli._forked_map(lambda i: i, range(5)) == list(range(5))
+        assert multiprocessing.active_children() == []
+
+    def test_child_exception_keeps_its_traceback(self, monkeypatch):
+        """An exception raised in a child is raised from a _ChildTraceback
+        of the child's traceback, which names the line that failed; one
+        raised in this process's own share has no such cause."""
+        on_cpus(monkeypatch, 2)
+        fn = lambda i: 1 / (i - 1)  # noqa: E731; item 1 falls to the child
+        with pytest.raises(ZeroDivisionError) as exc:
+            cli._forked_map(fn, range(3))
+        cause = exc.value.__cause__
+        assert isinstance(cause, cli._ChildTraceback)
+        assert f"line {fn.__code__.co_firstlineno}, in <lambda>" in str(cause)
+        with pytest.raises(ConfigError, match="item 0") as own:
+            cli._forked_map(fail_at({0}), range(3))
+        assert own.value.__cause__ is None
         assert multiprocessing.active_children() == []
 
     def test_no_items(self, monkeypatch):

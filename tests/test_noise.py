@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,17 @@ class TestPhaseNoise:
         assert phase_noise_psd(both, mid) == pytest.approx(
             phase_noise_psd(only1, mid) * phase_noise_psd(only2, mid) / 1e-9,
             rel=1e-12)
+
+    @pytest.mark.parametrize("omega", [1e160, np.array([1e160, -1e160, 1e300])],
+                             ids=["scalar", "array"])
+    def test_far_from_a_notch_without_overflow_warning(self, omega):
+        """Far from a notch the factor is 1: the square that overflows to
+        inf there gives the base level and no warning."""
+        prof = NoiseProfile(notch_list=((TWO_PI * 1e6, 30.0, TWO_PI * 1e4),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = phase_noise_psd(prof, omega)
+        assert np.all(out == prof.phase_noise_base)
 
 
 class TestCavityNoiseBump:

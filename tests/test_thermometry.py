@@ -330,6 +330,27 @@ class TestAnalyzeScan:
         assert report[0].n_best is not None
         assert sorted(calls) == sorted(t.meta["detuning_hz"] for t in traces)
 
+    def test_trace_without_carrier_fails_in_its_slot(self):
+        """A trace without het_freq_hz gets the LibrotorError that
+        fit_sideband_pair gives, in its own per-trace slot, and the other
+        traces still give the scan its fits."""
+        sc, traces = self._scan_traces(math.inf, n_bins=4096)
+        first = traces[0]
+        traces[0] = PsdTrace(first.freq_hz, first.values,
+                             {k: v for k, v in first.meta.items()
+                              if k != "het_freq_hz"})
+        (idx, results, _), = thermometry.channel_occupations(
+            traces, None, METHOD_RATIO).values()
+        slot = results[idx.index(0)]
+        assert isinstance(slot, LibrotorError)
+        assert str(slot) == "trace metadata lacks het_freq_hz"
+        (mode,) = analyze_scan(traces, sc.optics, method=METHOD_RATIO)
+        errors = {t.detuning_hz: t.error for t in mode.traces}
+        assert errors.pop(first.meta["detuning_hz"]) == \
+            "trace metadata lacks het_freq_hz"
+        assert set(errors.values()) == {None}
+        assert mode.n_best is not None
+
     def test_underdetermined(self):
         sc, traces = self._scan_traces(math.inf)
         with pytest.raises(UnderdeterminedScanError):

@@ -10,6 +10,8 @@ import glob
 import os
 import sys
 import traceback
+from contextlib import suppress
+from functools import partial
 
 import numpy as np
 
@@ -22,8 +24,9 @@ from .physics import TWO_PI
 from .spectrum import (PsdTrace, default_grid, lorentzian, periodogram_draw,
                        scan_series)
 from .thermometry import (CHANNEL_MODE, METHOD_DIFFCAL, METHOD_RATIO,
-                          OccupationResult, analyze_scan, calibrate_response,
-                          channel_occupations, gain_corrected)
+                          OccupationResult, calibrate_response, channel_hints,
+                          channel_occupations, gain_corrected, scan_reports,
+                          sideband_pair, trace_hint)
 
 # Trace channel used for calibration (shot / dark) spectra.
 CAL_CHANNEL = "calibration"
@@ -58,56 +61,86 @@ def _attempts(fn, items):
 
 
 def _send_attempts(fn, items, conn):
-    with conn:
-        conn.send(_attempts(fn, items))
+    conn.send(_attempts(fn, items))
 
 
-def _forked_map(fn, items):
-    """[fn(item) for item in items], shared among this process and one
-    forked child per further CPU in its affinity mask.  With k processes,
-    this one takes items[0::k] and child j items[j::k]; the children
-    inherit fn and the items through fork and pipe back only the results.
-    Each process holds its own interpreter lock, so CPU-bound work such as
-    float conversion runs k at a time.  Once every child is joined, the
-    first exception in item order is raised, as the serial loop would; one
-    unpickled from a child, which has lost its traceback, is raised from a
-    _ChildTraceback of it.  A child that dies before its whole message is
-    sent has its share redone here.  With one CPU, or no affinity mask to
-    read, k is 1 and no child is started."""
+def _child(fn, then, items, conn, parent_ends):
+    for end in parent_ends:  # inherited: closed, so EOF reaches this child
+        end.close()
+    _send_attempts(fn, items, conn)
+    with suppress(EOFError):  # the parent closed its end: a stop as well
+        go, planned = conn.recv() if then else (False, None)
+        if go:
+            _send_attempts(lambda item: then(item, planned), items, conn)
+
+
+def _forked_map(fn, items, plan=None, then=None):
+    """[fn(item) for item in items], shared among k processes, this one and
+    a forked child per further CPU in its affinity mask (1 without one):
+    this one takes items[0::k] and child j items[j::k].  The children
+    inherit the functions and the items through fork, so only results and
+    the plan are pickled.  Each process has its own interpreter lock, so
+    CPU-bound work runs k at a time.  With a plan, planned = plan(those
+    results) is sent to the children, and [then(item, planned) for item in
+    items] follows, each item in the process that ran fn on it.  After each
+    round the first exception in item order is raised, as the serial loop
+    would (one from a child with its traceback text as a _ChildTraceback
+    cause), and a child waiting for a plan is sent a stop.  A child that
+    dies before its whole message is sent has both rounds of its share done
+    here."""
     items = list(items)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     k = max(1, min(cpus, len(items)))
-    children = []
+    shares = [items[j::k] for j in range(k)]
+    pipes, children, ran = {}, [], set()  # ran: shares that fn ran on here
+    waiting = then is not None  # the children wait for a plan or a stop
+
+    def gather(round_fn):
+        attempts = [None] * len(items)
+        for j in range(k):
+            try:
+                if j in pipes:
+                    attempts[j::k] = pipes[j].recv()
+                    continue
+            except (EOFError, OSError):  # the child died before or while sending
+                pipes.pop(j).close()
+            if round_fn is not fn and j not in ran:  # died after round one
+                _attempts(fn, shares[j])
+            ran.add(j)
+            attempts[j::k] = _attempts(round_fn, shares[j])
+        for ok, value in attempts:
+            if not ok:
+                exc, text = value
+                if exc.__traceback__ is None:  # unpickled from a child
+                    raise exc from _ChildTraceback(text)
+                raise exc
+        return [value for _, value in attempts]
+
     try:
         for j in range(1, k):
             import multiprocessing  # here: `import librotor.cli` leaves it out
             ctx = multiprocessing.get_context("fork")
-            recv, send = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_send_attempts,
-                                args=(fn, items[j::k], send))
-            child.start()
-            send.close()
-            children.append((child, recv))
-        shares = [_attempts(fn, items[0::k])]
-        for j, (_, recv) in enumerate(children, start=1):
-            try:
-                shares.append(recv.recv())
-            except (EOFError, OSError):  # the child died before or while sending
-                shares.append(_attempts(fn, items[j::k]))
+            pipes[j], end = ctx.Pipe()
+            children.append(ctx.Process(target=_child, args=(
+                fn, then, shares[j], end, list(pipes.values()))))
+            children[-1].start()
+            end.close()
+        results = gather(fn)
+        if plan is None:
+            return results
+        planned, waiting = plan(results), False
+        for pipe in pipes.values():
+            with suppress(OSError):  # a dead child is found out by gather
+                pipe.send((True, planned))
+        return gather(lambda item: then(item, planned))
     finally:
-        for child, recv in children:
-            recv.close()
+        for pipe in pipes.values():
+            if waiting:
+                with suppress(OSError):
+                    pipe.send((False, None))
+            pipe.close()
+        for child in children:
             child.join()
-    attempts = [None] * len(items)
-    for j, share in enumerate(shares):
-        attempts[j::k] = share
-    for ok, value in attempts:
-        if not ok:
-            exc, text = value
-            if exc.__traceback__ is None:  # unpickled from a child
-                raise exc from _ChildTraceback(text)
-            raise exc
-    return [value for _, value in attempts]
 
 
 # ---------------------------------------------------------------------------
@@ -143,88 +176,109 @@ def cmd_simulate(args) -> int:
     extra_meta = io.optics_fields(cfg.optics)
 
     os.makedirs(args.out, exist_ok=True)
-    writes = []  # (path, trace) in run-record order
-    summary = []
-    for channel in synth["channels"]:
-        label = CHANNEL_MODE.get(channel)
-        modes = [modes_by_label[label]] if label else list(cfg.modes)
-        points = scan_series(modes, cfg.optics, cfg.noise, None, grid,
-                             synth["averages"], synth["het_freq_hz"],
-                             synth["detunings_hz"],
-                             area_scale_c=synth["area_scale_c"],
-                             seed=seed,
-                             sideband_orientation=synth["sideband_orientation"],
-                             channel=channel)
-        for i, point in enumerate(points):
-            if point.trace is None:
-                _warn(f"detuning {point.detuning_hz:g} Hz on channel "
-                      f"{channel} is invalid: {point.error}")
-                summary.append({"detuning_hz": point.detuning_hz,
-                                "channel": channel, "valid": False,
-                                "error": point.error})
-                continue
-            trace = PsdTrace(point.trace.freq_hz, point.trace.values,
-                             {**point.trace.meta, **extra_meta})
-            writes.append((os.path.join(args.out, f"trace_{i:03d}_{channel}.csv"),
-                           trace))
-            summary.append({"detuning_hz": point.detuning_hz,
-                            "channel": channel, "valid": True,
-                            "truth": point.truth})
-    if synth["write_calibration"]:
-        writes += [(os.path.join(args.out, f"{name}.csv"), trace)
-                   for name, trace in _calibration_traces(
-                       cfg.noise, grid, synth["averages"],
-                       synth["het_freq_hz"], seed)]
 
-    # forked children inherit the traces, so only the digests come back
-    outputs = [output for pair in _forked_map(lambda w: io.write_psd_csv(*w),
-                                              writes) for output in pair]
-    io.write_run_record(os.path.join(args.out, "run_record.json"),
-                        cfg.data, outputs, {"points": summary})
+    def point(channel, i, det_hz):
+        """Detuning i of the channel's scan, synthesized at seed + i as
+        scan_series seeds it, and written: its summary and its files."""
+        label = CHANNEL_MODE.get(channel)
+        (pt,) = scan_series([modes_by_label[label]] if label else list(cfg.modes),
+                            cfg.optics, cfg.noise, None, grid,
+                            synth["averages"], synth["het_freq_hz"], [det_hz],
+                            area_scale_c=synth["area_scale_c"], seed=seed + i,
+                            sideband_orientation=synth["sideband_orientation"],
+                            channel=channel)
+        summary = {"detuning_hz": det_hz, "channel": channel,
+                   "valid": pt.trace is not None}
+        if pt.trace is None:
+            return {**summary, "error": pt.error}, []
+        return {**summary, "truth": pt.truth}, io.write_psd_csv(
+            os.path.join(args.out, f"trace_{i:03d}_{channel}.csv"),
+            PsdTrace(pt.trace.freq_hz, pt.trace.values, {**pt.trace.meta, **extra_meta}))
+
+    # each point is synthesized in the process that writes it
+    jobs = [partial(point, channel, i, det_hz) for channel in synth["channels"]
+            for i, det_hz in enumerate(synth["detunings_hz"])]
+    if synth["write_calibration"]:
+        jobs += [partial(lambda path, trace: (None, io.write_psd_csv(path, trace)),
+                         os.path.join(args.out, f"{name}.csv"), trace)
+                 for name, trace in _calibration_traces(
+                     cfg.noise, grid, synth["averages"], synth["het_freq_hz"], seed)]
+    done = _forked_map(lambda job: job(), jobs)
+    summary = [entry for entry, _ in done if entry]
+    for entry in summary:
+        if not entry["valid"]:
+            _warn(f"detuning {entry['detuning_hz']:g} Hz on channel "
+                  f"{entry['channel']} is invalid: {entry['error']}")
+    io.write_run_record(os.path.join(args.out, "run_record.json"), cfg.data,
+                        [output for _, files in done for output in files],
+                        {"points": summary})
     return 0
 
 
 # ---------------------------------------------------------------------------
 # analyze
 
-def _load_traces(pattern, cal_paths=()):
-    """Scan traces as (path, trace) pairs in path order from the files that
-    match the glob pattern, and the detector response from the shot and
-    dark calibration traces: those at cal_paths (shot, dark) if given, or
-    else those among the matches, flat when either is missing.  Plot data
-    that analyze wrote is skipped.  The files are read through _forked_map,
-    cal_paths first, so the first unreadable one in that order is the
-    error; then each scan trace must carry het_freq_hz."""
-    paths = sorted(p for p in glob.glob(pattern) if not p.endswith(".plotdata.csv"))
+def _fit_traces(paths, pattern, cal_paths=(), plot=False):
+    """(path, metadata, sideband pair, plot data or None) of each scan trace
+    among paths but analyze's plot data, in path order.  _forked_map reads
+    the files, cal_paths (shot, dark) first, and sends a calibration trace
+    here whole, a scan trace as its metadata and trace_hint.  The detector
+    response comes from the shot and dark traces at cal_paths, or else
+    among the paths, flat without both; it goes with channel_hints to the
+    process that read each scan trace, to fit its pair and format its plot."""
+    paths = sorted(p for p in paths if not p.endswith(".plotdata.csv"))
     if not paths:
         raise ConfigError(f"no trace files match {pattern!r}")
-    read = _forked_map(io.read_psd_csv, [*cal_paths, *paths])
-    cal = dict(zip(("shot", "dark"), zip(cal_paths, read)))
-    traces, found = [], {}
-    for path, trace in zip(paths, read[len(cal_paths):]):
-        if trace.meta.get("channel") == CAL_CHANNEL:
-            found[trace.meta.get("kind")] = (path, trace)
-        elif "het_freq_hz" not in trace.meta:
-            raise ConfigError(f"{path}: trace metadata lacks het_freq_hz; missing "
-                              f"or incomplete sidecar {io.sidecar_path(path)}")
-        else:
-            traces.append((path, trace))
-    if not traces:
-        raise ConfigError(f"no scan traces match {pattern!r}")
-    cal = cal or found
-    if "shot" in cal and "dark" in cal:
-        (shot_path, shot), (dark_path, dark) = cal["shot"], cal["dark"]
-        try:
-            return traces, calibrate_response(shot, dark)
-        except CalibrationError as exc:
-            raise ConfigError(f"{shot_path} and {dark_path}: {exc}") from None
-    _warn("no shot and dark calibration traces; assuming a flat detector response")
-    return traces, None
+    items = [(p, True) for p in cal_paths] + [(p, False) for p in paths]
+    held, scan = {}, []  # (trace, hint) by item where read; scan traces here
+
+    def read(item):
+        trace = io.read_psd_csv(item[0])
+        if item[1] or trace.meta.get("channel") == CAL_CHANNEL:
+            return trace
+        held[item] = trace, trace_hint(trace)
+        return trace.meta, held[item][1]
+
+    def plan(replies):
+        cal = dict(zip(("shot", "dark"), zip(cal_paths, replies)))
+        found = {}
+        for i, path in enumerate(paths, start=len(cal_paths)):
+            if isinstance(replies[i], PsdTrace):
+                found[replies[i].meta.get("kind")] = (path, replies[i])
+            elif "het_freq_hz" not in replies[i][0]:
+                raise ConfigError(f"{path}: trace metadata lacks het_freq_hz; missing "
+                                  f"or incomplete sidecar {io.sidecar_path(path)}")
+            else:
+                scan.append((i, path, *replies[i]))
+        if not scan:
+            raise ConfigError(f"no scan traces match {pattern!r}")
+        cal = cal or found
+        by_channel = channel_hints([s[2] for s in scan], [s[3] for s in scan])
+        if "shot" in cal and "dark" in cal:
+            (shot_path, shot), (dark_path, dark) = cal["shot"], cal["dark"]
+            try:
+                return calibrate_response(shot, dark), by_channel
+            except CalibrationError as exc:
+                raise ConfigError(f"{shot_path} and {dark_path}: {exc}") from None
+        _warn("no shot and dark calibration traces; assuming a flat detector response")
+        return None, by_channel
+
+    def fit(item, planned):
+        if item not in held:  # a calibration trace
+            return None
+        (trace, hint), (resp, by_channel) = held[item], planned
+        pair = sideband_pair(trace, resp, hint, by_channel)
+        return pair, (_plot_rows(trace, resp, pair)
+                      if plot and isinstance(pair, tuple) else None)
+
+    fitted = _forked_map(read, items, plan, fit)
+    return [(path, meta, *fitted[i]) for i, path, meta, _ in scan]
 
 
-def _write_plot_data(out_dir, trace_path, trace, resp, occ):
+def _plot_rows(trace, resp, pair):
+    """CSV text of a fitted sideband pair's data, fit and residual."""
     f_cols, d_cols, m_cols = [], [], []
-    for fit in (occ.stokes_fit, occ.anti_fit):
+    for fit in pair:
         bins = window_bins(trace.freq_hz, (fit.center - 5.0 * fit.linewidth_fwhm,
                                            fit.center + 5.0 * fit.linewidth_fwhm))
         freq = trace.freq_hz[bins]
@@ -235,11 +289,8 @@ def _write_plot_data(out_dir, trace_path, trace, resp, occ):
     f, d, m = (np.concatenate(c) for c in (f_cols, d_cols, m_cols))
     r = d - m
     order = np.lexsort((r, m, d, f))  # rows sorted as tuples, freq first
-    stem = os.path.splitext(os.path.basename(trace_path))[0]
-    io.atomic_write_text(
-        os.path.join(out_dir, f"{stem}.plotdata.csv"),
-        "freq_hz,data,fit,residual\n"
-        + io.format_csv_rows(f[order], d[order], m[order], r[order]))
+    return "freq_hz,data,fit,residual\n" + io.format_csv_rows(
+        f[order], d[order], m[order], r[order])
 
 
 def cmd_analyze(args) -> int:
@@ -247,21 +298,21 @@ def cmd_analyze(args) -> int:
         given, missing = ("--shot", "--dark") if args.shot else ("--dark", "--shot")
         raise ConfigError(f"{given} needs {missing}: pass both calibration "
                           f"traces or neither")
-    traces, resp = _load_traces(args.traces,
-                                (args.shot, args.dark) if args.shot else ())
+    paths, metas, pairs, plots = zip(*_fit_traces(
+        glob.glob(args.traces), args.traces,
+        (args.shot, args.dark) if args.shot else (), plot=True))
     out_dir = os.path.dirname(os.path.abspath(args.out))
 
     method = METHOD_DIFFCAL if args.method == "diffcal" else METHOD_RATIO
-    entries = [None] * len(traces)
-    passes = channel_occupations([t for _, t in traces], resp, method)
-    for channel, (idx, results, c_cal) in passes.items():
+    entries = [None] * len(paths)
+    for channel, (idx, results, c_cal) in channel_occupations(
+            metas, pairs, method).items():
         if method == METHOD_DIFFCAL:
             _warn_inconsistent_c(channel, c_cal)
         for i, occ in zip(idx, results):
-            path, trace = traces[i]
-            entries[i] = entry = {"file": os.path.basename(path),
-                                  "detuning_hz": trace.meta.get("detuning_hz"),
-                                  "channel": trace.meta.get("channel")}
+            entries[i] = entry = {"file": os.path.basename(paths[i]),
+                                  "detuning_hz": metas[i].get("detuning_hz"),
+                                  "channel": metas[i].get("channel")}
             if isinstance(occ, OccupationResult):
                 entry.update({
                     "n": occ.n, "n_err": occ.n_err,
@@ -273,7 +324,9 @@ def cmd_analyze(args) -> int:
                     "area_anti_stokes_err": occ.areas[1][1],
                     "method": occ.method,
                 })
-                _write_plot_data(out_dir, path, trace, resp, occ)
+                stem = os.path.splitext(os.path.basename(paths[i]))[0]
+                io.atomic_write_text(
+                    os.path.join(out_dir, f"{stem}.plotdata.csv"), plots[i])
             else:
                 entry["error"] = str(occ)
 
@@ -307,15 +360,17 @@ def _fit_block(fit):
 
 
 def cmd_scanfit(args) -> int:
-    traces, resp = _load_traces(os.path.join(args.traces, "*.csv"))
-    path, first = traces[0]
+    # the directory is taken as it is named, not as a glob pattern
+    paths, metas, pairs, _ = zip(*_fit_traces(
+        glob.glob(os.path.join(glob.escape(args.traces), "*.csv")),
+        os.path.join(args.traces, "*.csv")))
     try:
-        setup = io.optics_from_fields(first.meta)
+        setup = io.optics_from_fields(metas[0])
     except ConfigError as exc:
-        raise ConfigError(f"{io.sidecar_path(path)}: {exc}") from None
+        raise ConfigError(f"{io.sidecar_path(paths[0])}: {exc}") from None
 
     modes_out = []
-    for mode in analyze_scan([t for _, t in traces], setup, resp=resp):
+    for mode in scan_reports(metas, pairs, setup):
         _warn_inconsistent_c(mode.channel, mode.c_cal)
         derived = mode.derived
         modes_out.append({

@@ -96,7 +96,8 @@ def cavity_noise_background(profile: NoiseProfile, omega, s_phi):
     """
     omega = np.asarray(omega, dtype=float)
     half2 = (profile.cavity_noise_width / 2.0) ** 2
-    out = s_phi * half2 / ((omega - profile.cavity_noise_center) ** 2 + half2)
+    with np.errstate(over="ignore"):  # a far center: inf, so the bump is 0
+        out = s_phi * half2 / ((omega - profile.cavity_noise_center) ** 2 + half2)
     return out if out.ndim else float(out)
 
 

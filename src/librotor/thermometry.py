@@ -108,9 +108,9 @@ def trace_averages(trace: PsdTrace) -> float | None:
     return None if averages is None or math.isinf(averages) else averages
 
 
-def _het_freq_hz(trace: PsdTrace) -> float:
-    """The trace's heterodyne carrier (Hz), from its metadata."""
-    het = trace.meta.get("het_freq_hz")
+def _het_freq_hz(meta: dict) -> float:
+    """A trace's heterodyne carrier (Hz), from its metadata."""
+    het = meta.get("het_freq_hz")
     if het is None:
         raise LibrotorError("trace metadata lacks het_freq_hz")
     return het
@@ -128,7 +128,7 @@ def fit_sideband_pair(trace: PsdTrace, resp: DetectorResponse | None,
     narrower than a quarter of the bin spacing is not resolved: its fit
     measures noise, so the pair is rejected.
     """
-    het = _het_freq_hz(trace)
+    het = _het_freq_hz(trace.meta)
     freq = trace.freq_hz
     if resp is not None:  # the whole grid must lie in the calibrated span
         detector_gain(resp, TWO_PI * freq[[0, -1]])
@@ -332,7 +332,7 @@ class ModeScanReport:
 
 def _auto_hint(trace: PsdTrace) -> float:
     """Locate the dominant sideband offset from the heterodyne carrier."""
-    het = _het_freq_hz(trace)
+    het = _het_freq_hz(trace.meta)
     offsets = np.abs(trace.freq_hz - het)
     span = trace.freq_hz[-1] - trace.freq_hz[0]
     idx = np.flatnonzero((offsets > 0.05 * span) & (offsets < 0.48 * span))
@@ -342,39 +342,61 @@ def _auto_hint(trace: PsdTrace) -> float:
     return float(offsets[best])
 
 
-def channel_occupations(traces, resp: DetectorResponse | None, method: str,
-                        ) -> dict[str, tuple[list[int], list, CFactor | None]]:
-    """The per-channel occupation pass.  For each detection channel, in name
-    order (a trace without one is on DEFAULT_CHANNEL): the indices of its
-    traces in scan (detuning) order, each trace's OccupationResult or
-    LibrotorError, and the channel's area scale C.
+def trace_hint(trace: PsdTrace) -> float | LibrotorError:
+    """_auto_hint(trace), or the LibrotorError it raised."""
+    return _or_error(_auto_hint, trace)
 
-    Each sideband pair is fitted once, at the mode frequency _auto_hint reads
-    from the channel's first trace with a sideband band on its grid, so a
-    two-mode channel is analysed at one line.  C is calibrated from the
-    ratio areas when 2 traces give them; without C each diffcal trace fails."""
-    def occupations(pairs, estimator, c=None):
-        return [pair if isinstance(pair, LibrotorError)
-                else _or_error(occupation_from_fits, *pair, estimator, c)
-                for pair in pairs]
 
+def _channel_groups(metas) -> dict[str, list[int]]:
+    """The indices of each channel's traces in scan order, by channel name
+    (DEFAULT_CHANNEL for a trace without one)."""
     groups: dict[str, list[int]] = {}
-    for i, trace in enumerate(traces):
-        groups.setdefault(trace.meta.get("channel", DEFAULT_CHANNEL), []).append(i)
+    for i, meta in enumerate(metas):
+        groups.setdefault(meta.get("channel", DEFAULT_CHANNEL), []).append(i)
+    return {channel: sorted(groups[channel],
+                            key=lambda i: metas[i].get("detuning_hz") or 0.0)
+            for channel in sorted(groups)}
+
+
+def channel_hints(metas, hints) -> dict[str, float | None]:
+    """The hint rule of the occupation pass: each channel's pairs are fitted
+    at one mode frequency, the first float among its traces' trace_hint
+    results in scan order, so a two-mode channel is analysed at one line."""
+    return {channel: next((hints[i] for i in idx if isinstance(hints[i], float)),
+                          None)
+            for channel, idx in _channel_groups(metas).items()}
+
+
+def sideband_pair(trace: PsdTrace, resp: DetectorResponse | None, hint,
+                  by_channel):
+    """The trace's sideband pair fitted at its channel's hint in by_channel
+    (channel_hints), or the LibrotorError of its own hint or of the fit."""
+    if isinstance(hint, LibrotorError):
+        return hint
+    return _or_error(fit_sideband_pair, trace, resp,
+                     by_channel[trace.meta.get("channel", DEFAULT_CHANNEL)])
+
+
+def channel_occupations(metas, pairs, method: str,
+                        ) -> dict[str, tuple[list[int], list, CFactor | None]]:
+    """The reduce of the occupation pass, over the traces' metadata and
+    sideband_pair results: per channel (_channel_groups), its trace indices,
+    each trace's OccupationResult or LibrotorError, and the channel's area
+    scale C, calibrated from the ratio areas when 2 traces give them;
+    without C each diffcal trace fails."""
+    def occupations(idx, estimator, c=None):
+        return [pairs[i] if isinstance(pairs[i], LibrotorError)
+                else _or_error(occupation_from_fits, *pairs[i], estimator, c)
+                for i in idx]
+
     passes = {}
-    for channel in sorted(groups):
-        idx = sorted(groups[channel],
-                     key=lambda i: traces[i].meta.get("detuning_hz") or 0.0)
-        hints = [_or_error(_auto_hint, traces[i]) for i in idx]
-        hint = next((h for h in hints if isinstance(h, float)), None)
-        pairs = [_or_error(fit_sideband_pair, traces[i], resp, hint)
-                 if isinstance(h, float) else h for i, h in zip(idx, hints)]
-        results = occupations(pairs, METHOD_RATIO)
+    for channel, idx in _channel_groups(metas).items():
+        results = occupations(idx, METHOD_RATIO)
         ratio = [o for o in results if isinstance(o, OccupationResult)]
         c_cal = (calibrate_c([(*o.areas[0], *o.areas[1]) for o in ratio])
                  if len(ratio) >= 2 else None)
         if method == METHOD_DIFFCAL and c_cal is not None:
-            results = occupations(pairs, METHOD_DIFFCAL, (c_cal.c, c_cal.c_err))
+            results = occupations(idx, METHOD_DIFFCAL, (c_cal.c, c_cal.c_err))
         elif method == METHOD_DIFFCAL:
             error = LibrotorError(f"difference-calibrated analysis needs at "
                                   f"least 2 analyzable traces on channel "
@@ -397,23 +419,32 @@ def analyze_scan(traces, setup: OpticalSetup,
     UnderdeterminedScanError is raised only when no channel has enough
     analyzable traces.
     """
-    reports = [_analyze_channel(channel, [traces[i] for i in idx], results,
+    metas, hints = [t.meta for t in traces], [trace_hint(t) for t in traces]
+    by_channel = channel_hints(metas, hints)
+    return scan_reports(metas, [sideband_pair(t, resp, h, by_channel)
+                                for t, h in zip(traces, hints)], setup, method)
+
+
+def scan_reports(metas, pairs, setup: OpticalSetup,
+                 method: str = METHOD_DIFFCAL) -> list[ModeScanReport]:
+    """analyze_scan from the traces' metadata and sideband_pair results."""
+    reports = [_analyze_channel(channel, [metas[i] for i in idx], results,
                                 c_cal, setup)
                for channel, (idx, results, c_cal)
-               in channel_occupations(traces, resp, method).items()]
+               in channel_occupations(metas, pairs, method).items()]
     if all(mode.n_best is None for mode in reports):
         raise UnderdeterminedScanError("; ".join(mode.error for mode in reports))
     return reports
 
 
-def _analyze_channel(channel, ch_traces, results, c_cal, setup) -> ModeScanReport:
+def _analyze_channel(channel, ch_metas, results, c_cal, setup) -> ModeScanReport:
     label = CHANNEL_MODE.get(channel, "alpha")
-    fitted = [(tr, o) for tr, o in zip(ch_traces, results)
+    fitted = [(meta, o) for meta, o in zip(ch_metas, results)
               if isinstance(o, OccupationResult)]
-    analyses = [TraceAnalysis(tr.meta.get("detuning_hz"),
+    analyses = [TraceAnalysis(meta.get("detuning_hz"),
                               *((o, None) if isinstance(o, OccupationResult)
                                 else (None, str(o))))
-                for tr, o in zip(ch_traces, results)]
+                for meta, o in zip(ch_metas, results)]
     if len(fitted) < MIN_SCAN_POINTS:
         return ModeScanReport(label, channel, analyses, c_cal,
                               error=f"underdetermined scan: only {len(fitted)} "
@@ -422,11 +453,11 @@ def _analyze_channel(channel, ch_traces, results, c_cal, setup) -> ModeScanRepor
     # Build scan-fit inputs: the sideband pair gives two estimates each of
     # the effective frequency and linewidth; combine by inverse variance.
     freq_pts, lw_pts, occ_pts = [], [], []
-    for tr, occ in fitted:
-        det_hz = tr.meta.get("detuning_hz")
+    for meta, occ in fitted:
+        det_hz = meta.get("detuning_hz")
         if det_hz is None:
             continue
-        het = _het_freq_hz(tr)
+        het = _het_freq_hz(meta)
         ests_f, ests_w = [], []
         for fit in (occ.stokes_fit, occ.anti_fit):
             if fit.pinned:
@@ -453,7 +484,7 @@ def _analyze_channel(channel, ch_traces, results, c_cal, setup) -> ModeScanRepor
         error = str(exc)
 
     n_best, n_best_err, best_det = min(
-        ((o.n, o.n_err, tr.meta.get("detuning_hz")) for tr, o in fitted),
+        ((o.n, o.n_err, meta.get("detuning_hz")) for meta, o in fitted),
         key=lambda v: v[0])
 
     if linewidth_fit is not None and abs(setup.e_cav0) > 0 \

@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import re
+import signal
 import struct
 import subprocess
 import sys
@@ -710,8 +711,10 @@ class TestAnalyze:
                                                       monkeypatch):
         """backscatter_y carries both modes; beta dominates the traces at
         the high detunings.  Every trace is still fitted at the line of the
-        first trace, alpha, and scanfit measures alpha's coupling."""
+        first trace, alpha, and scanfit measures alpha's coupling.  On one
+        CPU, so that every fit is made in this process and recorded."""
         run = preset_scan(tmp_path, ("backscatter_y",))
+        on_cpus(monkeypatch, 1)
         hints = []
         fit_sideband_pair = thermometry.fit_sideband_pair
 
@@ -738,6 +741,7 @@ class TestAnalyze:
 
     def test_diffcal_fits_each_trace_once(self, tmp_path, sim_dir,
                                           monkeypatch):
+        on_cpus(monkeypatch, 1)  # every fit made in this process is counted
         calls = []
         fit_sideband_pair = thermometry.fit_sideband_pair
 
@@ -881,6 +885,21 @@ class TestScanfit:
         err = capsys.readouterr().err
         assert "trace_000_cavity_y.meta.json" in err and "kappa" in err
 
+    def test_directory_name_is_not_a_pattern(self, tmp_path, sim_dir, capsys):
+        """A directory whose name holds glob characters is read as named,
+        and an empty one is named as given."""
+        run = str(tmp_path / "run[1]")
+        os.rename(sim_dir, run)
+        assert main(["scanfit", "--traces", run,
+                     "--out", str(tmp_path / "o.json")]) == 0
+        assert read_json(str(tmp_path / "o.json"))["modes"][0]["n_best"] is not None
+        empty = str(tmp_path / "empty[1]")
+        os.makedirs(empty)
+        assert main(["scanfit", "--traces", empty,
+                     "--out", str(tmp_path / "e.json")]) == 2
+        pattern = os.path.join(empty, "*.csv")
+        assert f"no trace files match {pattern!r}" in capsys.readouterr().err
+
     def test_empty_dir_exit_2(self, tmp_path):
         empty = str(tmp_path / "empty")
         os.makedirs(empty)
@@ -902,6 +921,22 @@ def fail_at(bad):
             raise ConfigError(f"item {i} is bad")
         return i
     return fn
+
+
+@pytest.fixture()
+def deadline():
+    """Fail a test whose forked map hangs, in join or recv, after 60 s, and
+    kill the children it left, instead of hanging the suite."""
+    def expired(signum, frame):  # not TimeoutError: join swallows OSError
+        raise RuntimeError("the forked map hung")
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+    for child in multiprocessing.active_children():
+        child.kill()
+        child.join()
 
 
 def tree_bytes(root):
@@ -981,6 +1016,112 @@ class TestForkedMap:
             [os.getpid()] * 5
         with pytest.raises(ConfigError, match="item 1"):
             cli._forked_map(fail_at({1, 3}), range(5))
+
+    def test_second_round_runs_where_the_first_did(self, monkeypatch,
+                                                   deadline):
+        on_cpus(monkeypatch, 3)
+        planned = []
+        out = cli._forked_map(
+            lambda i: os.getpid(), range(7),
+            lambda pids: planned.append(pids) or len(pids),
+            lambda i, n: (i, n, os.getpid()))
+        (pids,) = planned
+        assert out == [(i, 7, pid) for i, pid in enumerate(pids)]
+        assert len(set(pids)) == 3 and pids[0::3] == [os.getpid()] * 3
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("bad,first", [({2, 4}, 2), ({1, 3}, 1),
+                                           ({3, 5}, 3)])
+    def test_first_error_in_item_order_in_the_second_round(
+            self, monkeypatch, deadline, bad, first):
+        on_cpus(monkeypatch, 3)
+        with pytest.raises(ConfigError, match=f"^item {first} is bad$"):
+            cli._forked_map(abs, range(7), len, lambda i, n: fail_at(bad)(i))
+        assert multiprocessing.active_children() == []
+
+    def test_plan_error_stops_the_children(self, monkeypatch, deadline):
+        """The children wait for a plan; when making it raises, they are
+        sent a stop and joined, and the error is raised."""
+        on_cpus(monkeypatch, 3)
+
+        def plan(results):
+            raise ConfigError("no plan")
+
+        with pytest.raises(ConfigError, match="^no plan$"):
+            cli._forked_map(abs, range(7), plan, lambda i, p: i)
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ConfigError, match="^item 4 is bad$"):
+            cli._forked_map(fail_at({4}), range(7), len, lambda i, p: i)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("dies_in", ["first", "second"])
+    def test_both_rounds_of_a_dead_child_are_redone(self, monkeypatch,
+                                                    deadline, dies_in):
+        """Child 1 (items 1 and 4) dies in the first or the second round;
+        both rounds of its share are then done here, and the first round
+        of the share of child 2 (items 2 and 5) is not."""
+        on_cpus(monkeypatch, 3)
+        parent, here = os.getpid(), []
+
+        def die_in(round_name, i):
+            if round_name == dies_in and i % 3 == 1 and os.getpid() != parent:
+                os._exit(1)
+
+        def fn(i):
+            die_in("first", i)
+            if os.getpid() == parent:
+                here.append(i)
+            return i
+
+        def then(i, n):
+            die_in("second", i)
+            return i * n, os.getpid()
+
+        out = cli._forked_map(fn, range(6), len, then)
+        assert [v for v, _ in out] == [6 * i for i in range(6)]
+        assert [pid == parent for _, pid in out] == [i % 3 != 2 for i in range(6)]
+        assert sorted(here) == [0, 1, 3, 4]
+        assert multiprocessing.active_children() == []
+
+    def test_calibration_error_on_three_cpus(self, tmp_path, monkeypatch,
+                                             capsys, deadline):
+        """A shot/dark error raised between the two rounds of analyze exits
+        2 with the message it gives on one CPU, and leaves no child."""
+        path = write_small_trace(tmp_path)
+        grid = np.linspace(4e6, 6e6, 64)
+        shot, dark = str(tmp_path / "shot.csv"), str(tmp_path / "dark.csv")
+        io.write_psd_csv(shot, PsdTrace(grid, 2.0 * np.ones(64), {}))
+        io.write_psd_csv(dark, PsdTrace(grid + 10.0, np.ones(64), {}))
+        errors = []
+        for n in (1, 3):
+            on_cpus(monkeypatch, n)
+            assert main(["analyze", "--traces", path, "--shot", shot, "--dark",
+                         dark, "--out", str(tmp_path / "o.json")]) == 2
+            errors.append(capsys.readouterr().err)
+            assert multiprocessing.active_children() == []
+        assert errors[0] == errors[1] and "frequency grid" in errors[0]
+
+    @pytest.mark.parametrize("channels", [("cavity_y", "cavity_z"),
+                                          ("backscatter_y",)])
+    def test_analyze_and_scanfit_bytes_on_three_cpus_and_one(
+            self, tmp_path, monkeypatch, channels):
+        """The detector response and each channel's hint reach every child:
+        analyze (diffcal, with the calibration traces found by the glob) and
+        scanfit write the same bytes on 3 CPUs as on 1."""
+        run = preset_scan(tmp_path, channels)
+        trees = []
+        for n in (1, 3):
+            on_cpus(monkeypatch, n)
+            out = str(tmp_path / f"cpus{n}")
+            assert main(["analyze", "--traces", os.path.join(run, "*.csv"),
+                         "--out", os.path.join(out, "analyze.json"),
+                         "--method", "diffcal"]) == 0
+            assert main(["scanfit", "--traces", run,
+                         "--out", os.path.join(out, "scanfit.json")]) == 0
+            assert multiprocessing.active_children() == []
+            trees.append(tree_bytes(out))
+        assert trees[0] == trees[1]
+        assert len(trees[0]) == 2 + 10 * len(channels)
 
     def test_commands_write_the_same_bytes_on_one_and_two_cpus(
             self, tmp_path, monkeypatch, config_path):

@@ -93,6 +93,19 @@ class TestCavityNoiseBump:
             prof, TWO_PI * 4e6 + prof.cavity_noise_width / 2.0, 1e-9)
         assert half == pytest.approx(peak / 2.0, rel=1e-12)
 
+    @pytest.mark.parametrize("omega", [TWO_PI * 4e6,
+                                       np.linspace(1e6, 1e7, 5) * TWO_PI],
+                             ids=["scalar", "array"])
+    def test_far_center_without_overflow_warning(self, omega):
+        """A center at 1e300 Hz puts the bump nowhere: the square that
+        overflows to inf gives 0 and no warning."""
+        prof = NoiseProfile(cavity_noise_center=TWO_PI * 1e300,
+                            cavity_noise_width=TWO_PI * 32.4e3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = cavity_noise_background(prof, omega, 1e-9)
+        assert np.all(out == 0.0)
+
     def test_bump_fit_locates_center(self):
         """Fitting the bump recovers the cavity line (i.e. the detuning)
         to better than width/100 at modest SNR."""

@@ -339,8 +339,12 @@ class TestAnalyzeScan:
         traces[0] = PsdTrace(first.freq_hz, first.values,
                              {k: v for k, v in first.meta.items()
                               if k != "het_freq_hz"})
+        hints = [thermometry.trace_hint(t) for t in traces]
+        metas = [t.meta for t in traces]
+        by_channel = thermometry.channel_hints(metas, hints)
         (idx, results, _), = thermometry.channel_occupations(
-            traces, None, METHOD_RATIO).values()
+            metas, [thermometry.sideband_pair(t, None, h, by_channel)
+                    for t, h in zip(traces, hints)], METHOD_RATIO).values()
         slot = results[idx.index(0)]
         assert isinstance(slot, LibrotorError)
         assert str(slot) == "trace metadata lacks het_freq_hz"

@@ -16,20 +16,16 @@ from functools import partial
 import numpy as np
 
 from . import __version__, io
-from .errors import (CalibrationError, ConfigError, LibrotorError,
-                     UnderdeterminedScanError)
+from .errors import CalibrationError, ConfigError, LibrotorError
 from .fitting import window_bins
 from .geometry import DampingMeasurement, classify
 from .physics import TWO_PI
-from .spectrum import (PsdTrace, default_grid, lorentzian, periodogram_draw,
-                       scan_series)
-from .thermometry import (CHANNEL_MODE, METHOD_DIFFCAL, METHOD_RATIO,
-                          OccupationResult, calibrate_response, channel_hints,
+from .spectrum import (CAL_CHANNEL, CAL_KINDS, CHANNEL_MODE, PsdTrace,
+                       calibration_trace, default_grid, lorentzian, scan_series)
+from .thermometry import (METHOD_DIFFCAL, METHOD_RATIO, OccupationResult,
+                          calibrate_response, channel_hints,
                           channel_occupations, gain_corrected, scan_reports,
                           sideband_pair, trace_hint)
-
-# Trace channel used for calibration (shot / dark) spectra.
-CAL_CHANNEL = "calibration"
 
 
 def _warn(msg: str) -> None:
@@ -68,10 +64,9 @@ def _child(fn, then, items, conn, parent_ends):
     for end in parent_ends:  # inherited: closed, so EOF reaches this child
         end.close()
     _send_attempts(fn, items, conn)
-    with suppress(EOFError):  # the parent closed its end: a stop as well
-        go, planned = conn.recv() if then else (False, None)
-        if go:
-            _send_attempts(lambda item: then(item, planned), items, conn)
+    with suppress(EOFError):  # the parent closed its end: no plan comes
+        planned = conn.recv()
+        _send_attempts(lambda item: then(item, planned), items, conn)
 
 
 def _forked_map(fn, items, plan=None, then=None):
@@ -85,15 +80,13 @@ def _forked_map(fn, items, plan=None, then=None):
     items] follows, each item in the process that ran fn on it.  After each
     round the first exception in item order is raised, as the serial loop
     would (one from a child with its traceback text as a _ChildTraceback
-    cause), and a child waiting for a plan is sent a stop.  A child that
-    dies before its whole message is sent has both rounds of its share done
-    here."""
+    cause).  A child ends when this process closes its pipe; one that dies
+    before its whole message is sent has both rounds of its share done here."""
     items = list(items)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     k = max(1, min(cpus, len(items)))
     shares = [items[j::k] for j in range(k)]
     pipes, children, ran = {}, [], set()  # ran: shares that fn ran on here
-    waiting = then is not None  # the children wait for a plan or a stop
 
     def gather(round_fn):
         attempts = [None] * len(items)
@@ -128,16 +121,13 @@ def _forked_map(fn, items, plan=None, then=None):
         results = gather(fn)
         if plan is None:
             return results
-        planned, waiting = plan(results), False
+        planned = plan(results)
         for pipe in pipes.values():
             with suppress(OSError):  # a dead child is found out by gather
-                pipe.send((True, planned))
+                pipe.send(planned)
         return gather(lambda item: then(item, planned))
     finally:
         for pipe in pipes.values():
-            if waiting:
-                with suppress(OSError):
-                    pipe.send((False, None))
             pipe.close()
         for child in children:
             child.join()
@@ -145,21 +135,6 @@ def _forked_map(fn, items, plan=None, then=None):
 
 # ---------------------------------------------------------------------------
 # simulate
-
-def _calibration_traces(noise, grid_hz, averages, het_freq_hz, seed):
-    """Shot (LO only) and dark (detector only) calibration spectra."""
-    shot_mean = np.full(grid_hz.size, noise.dark_level + noise.shot_level)
-    dark_mean = np.full(grid_hz.size, noise.dark_level)
-    traces = []
-    for name, mean, sub_seed in (("shot", shot_mean, 9001),
-                                 ("dark", dark_mean, 9002)):
-        vals = periodogram_draw(mean, averages, seed + sub_seed)
-        meta = {"detuning_hz": None, "het_freq_hz": het_freq_hz,
-                "averages": averages, "seed": seed + sub_seed,
-                "channel": CAL_CHANNEL, "kind": name}
-        traces.append((name, PsdTrace(grid_hz, vals, meta)))
-    return traces
-
 
 def cmd_simulate(args) -> int:
     cfg = io.RunConfig.load(args.config)
@@ -174,8 +149,6 @@ def cmd_simulate(args) -> int:
     # the optical setup rides in every sidecar, so scanfit can invert
     # couplings without the config
     extra_meta = io.optics_fields(cfg.optics)
-
-    os.makedirs(args.out, exist_ok=True)
 
     def point(channel, i, det_hz):
         """Detuning i of the channel's scan, synthesized at seed + i as
@@ -195,14 +168,16 @@ def cmd_simulate(args) -> int:
             os.path.join(args.out, f"trace_{i:03d}_{channel}.csv"),
             PsdTrace(pt.trace.freq_hz, pt.trace.values, {**pt.trace.meta, **extra_meta}))
 
-    # each point is synthesized in the process that writes it
+    def calibration(kind):
+        trace = calibration_trace(kind, cfg.noise, grid, synth["averages"],
+                                  synth["het_freq_hz"], seed)
+        return None, io.write_psd_csv(os.path.join(args.out, f"{kind}.csv"), trace)
+
+    # each point and calibration spectrum is drawn in the process that writes it
     jobs = [partial(point, channel, i, det_hz) for channel in synth["channels"]
             for i, det_hz in enumerate(synth["detunings_hz"])]
     if synth["write_calibration"]:
-        jobs += [partial(lambda path, trace: (None, io.write_psd_csv(path, trace)),
-                         os.path.join(args.out, f"{name}.csv"), trace)
-                 for name, trace in _calibration_traces(
-                     cfg.noise, grid, synth["averages"], synth["het_freq_hz"], seed)]
+        jobs += [partial(calibration, kind) for kind in CAL_KINDS]
     done = _forked_map(lambda job: job(), jobs)
     summary = [entry for entry, _ in done if entry]
     for entry in summary:
@@ -229,30 +204,29 @@ def _fit_traces(paths, pattern, cal_paths=(), plot=False):
     paths = sorted(p for p in paths if not p.endswith(".plotdata.csv"))
     if not paths:
         raise ConfigError(f"no trace files match {pattern!r}")
-    items = [(p, True) for p in cal_paths] + [(p, False) for p in paths]
-    held, scan = {}, []  # (trace, hint) by item where read; scan traces here
+    files = [*cal_paths, *paths]
+    held, scan = {}, []  # (trace, hint) by index where read; scan traces here
 
-    def read(item):
-        trace = io.read_psd_csv(item[0])
-        if item[1] or trace.meta.get("channel") == CAL_CHANNEL:
+    def read(i):
+        trace = io.read_psd_csv(files[i])
+        if i < len(cal_paths) or trace.meta.get("channel") == CAL_CHANNEL:
             return trace
-        held[item] = trace, trace_hint(trace)
-        return trace.meta, held[item][1]
+        held[i] = trace, trace_hint(trace)
+        return trace.meta, held[i][1]
 
     def plan(replies):
-        cal = dict(zip(("shot", "dark"), zip(cal_paths, replies)))
-        found = {}
-        for i, path in enumerate(paths, start=len(cal_paths)):
-            if isinstance(replies[i], PsdTrace):
-                found[replies[i].meta.get("kind")] = (path, replies[i])
-            elif "het_freq_hz" not in replies[i][0]:
+        cal = {}  # (path, trace) by kind: --shot and --dark come first, so win
+        for i, (path, reply) in enumerate(zip(files, replies)):
+            if isinstance(reply, PsdTrace):
+                kind = CAL_KINDS[i] if i < len(cal_paths) else reply.meta.get("kind")
+                cal.setdefault(kind, (path, reply))
+            elif "het_freq_hz" not in reply[0]:
                 raise ConfigError(f"{path}: trace metadata lacks het_freq_hz; missing "
                                   f"or incomplete sidecar {io.sidecar_path(path)}")
             else:
-                scan.append((i, path, *replies[i]))
+                scan.append((i, path, *reply))
         if not scan:
             raise ConfigError(f"no scan traces match {pattern!r}")
-        cal = cal or found
         by_channel = channel_hints([s[2] for s in scan], [s[3] for s in scan])
         if "shot" in cal and "dark" in cal:
             (shot_path, shot), (dark_path, dark) = cal["shot"], cal["dark"]
@@ -263,15 +237,15 @@ def _fit_traces(paths, pattern, cal_paths=(), plot=False):
         _warn("no shot and dark calibration traces; assuming a flat detector response")
         return None, by_channel
 
-    def fit(item, planned):
-        if item not in held:  # a calibration trace
+    def fit(i, planned):
+        if i not in held:  # a calibration trace
             return None
-        (trace, hint), (resp, by_channel) = held[item], planned
+        (trace, hint), (resp, by_channel) = held[i], planned
         pair = sideband_pair(trace, resp, hint, by_channel)
         return pair, (_plot_rows(trace, resp, pair)
                       if plot and isinstance(pair, tuple) else None)
 
-    fitted = _forked_map(read, items, plan, fit)
+    fitted = _forked_map(read, range(len(files)), plan, fit)
     return [(path, meta, *fitted[i]) for i, path, meta, _ in scan]
 
 
@@ -489,7 +463,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (UnderdeterminedScanError, LibrotorError) as exc:
+    except LibrotorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

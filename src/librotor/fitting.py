@@ -34,6 +34,9 @@ MIN_SCAN_POINTS = 4
 # ---------------------------------------------------------------------------
 # core optimizer
 
+# trial steps may explore huge centers and linewidths; an inf or nan in the
+# model or the Jacobian just makes the step rejectable or the window degenerate
+@np.errstate(over="ignore", invalid="ignore")
 def levenberg_marquardt(model, jacobian, x, y, p0, weights=None):
     """Minimize sum(w (y - model(x, p))^2) with LM damping.
 
@@ -162,14 +165,11 @@ def _lorentz_jac(x, p):
     den = dx2 + half * half
     jac = np.empty((x.size, 4))
     col0, col1, col2 = jac[:, 0], jac[:, 1], jac[:, 2]
-    # trial steps may explore huge linewidths; an inf here just makes the
-    # step rejectable, so the overflow is not worth a warning
-    with np.errstate(over="ignore"):
-        den2 = den * den
-        np.divide(np.multiply(dx, scale * half * 2.0, out=col0), den2, out=col0)
-        np.multiply(np.subtract(dx2, half * half, out=col1), scale, out=col1)
-        col1 /= den2
-        col1 /= 2.0
+    den2 = den * den
+    np.divide(np.multiply(dx, scale * half * 2.0, out=col0), den2, out=col0)
+    np.multiply(np.subtract(dx2, half * half, out=col1), scale, out=col1)
+    col1 /= den2
+    col1 /= 2.0
     np.divide(half, np.multiply(den, math.pi, out=col2), out=col2)
     jac[:, 3] = 1.0
     return jac

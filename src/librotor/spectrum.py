@@ -16,6 +16,10 @@ from .physics import TWO_PI, LibrationMode, OpticalSetup
 
 CHANNELS = ("backscatter_y", "cavity_y", "cavity_z", "split_x", "split_y")
 DEFAULT_CHANNEL = CHANNELS[0]  # of a trace whose sidecar names none
+# Which cavity channel carries which librational mode.
+CHANNEL_MODE = {"cavity_y": "alpha", "cavity_z": "beta"}
+# Trace channel and kinds of the calibration spectra: LO only, detector only.
+CAL_CHANNEL, CAL_KINDS = "calibration", ("shot", "dark")
 
 # With the LO blue of the tweezer, the up-converted (anti-Stokes) photon
 # beats at omega_het - Omega and the Stokes photon at omega_het + Omega.
@@ -150,6 +154,21 @@ def synthesize_psd(specs, noise: NoiseProfile, resp: DetectorResponse | None,
         "sideband_orientation": sideband_orientation,
     }
     return PsdTrace(freq_hz=np.asarray(grid_hz, float), values=values, meta=meta)
+
+
+def calibration_trace(kind: str, noise: NoiseProfile, grid_hz: np.ndarray,
+                      averages: float, het_freq_hz: float, seed: int) -> PsdTrace:
+    """The shot (LO only: dark + shot level) or dark (detector only)
+    calibration spectrum, drawn at seed + 9001 or seed + 9002."""
+    if kind not in CAL_KINDS:
+        raise ValueError(f"unknown calibration kind {kind!r}")
+    shot = kind == "shot"
+    level = noise.dark_level + noise.shot_level if shot else noise.dark_level
+    seed += 9001 if shot else 9002
+    values = periodogram_draw(np.full(grid_hz.size, level), averages, seed)
+    meta = {"detuning_hz": None, "het_freq_hz": het_freq_hz, "averages": averages,
+            "seed": seed, "channel": CAL_CHANNEL, "kind": kind}
+    return PsdTrace(grid_hz, values, meta)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from .fitting import (MIN_SCAN_POINTS, LorentzianFit, ScanFitResult,
                       lorentzian, window_bins)
 from .noise import DetectorResponse, detector_gain
 from .physics import TWO_PI, DerivedScalars, LibrationMode, OpticalSetup
-from .spectrum import (DEFAULT_CHANNEL, ORIENT_LO_BLUE, PsdTrace,
+from .spectrum import (CHANNEL_MODE, DEFAULT_CHANNEL, ORIENT_LO_BLUE, PsdTrace,
                        sideband_frequencies)
 
 # Half-width (Hz) of the window each sideband peak is fitted in.
@@ -27,9 +27,6 @@ WINDOW_HALFWIDTH_HZ = 50e3
 
 METHOD_RATIO = "ratio"
 METHOD_DIFFCAL = "difference_calibrated"
-
-# Which cavity channel carries which librational mode.
-CHANNEL_MODE = {"cavity_y": "alpha", "cavity_z": "beta"}
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from librotor import cli, io, thermometry
 from librotor.cli import main
 from librotor.errors import ConfigError
 from librotor.presets import cluster_1d, dumbbell_2d
-from librotor.spectrum import PsdTrace
+from librotor.spectrum import PsdTrace, calibration_trace, default_grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -261,6 +261,26 @@ class TestSimulate:
                 continue
             assert read_bytes(os.path.join(out1, name)) == \
                 read_bytes(os.path.join(out2, name)), name
+
+    def test_calibration_files_are_calibration_traces(self, tmp_path,
+                                                      config_path):
+        """shot.csv and dark.csv, with their sidecars, are what
+        io.write_psd_csv writes for spectrum.calibration_trace."""
+        out = str(tmp_path / "r")
+        assert main(["simulate", "--config", config_path, "--out", out,
+                     "--seed", "4"]) == 0
+        cfg = io.RunConfig.load(config_path)
+        synth = cfg.synthesis
+        grid = default_grid(synth["het_freq_hz"], max(m.omega for m in cfg.modes),
+                            n_bins=synth["n_bins"],
+                            span_factor=synth["span_factor"])
+        for kind in ("shot", "dark"):
+            want = str(tmp_path / f"want_{kind}.csv")
+            io.write_psd_csv(want, calibration_trace(
+                kind, cfg.noise, grid, synth["averages"], synth["het_freq_hz"], 4))
+            for got, expected in ((f"{kind}.csv", want),
+                                  (f"{kind}.meta.json", io.sidecar_path(want))):
+                assert read_bytes(os.path.join(out, got)) == read_bytes(expected)
 
     def test_seed_override_changes_traces(self, tmp_path, config_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
@@ -1040,8 +1060,8 @@ class TestForkedMap:
         assert multiprocessing.active_children() == []
 
     def test_plan_error_stops_the_children(self, monkeypatch, deadline):
-        """The children wait for a plan; when making it raises, they are
-        sent a stop and joined, and the error is raised."""
+        """The children wait for a plan; when making it raises, they read
+        EOF on their pipes and are joined, and the error is raised."""
         on_cpus(monkeypatch, 3)
 
         def plan(results):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,21 @@ class TestLorentzianFit:
         bins = window_bins(trace.freq_hz, (1e6 - 100.0, 1e6 + 100.0))
         with pytest.raises(DegenerateFitError):
             fit_lorentzian(trace.freq_hz[bins], trace.values[bins], None)
+
+    @pytest.mark.parametrize("averages", [None, 100.0])
+    @pytest.mark.parametrize("init", [[0.0, 1e160, 1e4, 1.0],
+                                      [1e160, 1e4, 1e4, 1.0]],
+                             ids=["huge-width", "huge-center"])
+    def test_overflowing_start_is_degenerate_without_a_warning(
+            self, init, averages):
+        """A start whose model overflows ends in DegenerateFitError, weighted
+        or not, and no RuntimeWarning escapes on the way there."""
+        freq = np.linspace(-5e4, 5e4, 64)
+        vals = lorentzian(freq, 0.0, 1e4, 1e4, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateFitError):
+                fit_lorentzian(freq, vals, averages, init=init)
 
     def test_rescale_invariance(self):
         """Scaling the data by c scales area and offset by c, leaves center

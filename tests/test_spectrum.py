@@ -10,9 +10,11 @@ from librotor.fitting import fit_lorentzian, window_bins
 from librotor.noise import DetectorResponse, NoiseProfile, phase_noise_psd
 from librotor.physics import LibrationMode
 from librotor.presets import cluster_1d
-from librotor.spectrum import (ORIENT_LO_BLUE, ORIENT_LO_RED, PsdTrace,
-                               SidebandSpec, default_grid, lorentzian,
-                               mean_psd, scan_series, synthesize_psd)
+from librotor.spectrum import (CAL_CHANNEL, CAL_KINDS, ORIENT_LO_BLUE,
+                               ORIENT_LO_RED, PsdTrace, SidebandSpec,
+                               calibration_trace, default_grid, lorentzian,
+                               mean_psd, periodogram_draw, scan_series,
+                               synthesize_psd)
 
 TWO_PI = 2.0 * math.pi
 
@@ -203,6 +205,27 @@ class TestSynthesize:
             synthesize_psd([], QUIET, None, grid, 0.5, HET)
         with pytest.raises(ValueError):
             synthesize_psd([], QUIET, None, grid, 100, HET, channel="bogus")
+
+
+class TestCalibrationTrace:
+    def test_levels_seeds_and_sidecar_keys(self):
+        """Shot is dark + shot level, dark the dark level, drawn at seed +
+        9001 and seed + 9002; the sidecar keys come in a fixed order."""
+        grid = default_grid(HET, TWO_PI * 1e6, 1024)
+        levels = {"shot": QUIET.dark_level + QUIET.shot_level,
+                  "dark": QUIET.dark_level}
+        for kind, sub_seed in zip(CAL_KINDS, (9001, 9002)):
+            mean = calibration_trace(kind, QUIET, grid, math.inf, HET, 5)
+            assert np.array_equal(mean.values, np.full(grid.size, levels[kind]))
+            trace = calibration_trace(kind, QUIET, grid, 100, HET, 5)
+            assert np.array_equal(trace.values,
+                                  periodogram_draw(mean.values, 100, 5 + sub_seed))
+            assert np.array_equal(trace.freq_hz, grid)
+            assert list(trace.meta.items()) == [
+                ("detuning_hz", None), ("het_freq_hz", HET), ("averages", 100),
+                ("seed", 5 + sub_seed), ("channel", CAL_CHANNEL), ("kind", kind)]
+        with pytest.raises(ValueError, match="bright"):
+            calibration_trace("bright", QUIET, grid, 100, HET, 5)
 
 
 class TestScanSeries:

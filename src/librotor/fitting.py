@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # private: tests pin it to numpy.linalg
 
 from . import physics
 from .errors import DegenerateFitError, UnderdeterminedScanError
@@ -33,6 +34,22 @@ MIN_SCAN_POINTS = 4
 
 # ---------------------------------------------------------------------------
 # core optimizer
+
+# numpy.linalg's solve and inv on float64 minus their costly per-call wrapper:
+# a singular matrix gives all NaN (and the invalid flag, which callers ignore).
+def _solve(a_mat, b):
+    return _nonsingular(_umath_linalg.solve1(a_mat, b, signature="dd->d"))
+
+
+def _inv(a_mat):
+    return _nonsingular(_umath_linalg.inv(a_mat, signature="d->d"))
+
+
+def _nonsingular(out):
+    if any(map(math.isnan, out.ravel().tolist())):
+        raise DegenerateFitError("degenerate fit window")
+    return out
+
 
 # trial steps may explore huge centers and linewidths; an inf or nan in the
 # model or the Jacobian just makes the step rejectable or the window degenerate
@@ -84,10 +101,7 @@ def levenberg_marquardt(model, jacobian, x, y, p0, weights=None):
         for _ in range(60):
             np.multiply(diag, lam, out=damped_diag)
             damped_diag += diag
-            try:
-                step = np.linalg.solve(damped, grad)
-            except np.linalg.LinAlgError:
-                raise DegenerateFitError("degenerate fit window") from None
+            step = _solve(damped, grad)
             p_new = p + step
             r_new, cost_new = cost_of(p_new)
             if math.isfinite(cost_new) and cost_new <= cost:
@@ -103,12 +117,7 @@ def levenberg_marquardt(model, jacobian, x, y, p0, weights=None):
             break
 
     jac = jacobian(x, p)
-    jtw = jac.T * w
-    a_mat = jtw @ jac
-    try:
-        cov = np.linalg.inv(a_mat)
-    except np.linalg.LinAlgError:
-        raise DegenerateFitError("degenerate fit window") from None
+    cov = _inv((jac.T * w) @ jac)
     if unit_weights:
         cov = cov * (cost / dof)
     return p, cov, converged, cost
@@ -122,11 +131,8 @@ def linear_lstsq(design, y, w=None):
     """
     wd = design * (np.ones_like(y) if w is None else w)[:, None]
     a_mat = wd.T @ design
-    try:
-        params = np.linalg.solve(a_mat, wd.T @ y)
-        cov = np.linalg.inv(a_mat)
-    except np.linalg.LinAlgError:
-        raise DegenerateFitError("degenerate fit window") from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        params, cov = _solve(a_mat, wd.T @ y), _inv(a_mat)
     if w is None:
         resid = y - design @ params
         cov = cov * float(np.sum(resid ** 2)) / max(y.size - design.shape[1], 1)
@@ -173,6 +179,18 @@ def _lorentz_jac(x, p):
     np.divide(half, np.multiply(den, math.pi, out=col2), out=col2)
     jac[:, 3] = 1.0
     return jac
+
+
+def _last_call(fn):
+    """fn(x, p) that gives its last result again for the same p (x fixed)."""
+    key = out = None
+
+    def remembered(x, p):
+        nonlocal key, out
+        if p.tobytes() != key:
+            out, key = fn(x, p), p.tobytes()
+        return out
+    return remembered
 
 
 def initial_lorentzian_guess(freq, vals):
@@ -235,14 +253,15 @@ def fit_lorentzian(freq, vals, averages: float | None,
     if averages is not None:
         var = np.maximum(vals, fifth_percentile(vals)) ** 2 / averages
         weights = 1.0 / var
-    p, cov, converged, _ = levenberg_marquardt(_lorentz_model, _lorentz_jac,
-                                               freq, vals, p0, weights)
+    # model and Jacobian at pass one's end serve re-weighting and pass two
+    model, jac = _last_call(_lorentz_model), _last_call(_lorentz_jac)
+    p, cov, converged, _ = levenberg_marquardt(model, jac, freq, vals, p0,
+                                               weights)
     if averages is not None:
         # Re-weight from the fitted model to remove the data-weighting bias.
-        mvals = _lorentz_model(freq, p)
-        weights = averages / np.maximum(mvals, 1e-300) ** 2
-        p, cov, converged, _ = levenberg_marquardt(_lorentz_model, _lorentz_jac,
-                                                   freq, vals, p, weights)
+        weights = averages / np.maximum(model(freq, p), 1e-300) ** 2
+        p, cov, converged, _ = levenberg_marquardt(model, jac, freq, vals, p,
+                                                   weights)
     p[1] = abs(p[1])
     return LorentzianFit(center=float(p[0]), linewidth_fwhm=float(p[1]),
                          area=float(p[2]), offset=float(p[3]),

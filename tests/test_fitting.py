@@ -12,7 +12,7 @@ from librotor.errors import DegenerateFitError, UnderdeterminedScanError
 from librotor.fitting import (MAX_ITER, fifth_percentile, fit_lorentzian,
                               fit_occupation_curve, fit_scan_frequency,
                               fit_scan_linewidth, initial_lorentzian_guess,
-                              levenberg_marquardt, window_bins)
+                              levenberg_marquardt, linear_lstsq, window_bins)
 from librotor.physics import (LibrationMode, OpticalSetup, backaction,
                               cavity_rates)
 from librotor.spectrum import PsdTrace, lorentzian
@@ -71,6 +71,37 @@ class TestLevenbergMarquardt:
         with pytest.raises(DegenerateFitError):
             levenberg_marquardt(model, jac, x, y, [0.5])
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_singular_normal_matrix_raises_without_a_warning(self, weighted):
+        """Two identical Jacobian columns with a positive diagonal: the
+        damped steps solve, the covariance's exactly singular matrix raises."""
+        x = np.arange(1.0, 21.0)
+
+        def model(x, p):
+            return (p[0] + p[1]) * x
+
+        def jac(x, p):
+            return np.column_stack([x, x])
+
+        weights = np.full_like(x, 4.0) if weighted else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateFitError):
+                levenberg_marquardt(model, jac, x, 2.0 * x, [0.5, 0.25],
+                                    weights)
+
+
+class TestLinearLstsq:
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_identical_columns_raise_without_a_warning(self, weighted):
+        x = np.linspace(0.0, 1.0, 12)
+        design = np.column_stack([x, x])
+        w = np.full_like(x, 2.0) if weighted else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateFitError):
+                linear_lstsq(design, 3.0 * x, w)
+
 
 class TestLorentzianFit:
     def test_noise_free_recovery(self):
@@ -99,12 +130,15 @@ class TestLorentzianFit:
 
     @pytest.mark.parametrize("averages", [None, 100.0])
     @pytest.mark.parametrize("init", [[0.0, 1e160, 1e4, 1.0],
-                                      [1e160, 1e4, 1e4, 1.0]],
-                             ids=["huge-width", "huge-center"])
+                                      [1e160, 1e4, 1e4, 1.0],
+                                      [0.0, 1e4, 1e4, 1e308]],
+                             ids=["huge-width", "huge-center", "huge-offset"])
     def test_overflowing_start_is_degenerate_without_a_warning(
             self, init, averages):
         """A start whose model overflows ends in DegenerateFitError, weighted
-        or not, and no RuntimeWarning escapes on the way there."""
+        or not, and no RuntimeWarning escapes on the way there.  A huge
+        offset leaves the Jacobian finite: the first step, solved from an
+        infinite gradient, is NaN."""
         freq = np.linspace(-5e4, 5e4, 64)
         vals = lorentzian(freq, 0.0, 1e4, 1e4, 1.0)
         with warnings.catch_warnings():
@@ -556,6 +590,108 @@ class TestLevenbergMarquardtReference:
             except (DegenerateFitError, UnderdeterminedScanError):
                 pass
         assert runs
+
+
+# ---------------------------------------------------------------------------
+# the LAPACK helpers against the numpy.linalg calls they stand for
+
+def spd_matrix(seed, n, kind, log_cond, log_lam):
+    """A symmetric positive-definite n x n matrix with condition number
+    10**log_cond, damped as in levenberg_marquardt when kind is "damped"."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    a_mat = (q * np.logspace(0.0, -log_cond, n)) @ q.T
+    a_mat = (a_mat + a_mat.T) * 10.0 ** rng.uniform(-8.0, 8.0)
+    if kind == "damped":
+        a_mat = a_mat + 10.0 ** log_lam * np.diag(a_mat.diagonal())
+    return a_mat, rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([2, 4]),
+       kind=st.sampled_from(["spd", "damped", "ill"]),
+       log_cond=st.floats(0.0, 3.0), log_ill=st.floats(3.0, 15.0),
+       log_lam=st.floats(-14.0, 10.0))
+def test_helpers_match_numpy_linalg(seed, n, kind, log_cond, log_lam, log_ill):
+    """_solve and _inv give np.linalg.solve's and np.linalg.inv's bytes on
+    well-conditioned, LM-damped and ill-conditioned (to 1e15) matrices."""
+    a_mat, b = spd_matrix(seed, n, kind, log_ill if kind == "ill" else log_cond,
+                           log_lam)
+    for helper, reference, args in ((fitting._solve, np.linalg.solve, (a_mat, b)),
+                                    (fitting._inv, np.linalg.inv, (a_mat,))):
+        try:
+            want = reference(*args)
+        except np.linalg.LinAlgError:
+            with pytest.raises(DegenerateFitError):
+                helper(*args)
+            continue
+        assert helper(*args).tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the two passes of a weighted Lorentzian fit share the point where they meet
+
+def counted_fit(monkeypatch, freq, vals, averages):
+    """fit_lorentzian's fit, the log of its model and Jacobian computations
+    and its number of levenberg_marquardt runs."""
+    log, runs = [], []
+
+    def counted_lm(*args):
+        runs.append(1)
+        return levenberg_marquardt(*args)
+
+    monkeypatch.setattr(fitting, "_lorentz_model",
+                        logged(fitting._lorentz_model, "model", log))
+    monkeypatch.setattr(fitting, "_lorentz_jac",
+                        logged(fitting._lorentz_jac, "jac", log))
+    monkeypatch.setattr(fitting, "levenberg_marquardt", counted_lm)
+    return fit_lorentzian(freq, vals, averages), log, len(runs)
+
+
+def assert_fit_is(fit, p, cov, converged):
+    p[1] = abs(p[1])
+    assert [fit.center, fit.linewidth_fwhm, fit.area, fit.offset] == p.tolist()
+    assert fit.covariance.tobytes() == cov.tobytes()
+    assert fit.converged is converged and not fit.pinned
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_weighted_fit_shares_where_its_passes_meet(monkeypatch, seed):
+    """Two plain levenberg_marquardt passes with the re-weighting between
+    them, composed by hand, give the fit's bits; the fit makes the same
+    computations but for the re-weighting model and pass two's starting
+    model and Jacobian, which are pass one's last ones."""
+    averages = 100
+    freq, vals = sideband_window(seed, 265, 5e3, 2e4, averages, 0.0)
+    log = []
+    model = logged(fitting._lorentz_model, "model", log)
+    jac = logged(fitting._lorentz_jac, "jac", log)
+    weights = 1.0 / (np.maximum(vals, fifth_percentile(vals)) ** 2 / averages)
+    p, _, converged, _ = levenberg_marquardt(
+        model, jac, freq, vals, initial_lorentzian_guess(freq, vals), weights)
+    assert converged and log[-1] == ("jac", p.tobytes())
+    first_pass = len(log)
+    weights = averages / np.maximum(model(freq, p), 1e-300) ** 2
+    p, cov, converged, _ = levenberg_marquardt(model, jac, freq, vals, p,
+                                               weights)
+    assert converged
+
+    fit, fit_log, runs = counted_fit(monkeypatch, freq, vals, averages)
+    assert runs == 2
+    assert fit_log == log[:first_pass] + log[first_pass + 3:]
+    assert_fit_is(fit, p, cov, converged)
+
+
+def test_unit_weight_fit_is_one_pass(monkeypatch):
+    freq, vals = sideband_window(4, 265, 5e3, 2e4, 100, 0.0)
+    log = []
+    p, cov, converged, _ = levenberg_marquardt(
+        logged(fitting._lorentz_model, "model", log),
+        logged(fitting._lorentz_jac, "jac", log), freq, vals,
+        initial_lorentzian_guess(freq, vals))
+    fit, fit_log, runs = counted_fit(monkeypatch, freq, vals, None)
+    assert runs == 1 and fit_log == log
+    assert_fit_is(fit, p, cov, converged)
 
 
 # ---------------------------------------------------------------------------

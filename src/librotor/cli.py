@@ -176,8 +176,7 @@ def cmd_simulate(args) -> int:
     # each point and calibration spectrum is drawn in the process that writes it
     jobs = [partial(point, channel, i, det_hz) for channel in synth["channels"]
             for i, det_hz in enumerate(synth["detunings_hz"])]
-    if synth["write_calibration"]:
-        jobs += [partial(calibration, kind) for kind in CAL_KINDS]
+    jobs += [partial(calibration, kind) for kind in CAL_KINDS]
     done = _forked_map(lambda job: job(), jobs)
     summary = [entry for entry, _ in done if entry]
     for entry in summary:

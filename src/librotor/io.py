@@ -368,7 +368,6 @@ _SYNTHESIS = {
     "area_scale_c": (1.0, lambda v: _real(v, 0.0)),
     "channels": ([DEFAULT_CHANNEL],
                  lambda v: isinstance(v, list) and all(c in CHANNELS for c in v)),
-    "write_calibration": (True, lambda v: isinstance(v, bool)),
 }
 _SECTIONS = ("rotor", "optics", "heating", "noise", "synthesis")
 

@@ -19,6 +19,8 @@ from .physics import (EPSILON_0, HBAR, TWO_PI, LibrationMode, OpticalSetup,
 KAPPA = TWO_PI * 32.4e3  # rad/s
 WAVELENGTH = 1550e-9
 HET_FREQ_HZ = 4.99814e6
+# Polarizability susceptibilities of the a and c axes; chi_b is solved for.
+_CHI_A, _CHI_C = 1.0, 1.5
 
 
 @dataclass(frozen=True)
@@ -42,16 +44,6 @@ def _sphere_volume(diameter):
     return math.pi * diameter ** 3 / 6.0
 
 
-def _tweezer_field(omega_alpha, dchi_a, inertia_b, volume):
-    # Invert Omega_alpha = sqrt(eps0 V dchi / 2 I_b) |E_tw|.
-    return omega_alpha / math.sqrt(EPSILON_0 * volume * dchi_a / (2.0 * inertia_b))
-
-
-def _cavity_field(g_target, omega_alpha, dchi_a, inertia_b, volume, e_tw):
-    k_needed = HBAR * g_target / zero_point_amplitude(inertia_b, omega_alpha)
-    return k_needed / (EPSILON_0 * volume / 4.0 * dchi_a * e_tw)
-
-
 def _g_for_occupation(n_target, gamma_heating, omega, kappa, detuning):
     """Coupling magnitude that lands the steady state at n_target."""
     q_minus, q_plus = cavity_rates(1.0, omega, kappa, detuning)
@@ -61,63 +53,74 @@ def _g_for_occupation(n_target, gamma_heating, omega, kappa, detuning):
     return math.sqrt(g2)
 
 
-def cluster_1d(detuning_hz: float = 1042e3) -> Scenario:
-    """SiO2 cluster, alpha at 1030 kHz and beta at 612 kHz, tuned so the
-    alpha mode settles at n = 0.21 at a detuning of 1042 kHz with a total
-    heating rate of 6.8e3 phonons/s."""
-    omega_alpha = TWO_PI * 1030e3
-    omega_beta = TWO_PI * 612e3
-    inertia_b = 3.3e-32
-    inertia_a = 4.5e-32
-    chi_a, chi_c = 1.0, 1.5
-    volume = 3.0 * _sphere_volume(119e-9)
-    detuning = TWO_PI * detuning_hz
-
-    e_tw = _tweezer_field(omega_alpha, chi_c - chi_a, inertia_b, volume)
-    # chi_b follows from the beta-mode frequency with the same tweezer field
-    dchi_b = 2.0 * inertia_a * omega_beta ** 2 / (EPSILON_0 * volume * e_tw ** 2)
-    chi_b = chi_c - dchi_b
-
-    gamma_recoil = 3.2e3
-    gamma_thermal = 3.6e3
-    g_alpha = _g_for_occupation(0.21, gamma_recoil + gamma_thermal,
-                                omega_alpha, KAPPA, TWO_PI * 1042e3)
-    e_cav = _cavity_field(g_alpha, omega_alpha, chi_c - chi_a, inertia_b,
-                          volume, e_tw)
-
-    rotor = RotorModel(inertia_a=inertia_a, inertia_b=inertia_b,
-                       inertia_c=0.9e-32, chi_a=chi_a, chi_b=chi_b,
-                       chi_c=chi_c, volume=volume)
-    noise = NoiseProfile(
-        shot_level=1.0, dark_level=0.05, phase_noise_base=1e-9,
-        notch_list=((omega_alpha, 35.0, TWO_PI * 10e3),),
+def _noise(notches, base, detuning_hz):
+    """The presets' noise: (omega, depth_db) notches 10 kHz wide and the
+    cavity-noise pedestal at the detuned drive."""
+    return NoiseProfile(
+        shot_level=1.0, dark_level=0.05, phase_noise_base=base,
+        notch_list=tuple((omega, depth, TWO_PI * 10e3) for omega, depth in notches),
         cavity_noise_center=TWO_PI * (HET_FREQ_HZ - detuning_hz),
         cavity_noise_width=KAPPA)
-    optics = OpticalSetup(e_tw0=complex(e_tw), e_cav0=complex(e_cav),
-                          kappa=KAPPA, detuning=detuning,
-                          wavelength=WAVELENGTH, n_cav=1e8)
+
+
+def _optics(omega_alpha, g_alpha, inertia_b, volume, detuning_hz, n_cav):
+    """Optics whose fields land the alpha mode at omega_alpha and |g_alpha|."""
+    dchi_a = _CHI_C - _CHI_A
+    # Invert Omega_alpha = sqrt(eps0 V dchi / 2 I_b) |E_tw|.
+    e_tw = omega_alpha / math.sqrt(EPSILON_0 * volume * dchi_a / (2.0 * inertia_b))
+    k_needed = HBAR * g_alpha / zero_point_amplitude(inertia_b, omega_alpha)
+    e_cav = k_needed / (EPSILON_0 * volume / 4.0 * dchi_a * e_tw)
+    return OpticalSetup(e_tw0=complex(e_tw), e_cav0=complex(e_cav),
+                        kappa=KAPPA, detuning=TWO_PI * detuning_hz,
+                        wavelength=WAVELENGTH, n_cav=n_cav)
+
+
+def _scenario(inertias, volume, omega_beta, optics, noise, gamma_thermal,
+              gamma_recoil):
+    """The Scenario of rotor inertias (I_a, I_b, I_c), chi_b set by the
+    beta-mode frequency with the optics' tweezer field."""
+    inertia_a, inertia_b, inertia_c = inertias
+    chi_b = _CHI_C - 2.0 * inertia_a * omega_beta ** 2 / (
+        EPSILON_0 * volume * optics.e_tw0.real ** 2)
+    rotor = RotorModel(inertia_a=inertia_a, inertia_b=inertia_b,
+                       inertia_c=inertia_c, chi_a=_CHI_A, chi_b=chi_b,
+                       chi_c=_CHI_C, volume=volume)
     mode_alpha, mode_beta = build_modes(
-        rotor, optics,
-        gamma_thermal=(gamma_thermal, gamma_thermal),
-        gamma_recoil=(gamma_recoil, gamma_recoil),
-        gamma_intrinsic=(1.0, 1.0))
+        rotor, optics, gamma_thermal=gamma_thermal,
+        gamma_recoil=(gamma_recoil, gamma_recoil), gamma_intrinsic=(1.0, 1.0))
     return Scenario(rotor=rotor, optics=optics, mode_alpha=mode_alpha,
                     mode_beta=mode_beta, noise=noise,
                     het_freq_hz=HET_FREQ_HZ, area_scale_c=1e5)
 
 
-def dumbbell_2d(detuning_hz: float = 984e3) -> Scenario:
+def cluster_1d() -> Scenario:
+    """SiO2 cluster, alpha at 1030 kHz and beta at 612 kHz, tuned so the
+    alpha mode settles at n = 0.21 at a detuning of 1042 kHz with a total
+    heating rate of 6.8e3 phonons/s."""
+    omega_alpha = TWO_PI * 1030e3
+    inertia_b = 3.3e-32
+    volume = 3.0 * _sphere_volume(119e-9)
+    detuning_hz = 1042e3
+    gamma_recoil = 3.2e3
+    gamma_thermal = 3.6e3
+    g_alpha = _g_for_occupation(0.21, gamma_recoil + gamma_thermal,
+                                omega_alpha, KAPPA, TWO_PI * detuning_hz)
+    optics = _optics(omega_alpha, g_alpha, inertia_b, volume, detuning_hz, 1e8)
+    noise = _noise(((omega_alpha, 35.0),), 1e-9, detuning_hz)
+    return _scenario((4.5e-32, inertia_b, 0.9e-32), volume, TWO_PI * 612e3,
+                     optics, noise, (gamma_thermal, gamma_thermal), gamma_recoil)
+
+
+def dumbbell_2d() -> Scenario:
     """Silica dumbbell with alpha at 1035 kHz and beta at 978 kHz, tuned so
     simultaneous cooling at a detuning of 984 kHz lands near (n_alpha,
     n_beta) = (1.02, 0.73) with the beta mode dominated by phase noise
     (n_phi about 0.38)."""
     omega_alpha = TWO_PI * 1035e3
     omega_beta = TWO_PI * 978e3
-    chi_a, chi_c = 1.0, 1.5
+    inertia_b = 1.9e-32
     volume = 2.0 * _sphere_volume(156e-9)
-    detuning = TWO_PI * detuning_hz
-    det_ref = TWO_PI * 984e3
-
+    detuning_hz = 984e3
     gamma_alpha = 18e3  # total heating, phonons/s
     gamma_beta = 20e3
     gamma_recoil = 4e3
@@ -125,42 +128,20 @@ def dumbbell_2d(detuning_hz: float = 984e3) -> Scenario:
     # Phase-noise occupations set by the notch depths: 50 dB at alpha,
     # 30 dB at beta, with the unnotched level pinned to n_phi0 = 380.
     n_phi0 = 380.0
-    n_cav = n_phi0 * KAPPA / base
-    noise = NoiseProfile(
-        shot_level=1.0, dark_level=0.05, phase_noise_base=base,
-        notch_list=((omega_alpha, 50.0, TWO_PI * 10e3),
-                    (omega_beta, 30.0, TWO_PI * 10e3)),
-        cavity_noise_center=TWO_PI * (HET_FREQ_HZ - detuning_hz),
-        cavity_noise_width=KAPPA)
+    noise = _noise(((omega_alpha, 50.0), (omega_beta, 30.0)), base, detuning_hz)
     # Residual phase-noise occupations include the tail of the other notch.
     n_phi_alpha = n_phi0 * phase_noise_psd(noise, omega_alpha) / base
     n_phi_beta = n_phi0 * phase_noise_psd(noise, omega_beta) / base
 
-    inertia_b = 1.9e-32
     g_alpha = _g_for_occupation(1.02 - n_phi_alpha, gamma_alpha,
-                                omega_alpha, KAPPA, det_ref)
+                                omega_alpha, KAPPA, TWO_PI * detuning_hz)
     g_beta = _g_for_occupation(0.73 - n_phi_beta, gamma_beta,
-                               omega_beta, KAPPA, det_ref)
-
-    e_tw = _tweezer_field(omega_alpha, chi_c - chi_a, inertia_b, volume)
-    e_cav = _cavity_field(g_alpha, omega_alpha, chi_c - chi_a, inertia_b,
-                          volume, e_tw)
-    optics = OpticalSetup(e_tw0=complex(e_tw), e_cav0=complex(e_cav),
-                          kappa=KAPPA, detuning=detuning,
-                          wavelength=WAVELENGTH, n_cav=n_cav)
-    # I_a and chi_b follow from the beta-mode targets with the shared fields
+                               omega_beta, KAPPA, TWO_PI * detuning_hz)
+    optics = _optics(omega_alpha, g_alpha, inertia_b, volume, detuning_hz,
+                     n_phi0 * KAPPA / base)
+    # I_a follows from the beta-mode coupling with the shared fields
     inertia_a = moment_of_inertia_from_coupling(g_beta, omega_beta, optics)
-    dchi_b = 2.0 * inertia_a * omega_beta ** 2 / (EPSILON_0 * volume * e_tw ** 2)
-    chi_b = chi_c - dchi_b
-
-    rotor = RotorModel(inertia_a=inertia_a, inertia_b=inertia_b,
-                       inertia_c=0.4e-32, chi_a=chi_a, chi_b=chi_b,
-                       chi_c=chi_c, volume=volume)
-    mode_alpha, mode_beta = build_modes(
-        rotor, optics,
-        gamma_thermal=(gamma_alpha - gamma_recoil, gamma_beta - gamma_recoil),
-        gamma_recoil=(gamma_recoil, gamma_recoil),
-        gamma_intrinsic=(1.0, 1.0))
-    return Scenario(rotor=rotor, optics=optics, mode_alpha=mode_alpha,
-                    mode_beta=mode_beta, noise=noise,
-                    het_freq_hz=HET_FREQ_HZ, area_scale_c=1e5)
+    return _scenario((inertia_a, inertia_b, 0.4e-32), volume, omega_beta,
+                     optics, noise,
+                     (gamma_alpha - gamma_recoil, gamma_beta - gamma_recoil),
+                     gamma_recoil)

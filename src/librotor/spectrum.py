@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import physics
-from .errors import NoNetCoolingError, SidebandOutsideBandError
+from .errors import LibrotorError, SidebandOutsideBandError
 from .noise import (DetectorResponse, NoiseProfile, cavity_noise_background,
                     detector_gain, phase_noise_psd)
 from .physics import TWO_PI, LibrationMode, OpticalSetup
@@ -192,8 +192,10 @@ def scan_series(modes, optics: OpticalSetup, noise: NoiseProfile,
 
     For each detuning the occupation, effective linewidth, and effective
     frequency of every mode are recomputed from the closed-form model before
-    synthesis.  A detuning with no net cooling, or with no finite spectrum,
-    yields an invalid point instead of failing the whole series.
+    synthesis.  A detuning yields an invalid point, with the error's message,
+    instead of failing the whole series when the model raises for it: no net
+    cooling, a spring instability, a sideband outside the grid's span, or a
+    spectrum that is not finite.
     """
     points = []
     for i, det_hz in enumerate(detunings_hz):
@@ -215,7 +217,7 @@ def scan_series(modes, optics: OpticalSetup, noise: NoiseProfile,
                                    het_freq_hz, seed=seed + i,
                                    sideband_orientation=sideband_orientation,
                                    channel=channel, detuning_hz=det_hz)
-        except (NoNetCoolingError, ArithmeticError, ValueError) as exc:
+        except (LibrotorError, ArithmeticError, ValueError) as exc:
             points.append(ScanPoint(det_hz, None, str(exc), {}))
             continue
         points.append(ScanPoint(det_hz, trace, None, truth))

@@ -301,22 +301,47 @@ class TestSimulate:
             assert hashlib.sha256(read_bytes(os.path.join(out, entry["path"]))) \
                 .hexdigest() == entry["sha256"]
 
-    def test_zero_detuning_warns_but_succeeds(self, tmp_path, config_path,
-                                              capsys):
-        raw = read_json(config_path)
-        raw["synthesis"]["detunings_hz"] = [0.0, 1020e3, 1042e3, 1060e3]
+    @pytest.mark.parametrize("settings,edit,invalid", [
+        ((4096, 200, 11, ("cavity_y",), [0.0, 1020e3, 1042e3, 1060e3]), {},
+         {0.0: "no net cooling"}),
+        ((256, 50, 1, ("backscatter_y",), [1000e3, 1042e3]),
+         {("synthesis", "span_factor"): lambda v: 0.5},
+         {1000e3: "sideband outside analysis band",
+          1042e3: "sideband outside analysis band"}),
+        ((2048, 50, 1, ("backscatter_y",), [1000e3, 1032e3, 1040e3, 1060e3]),
+         {("optics", "e_cav0_v_per_m"): lambda v: 30 * v},
+         {1000e3: "sideband outside analysis band",
+          1040e3: "spring instability", 1060e3: "spring instability"})],
+        ids=["zero-detuning", "narrow-span", "strong-coupling"])
+    def test_zero_detuning_warns_but_succeeds(self, tmp_path, scenario, capsys,
+                                              settings, edit, invalid):
+        """Each detuning the forward model raises for is an invalid point
+        with its error, warned about, and the scan goes on: no net cooling,
+        a sideband outside a span narrowed to a third, and a cavity field
+        30 times too strong for the spring formula.  An edit maps a config
+        key's value to its new value."""
+        n_bins, averages, seed, channels, detunings = settings
+        raw = io.config_from_scenario(scenario, detunings, channels=channels,
+                                      averages=averages, seed=seed,
+                                      n_bins=n_bins)
+        for (section, key), change in edit.items():
+            raw[section][key] = change(raw[section][key])
         path = str(tmp_path / "cfg0.json")
         io.atomic_write_text(path, io.format_json(raw))
         out = str(tmp_path / "r0")
         assert main(["simulate", "--config", path, "--out", out]) == 0
-        err = capsys.readouterr().err
-        assert "warning" in err and "invalid" in err
-        csvs = [n for n in os.listdir(out) if n.startswith("trace_")
-                and n.endswith(".csv")]
-        assert len(csvs) == 3
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning") and "invalid" in line]
+        assert len(warnings) == len(invalid)
         record = read_json(os.path.join(out, "run_record.json"))
-        invalid = [p for p in record["summary"]["points"] if not p["valid"]]
-        assert len(invalid) == 1 and invalid[0]["detuning_hz"] == 0.0
+        points = record["summary"]["points"]
+        errors = {p["detuning_hz"]: p["error"] for p in points if not p["valid"]}
+        assert errors.keys() == invalid.keys()
+        assert all(errors[det].startswith(invalid[det]) for det in invalid)
+        csvs = {n for n in os.listdir(out) if n.startswith("trace_")
+                and n.endswith(".csv")}
+        assert csvs == {f"trace_{i:03d}_{p['channel']}.csv"
+                        for i, p in enumerate(points) if p["valid"]}
 
     @pytest.mark.parametrize("edit,cause", [
         ({"chi_a": "chi_c", "chi_b": "chi_c"},

@@ -492,7 +492,7 @@ def sideband_window(seed, n_bins, fwhm, area, averages, shift):
 
 def first_pass_weights(vals, averages):
     """fit_lorentzian's first weights: floored data, averaged variance."""
-    return averages / np.maximum(vals, fifth_percentile(vals)) ** 2
+    return 1.0 / (np.maximum(vals, fifth_percentile(vals)) ** 2 / averages)
 
 
 class TestLevenbergMarquardtReference:

@@ -20,8 +20,8 @@ from .errors import CalibrationError, ConfigError, LibrotorError
 from .fitting import window_bins
 from .geometry import DampingMeasurement, classify
 from .physics import TWO_PI
-from .spectrum import (CAL_CHANNEL, CAL_KINDS, CHANNEL_MODE, PsdTrace,
-                       calibration_trace, default_grid, lorentzian, scan_series)
+from .spectrum import (CAL_CHANNEL, CAL_KINDS, PsdTrace, calibration_trace,
+                       default_grid, lorentzian, scan_series)
 from .thermometry import (METHOD_DIFFCAL, METHOD_RATIO, OccupationResult,
                           calibrate_response, channel_hints,
                           channel_occupations, gain_corrected, scan_reports,
@@ -140,12 +140,13 @@ def cmd_simulate(args) -> int:
     cfg = io.RunConfig.load(args.config)
     synth = cfg.synthesis
     seed = synth["seed"] if args.seed is None else args.seed
-    modes_by_label = {mode.label: mode for mode in cfg.modes}
-    grid = default_grid(synth["het_freq_hz"], max(m.omega for m in cfg.modes),
-                        n_bins=synth["n_bins"],
-                        span_factor=synth["span_factor"])
-    if not np.all(grid[1:] > grid[:-1]):
-        raise ConfigError(f"{args.config}: the synthesis span has no distinct bins")
+    with np.errstate(invalid="ignore"):  # an infinite span: refused below
+        grid = default_grid(synth["het_freq_hz"], max(m.omega for m in cfg.modes),
+                            n_bins=synth["n_bins"],
+                            span_factor=synth["span_factor"])
+    if not (grid[0] > 0 and np.all(grid[1:] > grid[:-1])):
+        raise ConfigError(f"{args.config}: synthesis.span_factor {synth['span_factor']:g}: "
+                          f"grid from {grid[0]:g} Hz; bins must be distinct and above 0")
     # the optical setup rides in every sidecar, so scanfit can invert
     # couplings without the config
     extra_meta = io.optics_fields(cfg.optics)
@@ -153,9 +154,7 @@ def cmd_simulate(args) -> int:
     def point(channel, i, det_hz):
         """Detuning i of the channel's scan, synthesized at seed + i as
         scan_series seeds it, and written: its summary and its files."""
-        label = CHANNEL_MODE.get(channel)
-        (pt,) = scan_series([modes_by_label[label]] if label else list(cfg.modes),
-                            cfg.optics, cfg.noise, None, grid,
+        (pt,) = scan_series(cfg.modes, cfg.optics, cfg.noise, None, grid,
                             synth["averages"], synth["het_freq_hz"], [det_hz],
                             area_scale_c=synth["area_scale_c"], seed=seed + i,
                             sideband_orientation=synth["sideband_orientation"],
@@ -195,23 +194,23 @@ def cmd_simulate(args) -> int:
 def _fit_traces(paths, pattern, cal_paths=(), plot=False):
     """(path, metadata, sideband pair, plot data or None) of each scan trace
     among paths but analyze's plot data, in path order.  _forked_map reads
-    the files, cal_paths (shot, dark) first, and sends a calibration trace
-    here whole, a scan trace as its metadata and trace_hint.  The detector
-    response comes from the shot and dark traces at cal_paths, or else
-    among the paths, flat without both; it goes with channel_hints to the
-    process that read each scan trace, to fit its pair and format its plot."""
+    the files, cal_paths (shot, dark) first; a calibration trace is sent
+    here whole, a scan trace as its metadata and trace_hint, kept where it
+    was read.  The plan sends the detector response (from the shot and dark
+    traces at cal_paths, or else among the paths, flat without both) and each
+    scan trace's channel_hints hint by file index, to fit and plot there."""
     paths = sorted(p for p in paths if not p.endswith(".plotdata.csv"))
     if not paths:
         raise ConfigError(f"no trace files match {pattern!r}")
     files = [*cal_paths, *paths]
-    held, scan = {}, []  # (trace, hint) by index where read; scan traces here
+    held, scan = {}, []  # scan traces by index where read; (i, path, meta, hint)
 
     def read(i):
         trace = io.read_psd_csv(files[i])
         if i < len(cal_paths) or trace.meta.get("channel") == CAL_CHANNEL:
             return trace
-        held[i] = trace, trace_hint(trace)
-        return trace.meta, held[i][1]
+        held[i] = trace
+        return trace.meta, trace_hint(trace)
 
     def plan(replies):
         cal = {}  # (path, trace) by kind: --shot and --dark come first, so win
@@ -226,21 +225,22 @@ def _fit_traces(paths, pattern, cal_paths=(), plot=False):
                 scan.append((i, path, *reply))
         if not scan:
             raise ConfigError(f"no scan traces match {pattern!r}")
-        by_channel = channel_hints([s[2] for s in scan], [s[3] for s in scan])
+        index, _, metas, own = zip(*scan)
+        hints = dict(zip(index, channel_hints(metas, own)))
         if "shot" in cal and "dark" in cal:
             (shot_path, shot), (dark_path, dark) = cal["shot"], cal["dark"]
             try:
-                return calibrate_response(shot, dark), by_channel
+                return calibrate_response(shot, dark), hints
             except CalibrationError as exc:
                 raise ConfigError(f"{shot_path} and {dark_path}: {exc}") from None
         _warn("no shot and dark calibration traces; assuming a flat detector response")
-        return None, by_channel
+        return None, hints
 
     def fit(i, planned):
         if i not in held:  # a calibration trace
             return None
-        (trace, hint), (resp, by_channel) = held[i], planned
-        pair = sideband_pair(trace, resp, hint, by_channel)
+        trace, (resp, hints) = held[i], planned
+        pair = sideband_pair(trace, resp, hints[i])
         return pair, (_plot_rows(trace, resp, pair)
                       if plot and isinstance(pair, tuple) else None)
 

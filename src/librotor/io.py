@@ -445,18 +445,21 @@ def _construct(cls, section: dict, table: dict, where: str):
 
 
 def _trapped_modes(rotor: RotorModel, optics: OpticalSetup):
-    """build_modes(rotor, optics); a libration left untrapped is a
-    ConfigError that names the mode and its cause: the rotor's degenerate
-    susceptibility (which libration_frequencies warns of) or else the
-    tweezer field."""
+    """build_modes(rotor, optics); a libration frequency not finite (the
+    rotor's overflow) or zero (untrapped: the rotor's degenerate
+    susceptibility, which libration_frequencies warns of, or else the
+    tweezer field) is a ConfigError that names the modes and the cause."""
     with warnings.catch_warnings(record=True) as degenerate:
         warnings.simplefilter("always", UserWarning)
         try:
             return build_modes(rotor, optics)
-        except ValueError:  # a zero libration frequency
-            freqs = libration_frequencies(rotor, optics)
-    modes = ", ".join(label for label, omega in zip(("alpha", "beta"), freqs)
-                      if not omega > 0)
+        except ValueError:  # a libration frequency zero or not finite
+            freqs = dict(zip(("alpha", "beta"), libration_frequencies(rotor, optics)))
+    modes = ", ".join(label for label, om in freqs.items() if not math.isfinite(om))
+    if modes:
+        raise ConfigError(f"rotor: libration frequency not finite ({modes}): "
+                          f"volume_m3 is {rotor.volume:g}")
+    modes = ", ".join(label for label, omega in freqs.items() if not omega > 0)
     if degenerate:
         raise ConfigError(f"rotor: untrapped libration ({modes}): degenerate "
                           f"susceptibility, chi_c must exceed chi_b")

@@ -232,7 +232,7 @@ def minimum_occupation(kappa: float, omega: float, form: str = "paper") -> float
     Two published forms coexist and disagree by a factor of 4: the quoted
     closed form kappa^2 / 4 Omega^2 ('paper') and the Delta = Omega limit of
     the rate-ratio occupation, A+/(A- - A+) -> kappa^2 / 16 Omega^2
-    ('rate_ratio').  Both are kept; the forward model reports the former.
+    ('rate_ratio').  Both are kept; the acceptance tests check each.
     """
     if kappa <= 0 or omega <= 0:
         raise ValueError("kappa and omega must be > 0")
@@ -295,16 +295,16 @@ def mode_temperature(omega: float, n: float) -> float:
     return HBAR * omega / (K_B * math.log1p(1.0 / n))
 
 
-def derived_scalars(mode: LibrationMode, n: float, inertia: float) -> DerivedScalars:
+def derived_scalars(omega: float, n: float, inertia: float) -> DerivedScalars:
     """Angular width, temperature, revival time, and mean angular momentum.
 
-    sigma = zpf sqrt(2n+1); T by Bose inversion; T_rev = 2 pi
-    I / hbar; j = sqrt(k_B T I) / hbar.
+    sigma = zpf sqrt(2n+1) with zpf = zero_point_amplitude(inertia, omega);
+    T by Bose inversion; T_rev = 2 pi I / hbar; j = sqrt(k_B T I) / hbar.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    sigma = mode.zpf * math.sqrt(2.0 * n + 1.0)
-    temp = mode_temperature(mode.omega, n)
+    sigma = zero_point_amplitude(inertia, omega) * math.sqrt(2.0 * n + 1.0)
+    temp = mode_temperature(omega, n)
     t_rev = TWO_PI * inertia / HBAR
     j_mean = math.sqrt(K_B * temp * inertia) / HBAR
     return DerivedScalars(sigma=sigma, temperature=temp, t_rev=t_rev, j_mean=j_mean)

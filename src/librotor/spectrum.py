@@ -16,7 +16,7 @@ from .physics import TWO_PI, LibrationMode, OpticalSetup
 
 CHANNELS = ("backscatter_y", "cavity_y", "cavity_z", "split_x", "split_y")
 DEFAULT_CHANNEL = CHANNELS[0]  # of a trace whose sidecar names none
-# Which cavity channel carries which librational mode.
+# Which cavity channel carries which librational mode; others carry every mode.
 CHANNEL_MODE = {"cavity_y": "alpha", "cavity_z": "beta"}
 # Trace channel and kinds of the calibration spectra: LO only, detector only.
 CAL_CHANNEL, CAL_KINDS = "calibration", ("shot", "dark")
@@ -188,15 +188,16 @@ def scan_series(modes, optics: OpticalSetup, noise: NoiseProfile,
                 area_scale_c: float = 1.0, seed: int = 0,
                 sideband_orientation: str = ORIENT_LO_BLUE,
                 channel: str = DEFAULT_CHANNEL) -> list[ScanPoint]:
-    """Synthesize a detuning scan.
+    """Synthesize a detuning scan of the modes that channel carries.
 
     For each detuning the occupation, effective linewidth, and effective
-    frequency of every mode are recomputed from the closed-form model before
+    frequency of each mode are recomputed from the closed-form model before
     synthesis.  A detuning yields an invalid point, with the error's message,
     instead of failing the whole series when the model raises for it: no net
     cooling, a spring instability, a sideband outside the grid's span, or a
     spectrum that is not finite.
     """
+    modes = [m for m in modes if CHANNEL_MODE.get(channel, m.label) == m.label]
     points = []
     for i, det_hz in enumerate(detunings_hz):
         optics_i = replace(optics, detuning=TWO_PI * det_hz)

@@ -18,7 +18,7 @@ from .fitting import (MIN_SCAN_POINTS, LorentzianFit, ScanFitResult,
                       fit_scan_frequency, fit_scan_linewidth, linear_lstsq,
                       lorentzian, window_bins)
 from .noise import DetectorResponse, detector_gain
-from .physics import TWO_PI, DerivedScalars, LibrationMode, OpticalSetup
+from .physics import TWO_PI, DerivedScalars, OpticalSetup
 from .spectrum import (CHANNEL_MODE, DEFAULT_CHANNEL, ORIENT_LO_BLUE, PsdTrace,
                        sideband_frequencies)
 
@@ -327,21 +327,19 @@ class ModeScanReport:
     error: str | None = None
 
 
-def _auto_hint(trace: PsdTrace) -> float:
-    """Locate the dominant sideband offset from the heterodyne carrier."""
-    het = _het_freq_hz(trace.meta)
+def trace_hint(trace: PsdTrace) -> float | LibrotorError:
+    """The offset (Hz) of the trace's dominant sideband from its heterodyne
+    carrier, or the LibrotorError of a trace without a carrier or without
+    a sideband band on its grid."""
+    het = _or_error(_het_freq_hz, trace.meta)
+    if isinstance(het, LibrotorError):
+        return het
     offsets = np.abs(trace.freq_hz - het)
     span = trace.freq_hz[-1] - trace.freq_hz[0]
     idx = np.flatnonzero((offsets > 0.05 * span) & (offsets < 0.48 * span))
     if idx.size == 0:
-        raise LibrotorError(f"no sideband band on the grid around the {het:g} Hz carrier")
-    best = idx[np.argmax(trace.values[idx])]
-    return float(offsets[best])
-
-
-def trace_hint(trace: PsdTrace) -> float | LibrotorError:
-    """_auto_hint(trace), or the LibrotorError it raised."""
-    return _or_error(_auto_hint, trace)
+        return LibrotorError(f"no sideband band on the grid around the {het:g} Hz carrier")
+    return float(offsets[idx[np.argmax(trace.values[idx])]])
 
 
 def _channel_groups(metas) -> dict[str, list[int]]:
@@ -355,23 +353,25 @@ def _channel_groups(metas) -> dict[str, list[int]]:
             for channel in sorted(groups)}
 
 
-def channel_hints(metas, hints) -> dict[str, float | None]:
-    """The hint rule of the occupation pass: each channel's pairs are fitted
-    at one mode frequency, the first float among its traces' trace_hint
-    results in scan order, so a two-mode channel is analysed at one line."""
-    return {channel: next((hints[i] for i in idx if isinstance(hints[i], float)),
-                          None)
-            for channel, idx in _channel_groups(metas).items()}
+def channel_hints(metas, hints) -> list:
+    """The hint rule of the occupation pass: the hint each trace is fitted
+    at, from the traces' metadata and trace_hint results.  A trace keeps its
+    own hint's LibrotorError, or else takes its channel's first float hint
+    in scan order, so a two-mode channel is analysed at one line."""
+    fitted = list(hints)
+    for idx in _channel_groups(metas).values():
+        floats = [i for i in idx if isinstance(hints[i], float)]
+        for i in floats:
+            fitted[i] = hints[floats[0]]
+    return fitted
 
 
-def sideband_pair(trace: PsdTrace, resp: DetectorResponse | None, hint,
-                  by_channel):
-    """The trace's sideband pair fitted at its channel's hint in by_channel
-    (channel_hints), or the LibrotorError of its own hint or of the fit."""
+def sideband_pair(trace: PsdTrace, resp: DetectorResponse | None, hint):
+    """The trace's sideband pair fitted at hint, its channel_hints result,
+    or the LibrotorError of that hint or of the fit."""
     if isinstance(hint, LibrotorError):
         return hint
-    return _or_error(fit_sideband_pair, trace, resp,
-                     by_channel[trace.meta.get("channel", DEFAULT_CHANNEL)])
+    return _or_error(fit_sideband_pair, trace, resp, hint)
 
 
 def channel_occupations(metas, pairs, method: str,
@@ -416,9 +416,9 @@ def analyze_scan(traces, setup: OpticalSetup,
     UnderdeterminedScanError is raised only when no channel has enough
     analyzable traces.
     """
-    metas, hints = [t.meta for t in traces], [trace_hint(t) for t in traces]
-    by_channel = channel_hints(metas, hints)
-    return scan_reports(metas, [sideband_pair(t, resp, h, by_channel)
+    metas = [t.meta for t in traces]
+    hints = channel_hints(metas, [trace_hint(t) for t in traces])
+    return scan_reports(metas, [sideband_pair(t, resp, h)
                                 for t, h in zip(traces, hints)], setup, method)
 
 
@@ -486,13 +486,9 @@ def _analyze_channel(channel, ch_metas, results, c_cal, setup) -> ModeScanReport
 
     if linewidth_fit is not None and abs(setup.e_cav0) > 0 \
             and abs(setup.e_tw0) > 0:
-        omega_bare = frequency_fit.omega_bare
         inertia = physics.moment_of_inertia_from_coupling(
             linewidth_fit.g_abs, omega_bare, setup)
-        mode = LibrationMode(label=label, omega=omega_bare,
-                             g=linewidth_fit.g_abs,
-                             zpf=physics.zero_point_amplitude(inertia, omega_bare))
-        derived = physics.derived_scalars(mode, n_best, inertia)
+        derived = physics.derived_scalars(omega_bare, n_best, inertia)
 
     return ModeScanReport(
         label=label, channel=channel, traces=analyses, c_cal=c_cal,

@@ -347,8 +347,10 @@ class TestSimulate:
         ({"chi_a": "chi_c", "chi_b": "chi_c"},
          "rotor: untrapped libration (alpha, beta)"),
         ({"chi_b": "chi_c"}, "rotor: untrapped libration (beta)"),
-        ({"e_tw0_v_per_m": 0.0}, "optics: untrapped libration (alpha, beta)")],
-        ids=["chi_a-is-chi_c", "chi_b-is-chi_c", "no-tweezer-field"])
+        ({"e_tw0_v_per_m": 0.0}, "optics: untrapped libration (alpha, beta)"),
+        ({"volume_m3": 1e300}, "rotor: libration frequency not finite (alpha, beta)")],
+        ids=["chi_a-is-chi_c", "chi_b-is-chi_c", "no-tweezer-field",
+             "frequency-overflow"])
     def test_untrapped_mode_names_its_cause(self, tmp_path, config_path, edit,
                                             cause):
         """A libration the config leaves untrapped is a config error on the
@@ -367,6 +369,24 @@ class TestSimulate:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [proc.stderr.strip()]
         assert proc.stderr.startswith(f"error: {cause}:")
+
+    @pytest.mark.parametrize("span_factor", [1e300, 10.0, 1e308])
+    def test_span_reaching_0_hz_exit_2(self, tmp_path, scenario, capsys,
+                                       span_factor):
+        """A synthesis span whose lowest bin is at or below 0 Hz is a config
+        error naming synthesis.span_factor, before any file is written: not
+        an overflow in the sideband shapes (1e300), traces on negative
+        frequencies (10) or an infinite span (1e308)."""
+        raw = io.config_from_scenario(scenario, [1000e3, 1042e3],
+                                      channels=("cavity_y",), n_bins=256)
+        raw["synthesis"]["span_factor"] = span_factor
+        path = str(tmp_path / "span.json")
+        io.atomic_write_text(path, io.format_json(raw))
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: synthesis.span_factor {span_factor:g}:")
+        assert not out.exists()
 
     def test_invalid_config_exit_2(self, tmp_path, config_path, capsys):
         raw = read_json(config_path)

@@ -365,8 +365,7 @@ class TestDerived:
         assert all(a < b for a, b in zip(ts, ts[1:]))
 
     def test_derived_scalars(self):
-        mode = make_mode(omega=TWO_PI * 1030e3, zpf=1.5712944127581658e-05)
-        d = derived_scalars(mode, 0.21, 3.3e-32)
+        d = derived_scalars(TWO_PI * 1030e3, 0.21, 3.3e-32)
         assert d.sigma == pytest.approx(1.872413391007002e-05, rel=1e-12)
         assert d.temperature == pytest.approx(2.822651964792581e-05, rel=1e-12)
         assert d.t_rev == pytest.approx(2.0 * math.pi * 3.3e-32 / hbar, rel=1e-14)
@@ -375,7 +374,7 @@ class TestDerived:
 
     def test_revival_time_golden(self):
         mode = make_mode()
-        d = derived_scalars(mode, 0.0, 5.0e-32)
+        d = derived_scalars(mode.omega, 0.0, 5.0e-32)
         assert d.t_rev == pytest.approx(2979.022007815404, rel=1e-12)
 
 

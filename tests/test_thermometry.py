@@ -362,11 +362,11 @@ class TestAnalyzeScan:
         traces[0] = PsdTrace(first.freq_hz, first.values,
                              {k: v for k, v in first.meta.items()
                               if k != "het_freq_hz"})
-        hints = [thermometry.trace_hint(t) for t in traces]
         metas = [t.meta for t in traces]
-        by_channel = thermometry.channel_hints(metas, hints)
+        hints = thermometry.channel_hints(
+            metas, [thermometry.trace_hint(t) for t in traces])
         (idx, results, _), = thermometry.channel_occupations(
-            metas, [thermometry.sideband_pair(t, None, h, by_channel)
+            metas, [thermometry.sideband_pair(t, None, h)
                     for t, h in zip(traces, hints)], METHOD_RATIO).values()
         slot = results[idx.index(0)]
         assert isinstance(slot, LibrotorError)

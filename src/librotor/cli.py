@@ -139,7 +139,6 @@ def _forked_map(fn, items, plan=None, then=None):
 def cmd_simulate(args) -> int:
     cfg = io.RunConfig.load(args.config)
     synth = cfg.synthesis
-    seed = synth["seed"] if args.seed is None else args.seed
     with np.errstate(invalid="ignore"):  # an infinite span: refused below
         grid = default_grid(synth["het_freq_hz"], max(m.omega for m in cfg.modes),
                             n_bins=synth["n_bins"],
@@ -156,7 +155,7 @@ def cmd_simulate(args) -> int:
         scan_series seeds it, and written: its summary and its files."""
         (pt,) = scan_series(cfg.modes, cfg.optics, cfg.noise, None, grid,
                             synth["averages"], synth["het_freq_hz"], [det_hz],
-                            area_scale_c=synth["area_scale_c"], seed=seed + i,
+                            area_scale_c=synth["area_scale_c"], seed=synth["seed"] + i,
                             sideband_orientation=synth["sideband_orientation"],
                             channel=channel)
         summary = {"detuning_hz": det_hz, "channel": channel,
@@ -169,7 +168,7 @@ def cmd_simulate(args) -> int:
 
     def calibration(kind):
         trace = calibration_trace(kind, cfg.noise, grid, synth["averages"],
-                                  synth["het_freq_hz"], seed)
+                                  synth["het_freq_hz"], synth["seed"])
         return None, io.write_psd_csv(os.path.join(args.out, f"{kind}.csv"), trace)
 
     # each point and calibration spectrum is drawn in the process that writes it
@@ -430,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="synthesize a detuning scan of PSD traces")
     p.add_argument("--config", required=True, help="run configuration (JSON)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override RNG seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("analyze", help="sideband thermometry on PSD traces")

@@ -235,6 +235,14 @@ def fifth_percentile(vals) -> float:
     return a + (b - a) * t if t < 0.5 else b - (b - a) * (1.0 - t)
 
 
+def _check_width(freq, p):
+    """DegenerateFitError for a FWHM above 10 spans of the window freq: a
+    tilt of the floor, not a peak, that can overflow the re-weighting."""
+    if abs(p[1]) > 10.0 * (freq[-1] - freq[0]):
+        raise DegenerateFitError(f"degenerate fit window: fitted FWHM "
+                                 f"{abs(p[1]):.3g} Hz is above 10 window spans")
+
+
 def fit_lorentzian(freq, vals, averages: float | None,
                    init=None) -> LorentzianFit:
     """Fit a single Lorentzian to the bins of one window: increasing
@@ -243,7 +251,8 @@ def fit_lorentzian(freq, vals, averages: float | None,
     With known averages (the periodogram averages behind vals; None when
     unknown or infinite) the weights follow the averaged-periodogram
     variance model sigma_i^2 = model_i^2 / averages, iterated once on the
-    fitted model; otherwise unit weights.
+    fitted model; otherwise unit weights.  A pass that ends with a FWHM
+    above 10 window spans is a DegenerateFitError.
     """
     if freq.size < 8:
         raise DegenerateFitError("degenerate fit window: fewer than 8 bins")
@@ -257,11 +266,13 @@ def fit_lorentzian(freq, vals, averages: float | None,
     model, jac = _last_call(_lorentz_model), _last_call(_lorentz_jac)
     p, cov, converged, _ = levenberg_marquardt(model, jac, freq, vals, p0,
                                                weights)
+    _check_width(freq, p)
     if averages is not None:
         # Re-weight from the fitted model to remove the data-weighting bias.
         weights = averages / np.maximum(model(freq, p), 1e-300) ** 2
         p, cov, converged, _ = levenberg_marquardt(model, jac, freq, vals, p,
                                                    weights)
+        _check_width(freq, p)
     p[1] = abs(p[1])
     return LorentzianFit(center=float(p[0]), linewidth_fwhm=float(p[1]),
                          area=float(p[2]), offset=float(p[3]),

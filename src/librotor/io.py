@@ -12,7 +12,6 @@ import math
 import numbers
 import os
 import tempfile
-import warnings
 from dataclasses import MISSING, dataclass, replace
 from datetime import datetime, timezone
 from functools import partial
@@ -445,26 +444,21 @@ def _construct(cls, section: dict, table: dict, where: str):
 
 
 def _trapped_modes(rotor: RotorModel, optics: OpticalSetup):
-    """build_modes(rotor, optics); a libration frequency not finite (the
-    rotor's overflow) or zero (untrapped: the rotor's degenerate
-    susceptibility, which libration_frequencies warns of, or else the
-    tweezer field) is a ConfigError that names the modes and the cause."""
-    with warnings.catch_warnings(record=True) as degenerate:
-        warnings.simplefilter("always", UserWarning)
-        try:
-            return build_modes(rotor, optics)
-        except ValueError:  # a libration frequency zero or not finite
-            freqs = dict(zip(("alpha", "beta"), libration_frequencies(rotor, optics)))
+    """build_modes(rotor, optics) once both libration frequencies are finite
+    and above 0.  A frequency not finite is the rotor's overflow; one at 0 Hz
+    is the tweezer field's when it is 0, else the rotor's underflow.  Either
+    is a ConfigError naming the modes and the cause."""
+    freqs = dict(zip(("alpha", "beta"), libration_frequencies(rotor, optics)))
     modes = ", ".join(label for label, om in freqs.items() if not math.isfinite(om))
     if modes:
         raise ConfigError(f"rotor: libration frequency not finite ({modes}): "
                           f"volume_m3 is {rotor.volume:g}")
-    modes = ", ".join(label for label, omega in freqs.items() if not omega > 0)
-    if degenerate:
-        raise ConfigError(f"rotor: untrapped libration ({modes}): degenerate "
-                          f"susceptibility, chi_c must exceed chi_b")
-    raise ConfigError(f"optics: untrapped libration ({modes}): "
-                      f"e_tw0_v_per_m is {abs(optics.e_tw0):g}")
+    modes = ", ".join(label for label, om in freqs.items() if not om > 0)
+    if modes:
+        where, cause = (("optics", "e_tw0_v_per_m is 0") if optics.e_tw0 == 0
+                        else ("rotor", "frequency underflows to 0"))
+        raise ConfigError(f"{where}: untrapped libration ({modes}): {cause}")
+    return _build("rotor", build_modes, rotor, optics)
 
 
 @dataclass(frozen=True)
@@ -491,9 +485,9 @@ class RunConfig:
         _check_keys(optics_sec, {*optics_fields(optics), "detuning_hz"}, "optics")
         noise = _construct(NoiseProfile, noise_sec, _NOISE, "noise")
         heating = _build("heating", _fields, heating_sec, _HEATING, "heating")
-        modes = _build("heating", lambda: tuple(
-            replace(mode, **{name: v for (i, name), v in heating.items() if i == n})
-            for n, mode in enumerate(_trapped_modes(rotor, optics))))
+        modes = tuple(_build("heating", replace, mode, **{
+            name: v for (i, name), v in heating.items() if i == n})
+            for n, mode in enumerate(_trapped_modes(rotor, optics)))
         _check_keys(synth_sec, _SYNTHESIS, "synthesis")
         synthesis = {**{key: default for key, (default, _) in _SYNTHESIS.items()},
                      "detunings_hz": [optics_sec["detuning_hz"]], **synth_sec}

@@ -7,7 +7,6 @@ and the CLI speak Hz and convert exactly by 2*pi at the boundary.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .errors import LibrotorError, NoNetCoolingError, SpringInstabilityError
@@ -29,7 +28,7 @@ class RotorModel:
     susceptibilities, volume, and the Euler-angle branch of the third angle.
 
     Inertias in kg m^2, volume in m^3, susceptibilities dimensionless with
-    chi_a <= chi_b <= chi_c.
+    chi_a <= chi_b < chi_c, so that chi_c exceeds both modes' minor one.
     """
 
     inertia_a: float
@@ -49,6 +48,11 @@ class RotorModel:
             raise ValueError("susceptibilities must satisfy chi_a <= chi_b <= chi_c")
         if self.gamma_euler_branch not in (GAMMA_ZERO, GAMMA_HALF_PI):
             raise ValueError(f"unknown gamma_euler_branch {self.gamma_euler_branch!r}")
+        modes = [label for label, (chi, _) in zip(("alpha", "beta"), self.branch_axes())
+                 if not chi < self.chi_c]
+        if modes:
+            raise ValueError(f"untrapped libration ({', '.join(modes)}): degenerate "
+                             f"susceptibility, chi_c must exceed chi_b")
 
     def branch_axes(self):
         """Per-mode (chi_minor, inertia) pairs for the alpha and beta modes.
@@ -126,20 +130,13 @@ def libration_frequencies(rotor: RotorModel, optics: OpticalSetup) -> tuple[floa
     """Harmonic libration frequencies (Omega_alpha, Omega_beta) in rad/s.
 
     Omega_alpha = sqrt(eps0 V (chi_c - chi_a) / (2 I_b)) |E_tw(0)| and the
-    beta analogue with (chi_c - chi_b, I_a); degenerate susceptibility gives
-    an untrapped (zero-frequency) libration.
+    beta analogue with (chi_c - chi_b, I_a), axes as RotorModel.branch_axes
+    pairs them: the formula alone, 0 without a tweezer field.
     """
-    (chi_al, i_al), (chi_be, i_be) = rotor.branch_axes()
-    e2 = abs(optics.e_tw0)
-    out = []
-    for chi_minor, inertia, label in ((chi_al, i_al, "alpha"), (chi_be, i_be, "beta")):
-        dchi = rotor.chi_c - chi_minor
-        if dchi <= 0:
-            warnings.warn(f"untrapped libration: degenerate susceptibility for {label}")
-            out.append(0.0)
-        else:
-            out.append(math.sqrt(EPSILON_0 * rotor.volume * dchi / (2.0 * inertia)) * e2)
-    return out[0], out[1]
+    e_tw = abs(optics.e_tw0)
+    return tuple(math.sqrt(EPSILON_0 * rotor.volume * (rotor.chi_c - chi)
+                           / (2.0 * inertia)) * e_tw
+                 for chi, inertia in rotor.branch_axes())
 
 
 def zero_point_amplitude(inertia, omega):
@@ -310,19 +307,12 @@ def derived_scalars(omega: float, n: float, inertia: float) -> DerivedScalars:
     return DerivedScalars(sigma=sigma, temperature=temp, t_rev=t_rev, j_mean=j_mean)
 
 
-def build_modes(rotor: RotorModel, optics: OpticalSetup,
-                gamma_thermal: tuple[float, float] = (0.0, 0.0),
-                gamma_recoil: tuple[float, float] = (0.0, 0.0),
-                gamma_intrinsic: tuple[float, float] = (0.0, 0.0),
-                ) -> tuple[LibrationMode, LibrationMode]:
-    """Assemble both LibrationModes from the rotor and drive parameters."""
+def build_modes(rotor: RotorModel,
+                optics: OpticalSetup) -> tuple[LibrationMode, LibrationMode]:
+    """Both modes of the trapped rotor, without heating (set it with
+    dataclasses.replace); a frequency 0 or not finite is a ValueError."""
     freqs = libration_frequencies(rotor, optics)
     zpfs = zero_point_amplitudes(rotor, freqs)
     gs = coupling_rates(rotor, optics, freqs)
-    out = []
-    for i, label in enumerate(("alpha", "beta")):
-        out.append(LibrationMode(
-            label=label, omega=freqs[i], g=gs[i], zpf=zpfs[i],
-            gamma_thermal=gamma_thermal[i], gamma_recoil=gamma_recoil[i],
-            gamma_intrinsic=gamma_intrinsic[i]))
-    return out[0], out[1]
+    return tuple(LibrationMode(label=label, omega=freqs[i], g=gs[i], zpf=zpfs[i])
+                 for i, label in enumerate(("alpha", "beta")))

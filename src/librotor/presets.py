@@ -9,7 +9,7 @@ the intended desk-scale numbers exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .noise import NoiseProfile, phase_noise_psd
 from .physics import (EPSILON_0, HBAR, TWO_PI, LibrationMode, OpticalSetup,
@@ -85,9 +85,9 @@ def _scenario(inertias, volume, omega_beta, optics, noise, gamma_thermal,
     rotor = RotorModel(inertia_a=inertia_a, inertia_b=inertia_b,
                        inertia_c=inertia_c, chi_a=_CHI_A, chi_b=chi_b,
                        chi_c=_CHI_C, volume=volume)
-    mode_alpha, mode_beta = build_modes(
-        rotor, optics, gamma_thermal=gamma_thermal,
-        gamma_recoil=(gamma_recoil, gamma_recoil), gamma_intrinsic=(1.0, 1.0))
+    mode_alpha, mode_beta = (
+        replace(mode, gamma_thermal=t, gamma_recoil=gamma_recoil, gamma_intrinsic=1.0)
+        for mode, t in zip(build_modes(rotor, optics), gamma_thermal))
     return Scenario(rotor=rotor, optics=optics, mode_alpha=mode_alpha,
                     mode_beta=mode_beta, noise=noise,
                     het_freq_hz=HET_FREQ_HZ, area_scale_c=1e5)

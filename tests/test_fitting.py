@@ -15,7 +15,8 @@ from librotor.fitting import (MAX_ITER, fifth_percentile, fit_lorentzian,
                               levenberg_marquardt, linear_lstsq, window_bins)
 from librotor.physics import (LibrationMode, OpticalSetup, backaction,
                               cavity_rates)
-from librotor.spectrum import PsdTrace, lorentzian
+from librotor.spectrum import (PsdTrace, default_grid, lorentzian,
+                               periodogram_draw)
 
 TWO_PI = 2.0 * math.pi
 KAPPA = TWO_PI * 32.4e3
@@ -145,6 +146,17 @@ class TestLorentzianFit:
             warnings.simplefilter("error")
             with pytest.raises(DegenerateFitError):
                 fit_lorentzian(freq, vals, averages, init=init)
+
+    def test_peakless_window_is_degenerate(self):
+        """A window of Gamma noise about a flat mean (100 averages, seed 47)
+        at criterion 08's Stokes line: its fit tilts the floor with a FWHM
+        of 1.1e76 Hz that LM calls converged.  A FWHM above 10 window spans
+        is a DegenerateFitError instead."""
+        grid = default_grid(4.99814e6, TWO_PI * 1e6, 8192)
+        freq = grid[window_bins(grid, (3.94814e6, 4.04814e6))]
+        vals = periodogram_draw(np.ones(freq.size), 100, 47)
+        with pytest.raises(DegenerateFitError, match="above 10 window spans"):
+            fit_lorentzian(freq, vals, 100)
 
     def test_rescale_invariance(self):
         """Scaling the data by c scales area and offset by c, leaves center

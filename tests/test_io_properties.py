@@ -387,9 +387,10 @@ def scenarios(draw):
         cavity_noise_center=draw(st.floats(0.0, 1e8)),
         cavity_noise_width=draw(magnitude(3.0, 6.0)))
     rates = st.tuples(st.floats(0.0, 1e5), st.floats(0.0, 1e5))
-    mode_alpha, mode_beta = build_modes(rotor, optics, gamma_thermal=draw(rates),
-                                        gamma_recoil=draw(rates),
-                                        gamma_intrinsic=draw(rates))
+    mode_alpha, mode_beta = (
+        dataclasses.replace(mode, gamma_thermal=t, gamma_recoil=r, gamma_intrinsic=i)
+        for mode, t, r, i in zip(build_modes(rotor, optics), draw(rates),
+                                 draw(rates), draw(rates)))
     return Scenario(rotor=rotor, optics=optics, mode_alpha=mode_alpha,
                     mode_beta=mode_beta, noise=noise,
                     het_freq_hz=draw(magnitude(6.0, 7.0)),

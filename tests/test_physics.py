@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -75,12 +77,19 @@ class TestLibrationFrequencies:
                                     make_optics())
         assert om2[0] == pytest.approx(om1[0] / 2.0, rel=1e-14)
 
-    def test_degenerate_susceptibility_warns(self):
-        rotor = make_rotor(chi_b=1.5)  # chi_b == chi_c: beta untrapped
-        with pytest.warns(UserWarning, match="untrapped libration"):
-            om_a, om_b = libration_frequencies(rotor, make_optics())
-        assert om_b == 0.0
-        assert om_a > 0.0
+    @pytest.mark.parametrize("edit,modes", [
+        ({"chi_b": 1.5}, "beta"),
+        ({"chi_b": 1.5, "gamma_euler_branch": GAMMA_ZERO}, "alpha"),
+        ({"chi_a": 1.5, "chi_b": 1.5}, "alpha, beta")],
+        ids=["chi_b-is-chi_c", "chi_b-is-chi_c-gamma-zero", "chi_a-is-chi_c"])
+    def test_degenerate_susceptibility_is_refused(self, edit, modes):
+        """A rotor whose librating axis has chi_c not above its minor
+        susceptibility leaves that mode untrapped: RotorModel refuses it,
+        naming the mode on either Euler branch."""
+        with pytest.raises(ValueError, match=re.escape(
+                f"untrapped libration ({modes}): degenerate susceptibility, "
+                f"chi_c must exceed chi_b")):
+            make_rotor(**edit)
 
     def test_branch_swap(self):
         """The gamma ~ 0 Euler branch swaps which axis each mode librates
@@ -385,9 +394,10 @@ class TestBuildModes:
     def test_labels_and_consistency(self):
         rotor = make_rotor()
         optics = make_optics()
-        alpha, beta = build_modes(rotor, optics, gamma_thermal=(3.6e3, 1e3),
-                                  gamma_recoil=(3.2e3, 2e3),
-                                  gamma_intrinsic=(1.0, 2.0))
+        alpha, beta = build_modes(rotor, optics)
+        assert {(m.gamma_thermal, m.gamma_recoil, m.gamma_intrinsic)
+                for m in (alpha, beta)} == {(0.0, 0.0, 0.0)}
+        alpha = replace(alpha, gamma_thermal=3.6e3, gamma_recoil=3.2e3)
         freqs = libration_frequencies(rotor, optics)
         assert alpha.label == "alpha" and beta.label == "beta"
         assert alpha.omega == freqs[0] and beta.omega == freqs[1]

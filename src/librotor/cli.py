@@ -80,8 +80,8 @@ def _forked_map(fn, items, plan=None, then=None):
     items] follows, each item in the process that ran fn on it.  After each
     round the first exception in item order is raised, as the serial loop
     would (one from a child with its traceback text as a _ChildTraceback
-    cause).  A child ends when this process closes its pipe; one that dies
-    before its whole message is sent has both rounds of its share done here."""
+    cause).  A child ends when this process closes its pipe; one that fails
+    to start or dies mid-message has both rounds of its share done here."""
     items = list(items)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     k = max(1, min(cpus, len(items)))
@@ -114,9 +114,11 @@ def _forked_map(fn, items, plan=None, then=None):
             import multiprocessing  # here: `import librotor.cli` leaves it out
             ctx = multiprocessing.get_context("fork")
             pipes[j], end = ctx.Pipe()
-            children.append(ctx.Process(target=_child, args=(
-                fn, then, shares[j], end, list(pipes.values()))))
-            children[-1].start()
+            child = ctx.Process(target=_child, args=(
+                fn, then, shares[j], end, list(pipes.values())))
+            with suppress(OSError):  # no fork (EAGAIN, ENOMEM): gather finds EOF
+                child.start()
+                children.append(child)
             end.close()
         results = gather(fn)
         if plan is None:

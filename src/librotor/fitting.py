@@ -17,7 +17,7 @@ from numpy.linalg import _umath_linalg  # private: tests pin it to numpy.linalg
 
 from . import physics
 from .errors import DegenerateFitError, UnderdeterminedScanError
-from .spectrum import lorentzian
+from .spectrum import _lorentzian_at
 
 # A step this many standard errors long (or shorter) ends a fit.
 STEP_SIGMA = 1e-4
@@ -83,7 +83,7 @@ def levenberg_marquardt(model, jacobian, x, y, p0, weights=None):
 
     def cost_of(params):
         r = y - model(x, params)
-        return r, float((w * r * r).sum())
+        return r, float(np.add.reduce(w * r * r))  # .sum() minus its wrapper
 
     r, cost = cost_of(p)
     lam = 1e-3
@@ -93,8 +93,8 @@ def levenberg_marquardt(model, jacobian, x, y, p0, weights=None):
         jtw = jac.T * w
         a_mat = jtw @ jac
         grad = jtw @ r
-        diag = a_mat.diagonal()
-        if min(diag.tolist()) <= 0 or not all(map(math.isfinite, a_mat.flat)):
+        diag, entries = a_mat.diagonal(), a_mat.ravel().tolist()
+        if min(entries[::p.size + 1]) <= 0 or not all(map(math.isfinite, entries)):
             raise DegenerateFitError("degenerate fit window")
         damped = a_mat + 0.0  # a + lam diag(d) off the diagonal; on it, set per lam
         damped_diag = damped.reshape(-1)[::p.size + 1]
@@ -158,39 +158,44 @@ class LorentzianFit:
         return np.sqrt(np.maximum(np.diag(self.covariance), 0.0))
 
 
-def _lorentz_model(x, p):
-    c, fwhm, area, offset = p
-    return lorentzian(x, c, abs(fwhm), area, offset)
+class _Lorentzian:
+    """The Lorentzian model of one fit and its Jacobian at p = (center, fwhm,
+    area, offset), width |fwhm|, each giving its last result again for the
+    same p (x fixed).  The Jacobian takes x - c and (x - c)^2 from the model
+    at p, and the denominator too where half * half is the model's half ** 2."""
 
+    _model_key = _jac_key = None
 
-def _lorentz_jac(x, p):
-    c, fwhm, area, _ = p.tolist()
-    half, scale = abs(fwhm) / 2.0, area / math.pi
-    dx = x - c
-    dx2 = dx * dx
-    den = dx2 + half * half
-    jac = np.empty((x.size, 4))
-    col0, col1, col2 = jac[:, 0], jac[:, 1], jac[:, 2]
-    den2 = den * den
-    np.divide(np.multiply(dx, scale * half * 2.0, out=col0), den2, out=col0)
-    np.multiply(np.subtract(dx2, half * half, out=col1), scale, out=col1)
-    col1 /= den2
-    col1 /= 2.0
-    np.divide(half, np.multiply(den, math.pi, out=col2), out=col2)
-    jac[:, 3] = 1.0
-    return jac
+    def model(self, x, p):
+        key = p.tobytes()
+        if key != self._model_key:
+            c, fwhm, area, offset = p.tolist()
+            dx = x - c
+            dx2, half = dx * dx, np.float64(abs(fwhm) / 2.0)  # ** 2: inf, not OverflowError
+            self._value, den = _lorentzian_at(dx2, half, area, offset)
+            self._model_key, self._at_model = key, (dx, dx2, den, half)
+        return self._value
 
-
-def _last_call(fn):
-    """fn(x, p) that gives its last result again for the same p (x fixed)."""
-    key = out = None
-
-    def remembered(x, p):
-        nonlocal key, out
-        if p.tobytes() != key:
-            out, key = fn(x, p), p.tobytes()
-        return out
-    return remembered
+    def jacobian(self, x, p):
+        key = p.tobytes()
+        if key != self._jac_key:
+            if key != self._model_key:
+                self.model(x, p)
+            dx, dx2, den, model_half = self._at_model
+            half, scale = float(model_half), p.item(2) / math.pi
+            if half * half != model_half ** 2:
+                den = dx2 + half * half
+            jac = np.empty((x.size, 4))
+            col0, col1, col2 = jac[:, 0], jac[:, 1], jac[:, 2]
+            den2 = den * den
+            np.divide(np.multiply(dx, scale * half * 2.0, out=col0), den2, out=col0)
+            np.multiply(np.subtract(dx2, half * half, out=col1), scale, out=col1)
+            col1 /= den2
+            col1 *= 0.5
+            np.divide(half, np.multiply(den, math.pi, out=col2), out=col2)
+            jac[:, 3] = 1.0
+            self._jac_key, self._jac = key, jac
+        return self._jac
 
 
 def initial_lorentzian_guess(freq, vals):
@@ -199,24 +204,24 @@ def initial_lorentzian_guess(freq, vals):
     freq = np.asarray(freq, float)
     vals = np.asarray(vals, float)
     n_edge = max(2, vals.size // 8)
-    offset = float(np.median(np.concatenate([vals[:n_edge], vals[-n_edge:]])))
+    edges = np.concatenate([vals[:n_edge], vals[-n_edge:]])
+    mid = edges.size // 2  # even: np.median is the mean of the middle two
+    edges.partition([mid - 1, mid, -1])  # or NaN, as a NaN sorts last
+    offset = math.nan if math.isnan(edges[-1]) else \
+        float(np.add.reduce(edges[mid - 1:mid + 1]) / 2.0)
     imax = int(np.argmax(vals))  # argmax returns the first (lower-freq) max
-    center = float(freq[imax])
     peak = vals[imax] - offset
-    half_level = offset + peak / 2.0
-    above = vals >= half_level
-    lo = imax
-    while lo > 0 and above[lo - 1]:
-        lo -= 1
-    hi = imax
-    while hi < vals.size - 1 and above[hi + 1]:
-        hi += 1
+    above = vals >= offset + peak / 2.0
+    left, right = np.flatnonzero(~above[:imax]), np.flatnonzero(~above[imax + 1:])
+    lo = left[-1] + 1 if left.size else 0  # the run at half maximum or above
+    hi = imax + right[0] if right.size else vals.size - 1
     df = freq[1] - freq[0] if freq.size > 1 else 1.0
     fwhm = max(float(freq[hi] - freq[lo]), df)
-    area = float(np.trapezoid(vals - offset, freq))
+    y = vals - offset  # np.trapezoid(y, freq)'s terms and sum
+    area = float(np.add.reduce((freq[1:] - freq[:-1]) * (y[1:] + y[:-1]) / 2.0))
     if area <= 0 or not np.isfinite(area):
         area = max(peak, 1e-30) * fwhm * math.pi / 2.0
-    return np.array([center, fwhm, area, offset])
+    return np.array([freq[imax], fwhm, area, offset])
 
 
 def window_bins(freq, window: tuple[float, float]) -> slice:
@@ -258,20 +263,18 @@ def fit_lorentzian(freq, vals, averages: float | None,
         raise DegenerateFitError("degenerate fit window: fewer than 8 bins")
     p0 = np.asarray(init, float) if init is not None else initial_lorentzian_guess(freq, vals)
 
-    weights = None
-    if averages is not None:
-        var = np.maximum(vals, fifth_percentile(vals)) ** 2 / averages
-        weights = 1.0 / var
+    weights = None if averages is None else \
+        1.0 / (np.maximum(vals, fifth_percentile(vals)) ** 2 / averages)
     # model and Jacobian at pass one's end serve re-weighting and pass two
-    model, jac = _last_call(_lorentz_model), _last_call(_lorentz_jac)
-    p, cov, converged, _ = levenberg_marquardt(model, jac, freq, vals, p0,
-                                               weights)
+    line = _Lorentzian()
+    p, cov, converged, _ = levenberg_marquardt(line.model, line.jacobian, freq,
+                                               vals, p0, weights)
     _check_width(freq, p)
     if averages is not None:
         # Re-weight from the fitted model to remove the data-weighting bias.
-        weights = averages / np.maximum(model(freq, p), 1e-300) ** 2
-        p, cov, converged, _ = levenberg_marquardt(model, jac, freq, vals, p,
-                                                   weights)
+        weights = averages / np.maximum(line.model(freq, p), 1e-300) ** 2
+        p, cov, converged, _ = levenberg_marquardt(line.model, line.jacobian,
+                                                   freq, vals, p, weights)
         _check_width(freq, p)
     p[1] = abs(p[1])
     return LorentzianFit(center=float(p[0]), linewidth_fwhm=float(p[1]),

@@ -16,11 +16,11 @@ from .errors import (CalibrationError, DegenerateFitError, LibrotorError,
 from .fitting import (MIN_SCAN_POINTS, LorentzianFit, ScanFitResult,
                       fifth_percentile, fit_lorentzian, fit_occupation_curve,
                       fit_scan_frequency, fit_scan_linewidth, linear_lstsq,
-                      lorentzian, window_bins)
+                      window_bins)
 from .noise import DetectorResponse, detector_gain
 from .physics import TWO_PI, DerivedScalars, OpticalSetup
 from .spectrum import (CHANNEL_MODE, DEFAULT_CHANNEL, ORIENT_LO_BLUE, PsdTrace,
-                       sideband_frequencies)
+                       lorentzian, sideband_frequencies)
 
 # Half-width (Hz) of the window each sideband peak is fitted in.
 WINDOW_HALFWIDTH_HZ = 50e3

@@ -1,7 +1,9 @@
+import errno
 import hashlib
 import json
 import math
 import multiprocessing
+import multiprocessing.popen_fork
 import os
 import re
 import signal
@@ -1036,6 +1038,31 @@ class TestForkedMap:
             return i
 
         assert cli._forked_map(fn, range(5)) == list(range(5))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("started", [0, 1])
+    def test_share_of_a_child_that_cannot_start_is_done_here(self, monkeypatch,
+                                                             started):
+        """A fork that fails (EAGAIN here) after `started` children have
+        started: the shares of the others are done here, in both rounds, and
+        the results are the serial ones."""
+        on_cpus(monkeypatch, 3)
+        launch = multiprocessing.popen_fork.Popen._launch
+        launched = []
+
+        def launch_or_fail(popen, process_obj):
+            if len(launched) == started:
+                raise BlockingIOError(errno.EAGAIN, "fork failed")
+            launched.append(1)
+            return launch(popen, process_obj)
+
+        monkeypatch.setattr(multiprocessing.popen_fork.Popen, "_launch",
+                            launch_or_fail)
+        out = cli._forked_map(lambda i: (i, os.getpid()), range(7),
+                              len, lambda i, n: (i * n, os.getpid()))
+        assert [v for v, _ in out] == [7 * i for i in range(7)]
+        here = [j for j in range(3) if out[j][1] == os.getpid()]
+        assert here == [0] + [1, 2][started:]
         assert multiprocessing.active_children() == []
 
     def test_share_of_a_child_dead_mid_message_is_redone(self, monkeypatch):

@@ -437,6 +437,18 @@ def reference_lm(model, jacobian, x, y, p0, weights=None):
     return p, cov, converged, cost
 
 
+def lorentz_fns():
+    """A fresh fit's Lorentzian model and Jacobian."""
+    line = fitting._Lorentzian()
+    return line.model, line.jacobian
+
+
+def reference_lorentz_model(x, p):
+    """spectrum.lorentzian at the parameters, its width |fwhm|."""
+    c, fwhm, area, offset = p
+    return lorentzian(x, c, abs(fwhm), area, offset)
+
+
 def reference_lorentz_jac(x, p):
     """The Lorentzian Jacobian written out column by column."""
     c, fwhm, area, offset = p
@@ -472,13 +484,15 @@ def run_logged(lm, model, jacobian, x, y, p0, weights):
     return result, log
 
 
-def assert_same_as_reference(model, jacobian, ref_jacobian, x, y, p0, weights):
-    """levenberg_marquardt and reference_lm make the same calls with the
-    same parameters and return the same bits; the result (or the error)."""
+def assert_same_as_reference(model, jacobian, ref_model, ref_jacobian, x, y,
+                             p0, weights):
+    """levenberg_marquardt on model and jacobian and reference_lm on the
+    reference pair make the same calls with the same parameters and return
+    the same bits; the result (or the error)."""
     got, got_log = run_logged(levenberg_marquardt, model, jacobian, x, y, p0,
                               weights)
-    want, want_log = run_logged(reference_lm, model, ref_jacobian, x, y, p0,
-                                weights)
+    want, want_log = run_logged(reference_lm, ref_model, ref_jacobian, x, y,
+                                p0, weights)
     assert got_log == want_log
     assert type(got) is type(want)
     if isinstance(want, DegenerateFitError):
@@ -522,7 +536,7 @@ class TestLevenbergMarquardtReference:
         p0 = initial_lorentzian_guess(freq, vals) if guess else \
             np.array([5e6, 0.7 * fwhm, 0.5 * area, 1.1])
         weights = None if averages is None else first_pass_weights(vals, averages)
-        assert_same_as_reference(fitting._lorentz_model, fitting._lorentz_jac,
+        assert_same_as_reference(*lorentz_fns(), reference_lorentz_model,
                                  reference_lorentz_jac, freq, vals, p0, weights)
 
     @settings(max_examples=40, deadline=None)
@@ -535,7 +549,7 @@ class TestLevenbergMarquardtReference:
         freq, vals = sideband_window(seed, n_bins, 5e3, 0.0, 100, 0.0)
         p0 = np.array([5e6 + 1e3, 5e3, area, 1.0])
         weights = first_pass_weights(vals, 100) if weighted else None
-        assert_same_as_reference(fitting._lorentz_model, fitting._lorentz_jac,
+        assert_same_as_reference(*lorentz_fns(), reference_lorentz_model,
                                  reference_lorentz_jac, freq, vals, p0, weights)
 
     def test_flat_windows_reach_the_iteration_cap(self):
@@ -546,10 +560,11 @@ class TestLevenbergMarquardtReference:
             freq, vals = sideband_window(seed, 265, 5e3, 0.0, 100, 0.0)
             p0 = np.array([5e6 + 1e3, 5e3, 500.0, 1.0])
             calls = []
-            jac = logged(fitting._lorentz_jac, "jac", calls)
+            model, jac = lorentz_fns()
             result = assert_same_as_reference(
-                fitting._lorentz_model, jac, reference_lorentz_jac, freq, vals,
-                p0, first_pass_weights(vals, 100))
+                model, logged(jac, "jac", calls), reference_lorentz_model,
+                reference_lorentz_jac, freq, vals, p0,
+                first_pass_weights(vals, 100))
             if not isinstance(result, DegenerateFitError) and not result[2]:
                 capped += len(calls) == MAX_ITER + 1
         assert capped >= 2
@@ -565,7 +580,7 @@ class TestLevenbergMarquardtReference:
         p0 = np.array([5e6, 0.0 if zero == "both" else 5e3, 0.0, 1.0])
         weights = first_pass_weights(vals, 100) if weighted else None
         result = assert_same_as_reference(
-            fitting._lorentz_model, fitting._lorentz_jac, reference_lorentz_jac,
+            *lorentz_fns(), reference_lorentz_model, reference_lorentz_jac,
             freq, vals, p0, weights)
         assert isinstance(result, DegenerateFitError)
 
@@ -589,8 +604,8 @@ class TestLevenbergMarquardtReference:
 
         def both(model, jacobian, x, y, p0, weights=None):
             runs.append(x.size)
-            result = assert_same_as_reference(model, jacobian, jacobian, x, y,
-                                              p0, weights)
+            result = assert_same_as_reference(model, jacobian, model, jacobian,
+                                              x, y, p0, weights)
             if isinstance(result, DegenerateFitError):
                 raise result
             return result
@@ -602,6 +617,43 @@ class TestLevenbergMarquardtReference:
             except (DegenerateFitError, UnderdeterminedScanError):
                 pass
         assert runs
+
+
+# ---------------------------------------------------------------------------
+# a fit's Lorentzian model and Jacobian against their references
+
+@pytest.mark.parametrize("fwhm", [5e3, -5e3, 5346.32])
+def test_lorentzian_model_and_jacobian_match_the_references(fwhm):
+    """The model is spectrum.lorentzian at width |fwhm| and the Jacobian
+    reference_lorentz_jac, bit for bit: at a p the model has not seen and at
+    the p it just saw, whose x - c the Jacobian takes.  At FWHM 5346.32
+    half * half is not half ** 2, so the model's denominator is not the
+    Jacobian's.  A repeated p gives the last result again."""
+    freq = np.linspace(4.95e6, 5.05e6, 265)
+    half = abs(fwhm) / 2.0
+    assert (half * half != half ** 2) == (fwhm == 5346.32)
+    p = np.array([5e6 + 1234.5, fwhm, 2e4, 1.1])
+    other, fresh = p + [300.0, 25.0, -1e3, 0.1], p + [-800.0, 10.0, 5e3, 0.0]
+
+    def assert_model(q):
+        got = model(freq, q)
+        assert got.tobytes() == lorentzian(freq, q[0], abs(q[1]), q[2],
+                                           q[3]).tobytes()
+        assert model(freq, q.copy()) is got
+
+    def assert_jac(q):
+        got = jac(freq, q)
+        assert got.shape == (freq.size, 4) and got.flags.c_contiguous
+        assert got.tobytes() == reference_lorentz_jac(freq, q).tobytes()
+        assert jac(freq, q.copy()) is got
+
+    model, jac = lorentz_fns()
+    assert_jac(p)  # before any model call
+    assert_model(other)
+    assert_jac(other)
+    assert_jac(fresh)  # the model last saw other
+    assert_model(p)
+    assert_jac(p)
 
 
 # ---------------------------------------------------------------------------
@@ -645,17 +697,28 @@ def test_helpers_match_numpy_linalg(seed, n, kind, log_cond, log_lam, log_ill):
 
 def counted_fit(monkeypatch, freq, vals, averages):
     """fit_lorentzian's fit, the log of its model and Jacobian computations
-    and its number of levenberg_marquardt runs."""
-    log, runs = [], []
+    (the calls that do not give their last result again) and its number of
+    levenberg_marquardt runs."""
+    log, runs, last = [], [], {}
+
+    def computed(kind, p, out):
+        if out is not last.get(kind):  # the last result is alive: a new id
+            log.append((kind, np.asarray(p, float).tobytes()))
+        last[kind] = out
+        return out
+
+    class Logged(fitting._Lorentzian):
+        def model(self, x, p):
+            return computed("model", p, super().model(x, p))
+
+        def jacobian(self, x, p):
+            return computed("jac", p, super().jacobian(x, p))
 
     def counted_lm(*args):
         runs.append(1)
         return levenberg_marquardt(*args)
 
-    monkeypatch.setattr(fitting, "_lorentz_model",
-                        logged(fitting._lorentz_model, "model", log))
-    monkeypatch.setattr(fitting, "_lorentz_jac",
-                        logged(fitting._lorentz_jac, "jac", log))
+    monkeypatch.setattr(fitting, "_Lorentzian", Logged)
     monkeypatch.setattr(fitting, "levenberg_marquardt", counted_lm)
     return fit_lorentzian(freq, vals, averages), log, len(runs)
 
@@ -676,8 +739,8 @@ def test_weighted_fit_shares_where_its_passes_meet(monkeypatch, seed):
     averages = 100
     freq, vals = sideband_window(seed, 265, 5e3, 2e4, averages, 0.0)
     log = []
-    model = logged(fitting._lorentz_model, "model", log)
-    jac = logged(fitting._lorentz_jac, "jac", log)
+    model = logged(reference_lorentz_model, "model", log)
+    jac = logged(reference_lorentz_jac, "jac", log)
     weights = 1.0 / (np.maximum(vals, fifth_percentile(vals)) ** 2 / averages)
     p, _, converged, _ = levenberg_marquardt(
         model, jac, freq, vals, initial_lorentzian_guess(freq, vals), weights)
@@ -698,8 +761,8 @@ def test_unit_weight_fit_is_one_pass(monkeypatch):
     freq, vals = sideband_window(4, 265, 5e3, 2e4, 100, 0.0)
     log = []
     p, cov, converged, _ = levenberg_marquardt(
-        logged(fitting._lorentz_model, "model", log),
-        logged(fitting._lorentz_jac, "jac", log), freq, vals,
+        logged(reference_lorentz_model, "model", log),
+        logged(reference_lorentz_jac, "jac", log), freq, vals,
         initial_lorentzian_guess(freq, vals))
     fit, fit_log, runs = counted_fit(monkeypatch, freq, vals, None)
     assert runs == 1 and fit_log == log
@@ -712,9 +775,9 @@ def test_unit_weight_fit_is_one_pass(monkeypatch):
 def lorentzian_lm(freq, vals, p0, weights=None):
     """levenberg_marquardt on the Lorentzian model, and its iteration count."""
     calls = []
-    result = levenberg_marquardt(fitting._lorentz_model,
-                                 logged(fitting._lorentz_jac, "jac", calls),
-                                 freq, vals, p0, weights)
+    model, jac = lorentz_fns()
+    result = levenberg_marquardt(model, logged(jac, "jac", calls), freq, vals,
+                                 p0, weights)
     return result, len(calls) - 1
 
 
@@ -826,6 +889,59 @@ def test_fifth_percentile_at_the_midpoint():
     values = np.array([b] * 10 + [a])
     assert fifth_percentile(values) == np.percentile(values, 5)
     assert fifth_percentile(values) != a + (b - a) * 0.5
+
+
+def reference_initial_guess(freq, vals):
+    """initial_lorentzian_guess written with np.median, two loops over the
+    bins at half maximum or above, and np.trapezoid."""
+    freq = np.asarray(freq, float)
+    vals = np.asarray(vals, float)
+    n_edge = max(2, vals.size // 8)
+    offset = float(np.median(np.concatenate([vals[:n_edge], vals[-n_edge:]])))
+    imax = int(np.argmax(vals))
+    peak = vals[imax] - offset
+    above = vals >= offset + peak / 2.0
+    lo = imax
+    while lo > 0 and above[lo - 1]:
+        lo -= 1
+    hi = imax
+    while hi < vals.size - 1 and above[hi + 1]:
+        hi += 1
+    df = freq[1] - freq[0] if freq.size > 1 else 1.0
+    fwhm = max(float(freq[hi] - freq[lo]), df)
+    area = float(np.trapezoid(vals - offset, freq))
+    if area <= 0 or not np.isfinite(area):
+        area = max(peak, 1e-30) * fwhm * math.pi / 2.0
+    return np.array([float(freq[imax]), fwhm, area, offset])
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 600),
+       pool=st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0])
+                     | st.floats(-1e6, 1e6), min_size=1, max_size=6),
+       plateau=st.integers(1, 30), peak=st.floats(0.0, 1e3),
+       nan_at=st.one_of(st.none(), st.integers(0, 599)),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=1, pool=[3.0], plateau=1, peak=0.0, nan_at=None, seed=0)
+@example(n=64, pool=[-0.0], plateau=64, peak=0.0, nan_at=None, seed=0)
+@example(n=64, pool=[1.0], plateau=1, peak=10.0, nan_at=3, seed=0)
+def test_initial_guess_matches_its_reference(n, pool, plateau, peak, nan_at,
+                                             seed):
+    """Windows of plateaus from a small pool (ties, signed zeros, negative
+    peaks) with a Lorentzian on top or not, and at most one NaN: the same
+    bits as the reference, NaN offset included."""
+    rng = np.random.default_rng(seed)
+    freq = np.cumsum(rng.uniform(0.5, 2.0, n)) + 1e6
+    runs = rng.integers(0, len(pool), size=-(-n // plateau))
+    vals = np.asarray(pool)[runs].repeat(plateau)[:n]
+    if peak:  # else adding 0.0 would turn -0.0 into 0.0
+        vals = vals + lorentzian(freq, freq[rng.integers(n)], 20.0, peak)
+    if nan_at is not None:
+        vals[nan_at % n] = np.nan
+    with np.errstate(invalid="ignore"):
+        got = initial_lorentzian_guess(freq, vals)
+        want = reference_initial_guess(freq, vals)
+    assert got.tobytes() == want.tobytes()
 
 
 def window_mask(freq, window):

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import glob
 import os
+import pickle
 import sys
 import traceback
 from contextlib import suppress
@@ -25,7 +26,7 @@ from .spectrum import (CAL_CHANNEL, CAL_KINDS, PsdTrace, calibration_trace,
 from .thermometry import (METHOD_DIFFCAL, METHOD_RATIO, OccupationResult,
                           calibrate_response, channel_hints,
                           channel_occupations, gain_corrected, scan_reports,
-                          sideband_pair, trace_hint)
+                          sideband_pair)
 
 
 def _warn(msg: str) -> None:
@@ -56,83 +57,60 @@ def _attempts(fn, items):
     return out
 
 
-def _send_attempts(fn, items, conn):
-    conn.send(_attempts(fn, items))
-
-
-def _child(fn, then, items, conn, parent_ends):
-    for end in parent_ends:  # inherited: closed, so EOF reaches this child
-        end.close()
-    _send_attempts(fn, items, conn)
-    with suppress(EOFError):  # the parent closed its end: no plan comes
-        planned = conn.recv()
-        _send_attempts(lambda item: then(item, planned), items, conn)
-
-
-def _forked_map(fn, items, plan=None, then=None):
+def _forked_map(fn, items):
     """[fn(item) for item in items], shared among k processes, this one and
     a forked child per further CPU in its affinity mask (1 without one):
     this one takes items[0::k] and child j items[j::k].  The children
-    inherit the functions and the items through fork, so only results and
-    the plan are pickled.  Each process has its own interpreter lock, so
-    CPU-bound work runs k at a time.  With a plan, planned = plan(those
-    results) is sent to the children, and [then(item, planned) for item in
-    items] follows, each item in the process that ran fn on it.  After each
-    round the first exception in item order is raised, as the serial loop
-    would (one from a child with its traceback text as a _ChildTraceback
-    cause).  A child ends when this process closes its pipe; one that fails
-    to start or dies mid-message has both rounds of its share done here."""
+    inherit fn and the items through fork, so only their results are
+    pickled, each child's through its own pipe.  Each process has its own
+    interpreter lock, so CPU-bound work runs k at a time.  The first
+    exception in item order is raised, as the serial loop would (one from a
+    child with its traceback text as a _ChildTraceback cause).  A failed
+    fork (EAGAIN, ENOMEM) ends the forking, and the share of a child not
+    forked, or one that dies before its reply is whole, is done here.
+    Every child is reaped before this returns."""
     items = list(items)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     k = max(1, min(cpus, len(items)))
-    shares = [items[j::k] for j in range(k)]
-    pipes, children, ran = {}, [], set()  # ran: shares that fn ran on here
-
-    def gather(round_fn):
-        attempts = [None] * len(items)
-        for j in range(k):
-            try:
-                if j in pipes:
-                    attempts[j::k] = pipes[j].recv()
-                    continue
-            except (EOFError, OSError):  # the child died before or while sending
-                pipes.pop(j).close()
-            if round_fn is not fn and j not in ran:  # died after round one
-                _attempts(fn, shares[j])
-            ran.add(j)
-            attempts[j::k] = _attempts(round_fn, shares[j])
-        for ok, value in attempts:
-            if not ok:
-                exc, text = value
-                if exc.__traceback__ is None:  # unpickled from a child
-                    raise exc from _ChildTraceback(text)
-                raise exc
-        return [value for _, value in attempts]
-
+    children = {}  # share -> (pid, read end of its pipe)
     try:
         for j in range(1, k):
-            import multiprocessing  # here: `import librotor.cli` leaves it out
-            ctx = multiprocessing.get_context("fork")
-            pipes[j], end = ctx.Pipe()
-            child = ctx.Process(target=_child, args=(
-                fn, then, shares[j], end, list(pipes.values())))
-            with suppress(OSError):  # no fork (EAGAIN, ENOMEM): gather finds EOF
-                child.start()
-                children.append(child)
-            end.close()
-        results = gather(fn)
-        if plan is None:
-            return results
-        planned = plan(results)
-        for pipe in pipes.values():
-            with suppress(OSError):  # a dead child is found out by gather
-                pipe.send(planned)
-        return gather(lambda item: then(item, planned))
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                try:
+                    for fd in [r, *(fd for _, fd in children.values())]:
+                        os.close(fd)  # a reply the parent stopped reading then fails
+                    with open(w, "wb") as out:
+                        pickle.dump(_attempts(fn, items[j::k]), out)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children[j] = pid, r
+        attempts = [None] * len(items)
+        for j in range(k):
+            reply = None
+            if j in children:
+                with suppress(EOFError, pickle.UnpicklingError):  # a torn reply
+                    reply = pickle.loads(b"".join(
+                        iter(partial(os.read, children[j][1], 1 << 16), b"")))
+            attempts[j::k] = reply if reply is not None else _attempts(fn, items[j::k])
     finally:
-        for pipe in pipes.values():
-            pipe.close()
-        for child in children:
-            child.join()
+        for pid, r in children.values():
+            os.close(r)  # if this raised: a child that then writes ends (EPIPE)
+            os.waitpid(pid, 0)
+    for ok, value in attempts:
+        if not ok:
+            exc, text = value
+            if exc.__traceback__ is None:  # unpickled from a child
+                raise exc from _ChildTraceback(text)
+            raise exc
+    return [value for _, value in attempts]
 
 
 # ---------------------------------------------------------------------------
@@ -194,59 +172,48 @@ def cmd_simulate(args) -> int:
 
 def _fit_traces(paths, pattern, cal_paths=(), plot=False):
     """(path, metadata, sideband pair, plot data or None) of each scan trace
-    among paths but analyze's plot data, in path order.  _forked_map reads
-    the files, cal_paths (shot, dark) first; a calibration trace is sent
-    here whole, a scan trace as its metadata and trace_hint, kept where it
-    was read.  The plan sends the detector response (from the shot and dark
-    traces at cal_paths, or else among the paths, flat without both) and each
-    scan trace's channel_hints hint by file index, to fit and plot there."""
+    among paths but analyze's plot data, in path order.  A first
+    _forked_map reads the files, cal_paths (shot, dark) first.  Between the
+    maps this process makes the detector response (from the shot and dark
+    traces at cal_paths, or else among the paths; flat without both) and
+    each scan trace's channel_hints hint.  A second _forked_map, whose
+    children inherit all three through fork, fits each trace's sideband
+    pair at its hint and formats its plot data."""
     paths = sorted(p for p in paths if not p.endswith(".plotdata.csv"))
     if not paths:
         raise ConfigError(f"no trace files match {pattern!r}")
     files = [*cal_paths, *paths]
-    held, scan = {}, []  # scan traces by index where read; (i, path, meta, hint)
-
-    def read(i):
-        trace = io.read_psd_csv(files[i])
+    cal, scan = {}, []  # (path, trace) by kind: --shot and --dark come first, so win
+    for i, (path, trace) in enumerate(zip(files, _forked_map(io.read_psd_csv, files))):
         if i < len(cal_paths) or trace.meta.get("channel") == CAL_CHANNEL:
-            return trace
-        held[i] = trace
-        return trace.meta, trace_hint(trace)
-
-    def plan(replies):
-        cal = {}  # (path, trace) by kind: --shot and --dark come first, so win
-        for i, (path, reply) in enumerate(zip(files, replies)):
-            if isinstance(reply, PsdTrace):
-                kind = CAL_KINDS[i] if i < len(cal_paths) else reply.meta.get("kind")
-                cal.setdefault(kind, (path, reply))
-            elif "het_freq_hz" not in reply[0]:
-                raise ConfigError(f"{path}: trace metadata lacks het_freq_hz; missing "
-                                  f"or incomplete sidecar {io.sidecar_path(path)}")
-            else:
-                scan.append((i, path, *reply))
-        if not scan:
-            raise ConfigError(f"no scan traces match {pattern!r}")
-        index, _, metas, own = zip(*scan)
-        hints = dict(zip(index, channel_hints(metas, own)))
-        if "shot" in cal and "dark" in cal:
-            (shot_path, shot), (dark_path, dark) = cal["shot"], cal["dark"]
-            try:
-                return calibrate_response(shot, dark), hints
-            except CalibrationError as exc:
-                raise ConfigError(f"{shot_path} and {dark_path}: {exc}") from None
+            kind = CAL_KINDS[i] if i < len(cal_paths) else trace.meta.get("kind")
+            cal.setdefault(kind, (path, trace))
+        elif "het_freq_hz" not in trace.meta:
+            raise ConfigError(f"{path}: trace metadata lacks het_freq_hz; missing "
+                              f"or incomplete sidecar {io.sidecar_path(path)}")
+        else:
+            scan.append((path, trace))
+    if not scan:
+        raise ConfigError(f"no scan traces match {pattern!r}")
+    resp = None
+    if "shot" in cal and "dark" in cal:
+        (shot_path, shot), (dark_path, dark) = cal["shot"], cal["dark"]
+        try:
+            resp = calibrate_response(shot, dark)
+        except CalibrationError as exc:
+            raise ConfigError(f"{shot_path} and {dark_path}: {exc}") from None
+    else:
         _warn("no shot and dark calibration traces; assuming a flat detector response")
-        return None, hints
+    hints = channel_hints([trace for _, trace in scan])
 
-    def fit(i, planned):
-        if i not in held:  # a calibration trace
-            return None
-        trace, (resp, hints) = held[i], planned
+    def fit(i):
+        trace = scan[i][1]
         pair = sideband_pair(trace, resp, hints[i])
         return pair, (_plot_rows(trace, resp, pair)
                       if plot and isinstance(pair, tuple) else None)
 
-    fitted = _forked_map(read, range(len(files)), plan, fit)
-    return [(path, meta, *fitted[i]) for i, path, meta, _ in scan]
+    return [(path, trace.meta, *fitted) for (path, trace), fitted
+            in zip(scan, _forked_map(fit, range(len(scan))))]
 
 
 def _plot_rows(trace, resp, pair):

@@ -498,7 +498,11 @@ class RunConfig:
 
     @staticmethod
     def load(path: str) -> "RunConfig":
-        return RunConfig.from_dict(read_json(path))
+        raw = read_json(path)
+        try:
+            return RunConfig.from_dict(raw)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
 
 def config_from_scenario(scenario, detunings_hz, channels=(DEFAULT_CHANNEL,),

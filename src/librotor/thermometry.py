@@ -327,7 +327,7 @@ class ModeScanReport:
     error: str | None = None
 
 
-def trace_hint(trace: PsdTrace) -> float | LibrotorError:
+def _trace_hint(trace: PsdTrace) -> float | LibrotorError:
     """The offset (Hz) of the trace's dominant sideband from its heterodyne
     carrier, or the LibrotorError of a trace without a carrier or without
     a sideband band on its grid."""
@@ -353,17 +353,17 @@ def _channel_groups(metas) -> dict[str, list[int]]:
             for channel in sorted(groups)}
 
 
-def channel_hints(metas, hints) -> list:
+def channel_hints(traces) -> list:
     """The hint rule of the occupation pass: the hint each trace is fitted
-    at, from the traces' metadata and trace_hint results.  A trace keeps its
-    own hint's LibrotorError, or else takes its channel's first float hint
-    in scan order, so a two-mode channel is analysed at one line."""
-    fitted = list(hints)
-    for idx in _channel_groups(metas).values():
+    at.  A trace keeps its own _trace_hint's LibrotorError, or else takes
+    its channel's first float hint in scan order, so a two-mode channel is
+    analysed at one line."""
+    hints = [_trace_hint(trace) for trace in traces]
+    for idx in _channel_groups([trace.meta for trace in traces]).values():
         floats = [i for i in idx if isinstance(hints[i], float)]
         for i in floats:
-            fitted[i] = hints[floats[0]]
-    return fitted
+            hints[i] = hints[floats[0]]
+    return hints
 
 
 def sideband_pair(trace: PsdTrace, resp: DetectorResponse | None, hint):
@@ -416,10 +416,8 @@ def analyze_scan(traces, setup: OpticalSetup,
     UnderdeterminedScanError is raised only when no channel has enough
     analyzable traces.
     """
-    metas = [t.meta for t in traces]
-    hints = channel_hints(metas, [trace_hint(t) for t in traces])
-    return scan_reports(metas, [sideband_pair(t, resp, h)
-                                for t, h in zip(traces, hints)], setup, method)
+    pairs = [sideband_pair(t, resp, h) for t, h in zip(traces, channel_hints(traces))]
+    return scan_reports([t.meta for t in traces], pairs, setup, method)
 
 
 def scan_reports(metas, pairs, setup: OpticalSetup,

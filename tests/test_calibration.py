@@ -6,6 +6,7 @@ files, another gates the pulls of a fixed block of seeds (`scan_pulls`)."""
 
 import math
 import os
+import shutil
 from collections import defaultdict
 
 import numpy as np
@@ -18,7 +19,7 @@ from librotor.spectrum import (CAL_KINDS, CHANNEL_MODE, calibration_trace,
 from librotor.thermometry import (METHOD_DIFFCAL, METHOD_RATIO,
                                   OccupationResult, calibrate_response,
                                   channel_hints, channel_occupations,
-                                  sideband_pair, scan_reports, trace_hint)
+                                  sideband_pair, scan_reports)
 
 TWO_PI = 2.0 * math.pi
 
@@ -62,7 +63,7 @@ def preset_round_trip(scenario, detunings_hz, channels, seed, n_bins, averages):
                                    "detuning_hz": synth["detunings_hz"][0]})
     traces = [points[stem].trace for stem in sorted(points)]
     metas = [trace.meta for trace in traces]
-    hints = channel_hints(metas, [trace_hint(trace) for trace in traces])
+    hints = channel_hints(traces)
     analyses = {}
     for response, resp in zip(RESPONSES, (calibrate_response(shot, dark), None)):
         pairs = [sideband_pair(t, resp, hint) for t, hint in zip(traces, hints)]
@@ -115,29 +116,78 @@ def test_in_memory_round_trip_is_the_command_line(tmp_path):
     for entry, report in zip(written, reports):
         if report.channel.startswith("cavity_"):  # so that every number is there
             assert report.error is None and report.derived is not None
-        c_cal, derived = report.c_cal, report.derived
-        assert entry == {
-            "mode": report.label, "channel": report.channel,
-            "n_traces": len(report.traces),
-            "c_factor": c_cal.c if c_cal else None,
-            "c_factor_err": c_cal.c_err if c_cal else None,
-            "frequency_fit": fit_block(report.frequency_fit),
-            "linewidth_fit": fit_block(report.linewidth_fit),
-            "occupation_fit": fit_block(report.occupation_fit),
-            "n_best": report.n_best, "n_best_err": report.n_best_err,
-            "best_detuning_hz": report.best_detuning_hz,
-            "inertia_kg_m2": report.inertia, "error": report.error,
-            "derived": None if derived is None else {
-                "sigma_rad": derived.sigma,
-                "temperature_k": derived.temperature,
-                "revival_time_s": derived.t_rev,
-                "angular_momentum_hbar": derived.j_mean},
-            "occupations": [
-                {"detuning_hz": t.detuning_hz,
-                 "n": t.occupation.n if t.occupation else None,
-                 "n_err": t.occupation.n_err if t.occupation else None,
-                 "error": t.error}
-                for t in report.traces]}, report.channel
+        assert entry == scanfit_entry(report), report.channel
+
+
+def test_flat_response_is_the_command_line(tmp_path):
+    """Without the shot and dark traces, analyze (under either method) and
+    scanfit assume a flat detector response: the n and n_err of each trace
+    and each channel's report are the in-memory "flat" analyses bit for
+    bit.  analyze globs the scan traces only; scanfit reads a copy of the
+    run directory without shot.* and dark.*."""
+    cfg, points, analyses = preset_round_trip(
+        dumbbell_2d(), [940e3, 960e3, 980e3, 1000e3, 1020e3],
+        ("cavity_y", "cavity_z", "backscatter_y"), seed=5, n_bins=4096,
+        averages=500)
+    pairs, reports = analyses["flat"]
+    stems = sorted(points)
+    metas = [points[stem].trace.meta for stem in stems]
+    path, out = str(tmp_path / "config.json"), str(tmp_path / "run")
+    io.atomic_write_text(path, io.format_json(cfg.data))
+    assert main(["simulate", "--config", path, "--out", out]) == 0
+
+    for option, method in (("ratio", METHOD_RATIO), ("diffcal", METHOD_DIFFCAL)):
+        result = str(tmp_path / f"analyze_{option}.json")
+        assert main(["analyze", "--traces", os.path.join(out, "trace_*.csv"),
+                     "--method", option, "--out", result]) == 0
+        entries = io.read_json(result)["traces"]
+        assert [e["file"] for e in entries] == [f"{stem}.csv" for stem in stems]
+        want = {}
+        for idx, results, _ in channel_occupations(metas, pairs, method).values():
+            want.update(zip(idx, results))
+        for i, entry in enumerate(entries):
+            occ = want[i]
+            if isinstance(occ, OccupationResult):
+                assert (entry["n"], entry["n_err"]) == (occ.n, occ.n_err), entry
+            else:
+                assert entry["error"] == str(occ), entry
+
+    flat = str(tmp_path / "flat")
+    os.makedirs(flat)
+    for name in os.listdir(out):
+        if not name.startswith(("shot.", "dark.")):
+            shutil.copy(os.path.join(out, name), flat)
+    assert main(["scanfit", "--traces", flat,
+                 "--out", str(tmp_path / "scanfit.json")]) == 0
+    written = io.read_json(str(tmp_path / "scanfit.json"))["modes"]
+    assert written == [scanfit_entry(report) for report in reports]
+
+
+def scanfit_entry(report):
+    """A ScanReport as scanfit.json holds it."""
+    c_cal, derived = report.c_cal, report.derived
+    return {
+        "mode": report.label, "channel": report.channel,
+        "n_traces": len(report.traces),
+        "c_factor": c_cal.c if c_cal else None,
+        "c_factor_err": c_cal.c_err if c_cal else None,
+        "frequency_fit": fit_block(report.frequency_fit),
+        "linewidth_fit": fit_block(report.linewidth_fit),
+        "occupation_fit": fit_block(report.occupation_fit),
+        "n_best": report.n_best, "n_best_err": report.n_best_err,
+        "best_detuning_hz": report.best_detuning_hz,
+        "inertia_kg_m2": report.inertia, "error": report.error,
+        "derived": None if derived is None else {
+            "sigma_rad": derived.sigma,
+            "temperature_k": derived.temperature,
+            "revival_time_s": derived.t_rev,
+            "angular_momentum_hbar": derived.j_mean},
+        "occupations": [
+            {"detuning_hz": t.detuning_hz,
+             "n": t.occupation.n if t.occupation else None,
+             "n_err": t.occupation.n_err if t.occupation else None,
+             "error": t.error}
+            for t in report.traces]}
 
 
 # The pull suite's scans: perfbench's scan settings at 500 averages, each

@@ -2,14 +2,13 @@ import errno
 import hashlib
 import json
 import math
-import multiprocessing
-import multiprocessing.popen_fork
 import os
+import pickle
 import re
 import signal
-import struct
 import subprocess
 import sys
+from contextlib import suppress
 
 import numpy as np
 import pytest
@@ -365,7 +364,7 @@ class TestSimulate:
             capture_output=True, text=True)
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [proc.stderr.strip()]
-        assert proc.stderr.startswith(f"error: {cause}:")
+        assert proc.stderr.startswith(f"error: {path}: {cause}:")
 
     @pytest.mark.parametrize("span_factor", [1e300, 10.0, 1e308])
     def test_span_reaching_0_hz_exit_2(self, tmp_path, scenario, capsys,
@@ -384,6 +383,23 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith(
             f"error: {path}: synthesis.span_factor {span_factor:g}:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("section,key,value,cause", [
+        ("rotor", "bogus", 1.0, "unknown key(s) in 'rotor': bogus"),
+        ("synthesis", "n_bins", 10, "synthesis.n_bins: invalid value 10"),
+        ("rotor", "chi_b", "chi_c", "rotor: untrapped libration (beta)")],
+        ids=["unknown-key", "bad-n_bins", "untrappable-rotor"])
+    def test_config_error_names_its_file(self, tmp_path, config_path, capsys,
+                                         section, key, value, cause):
+        """A config error from the config's content starts with the path of
+        the config file.  A value naming another key takes that key's value."""
+        raw = read_json(config_path)
+        raw[section][key] = raw[section].get(value, value)
+        path = str(tmp_path / "bad.json")
+        io.atomic_write_text(path, io.format_json(raw))
+        assert main(["simulate", "--config", path, "--out",
+                     str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {cause}")
 
     def test_invalid_config_exit_2(self, tmp_path, config_path, capsys):
         raw = read_json(config_path)
@@ -985,20 +1001,41 @@ def fail_at(bad):
     return fn
 
 
+def no_child_left():
+    """Assert that this process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
 @pytest.fixture()
-def deadline():
-    """Fail a test whose forked map hangs, in join or recv, after 60 s, and
-    kill the children it left, instead of hanging the suite."""
-    def expired(signum, frame):  # not TimeoutError: join swallows OSError
+def deadline(monkeypatch):
+    """Fail a test whose forked map hangs after 60 s, and kill and reap each
+    child it forked that is still there, instead of hanging the suite."""
+    fork, forked = os.fork, []
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def expired(signum, frame):
         raise RuntimeError("the forked map hung")
+    monkeypatch.setattr(os, "fork", recording_fork)
     previous = signal.signal(signal.SIGALRM, expired)
     signal.alarm(60)
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
-    for child in multiprocessing.active_children():
-        child.kill()
-        child.join()
+    for pid in forked:
+        with suppress(ChildProcessError):  # reaped: the pid may be another's now
+            if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def tree_bytes(root):
@@ -1009,7 +1046,7 @@ def tree_bytes(root):
 
 
 class TestForkedMap:
-    def test_seven_items_on_three_cpus_in_order(self, monkeypatch):
+    def test_seven_items_on_three_cpus_in_order(self, monkeypatch, deadline):
         on_cpus(monkeypatch, 3)
         out = cli._forked_map(lambda i: (i * i, os.getpid()), range(7))
         assert [v for v, _ in out] == [i * i for i in range(7)]
@@ -1017,18 +1054,18 @@ class TestForkedMap:
         assert pids[0::3] == [os.getpid()] * 3
         assert len(set(pids[1::3])) == len(set(pids[2::3])) == 1
         assert len(set(pids)) == 3
-        assert multiprocessing.active_children() == []
+        no_child_left()
 
     # item i falls to process i % 3: 0 is this one, 1 and 2 are children
     @pytest.mark.parametrize("bad,first", [({2, 4}, 2), ({1, 3}, 1),
                                            ({3, 5}, 3)])
-    def test_first_error_in_item_order(self, monkeypatch, bad, first):
+    def test_first_error_in_item_order(self, monkeypatch, deadline, bad, first):
         on_cpus(monkeypatch, 3)
         with pytest.raises(ConfigError, match=f"^item {first} is bad$"):
             cli._forked_map(fail_at(bad), range(7))
-        assert multiprocessing.active_children() == []
+        no_child_left()
 
-    def test_share_of_a_dead_child_is_redone(self, monkeypatch):
+    def test_share_of_a_dead_child_is_redone(self, monkeypatch, deadline):
         on_cpus(monkeypatch, 2)
         parent = os.getpid()
 
@@ -1038,46 +1075,71 @@ class TestForkedMap:
             return i
 
         assert cli._forked_map(fn, range(5)) == list(range(5))
-        assert multiprocessing.active_children() == []
+        no_child_left()
 
     @pytest.mark.parametrize("started", [0, 1])
     def test_share_of_a_child_that_cannot_start_is_done_here(self, monkeypatch,
                                                              started):
         """A fork that fails (EAGAIN here) after `started` children have
-        started: the shares of the others are done here, in both rounds, and
-        the results are the serial ones."""
+        started: no further fork is tried, the shares of the others are done
+        here, the results are the serial ones and the failed fork's pipe is
+        closed."""
         on_cpus(monkeypatch, 3)
-        launch = multiprocessing.popen_fork.Popen._launch
-        launched = []
+        fork, forks = os.fork, []
 
-        def launch_or_fail(popen, process_obj):
-            if len(launched) == started:
+        def fork_or_fail():
+            forks.append(1)
+            if len(forks) > started:
                 raise BlockingIOError(errno.EAGAIN, "fork failed")
-            launched.append(1)
-            return launch(popen, process_obj)
+            return fork()
 
-        monkeypatch.setattr(multiprocessing.popen_fork.Popen, "_launch",
-                            launch_or_fail)
-        out = cli._forked_map(lambda i: (i, os.getpid()), range(7),
-                              len, lambda i, n: (i * n, os.getpid()))
-        assert [v for v, _ in out] == [7 * i for i in range(7)]
+        monkeypatch.setattr(os, "fork", fork_or_fail)
+        fds = open_fds()
+        out = cli._forked_map(lambda i: (i, os.getpid()), range(7))
+        assert open_fds() == fds
+        assert len(forks) == started + 1
+        assert [v for v, _ in out] == list(range(7))
         here = [j for j in range(3) if out[j][1] == os.getpid()]
         assert here == [0] + [1, 2][started:]
-        assert multiprocessing.active_children() == []
+        no_child_left()
 
-    def test_share_of_a_child_dead_mid_message_is_redone(self, monkeypatch):
+    def test_share_of_a_child_dead_mid_message_is_redone(self, monkeypatch,
+                                                         deadline):
+        """A child that writes half of its pickled reply and dies: its
+        share is done here."""
         on_cpus(monkeypatch, 2)
 
-        def send_part(fn, items, conn):
-            # a length header for 1000 bytes, then 10 of them
-            os.write(conn.fileno(), struct.pack("!i", 1000) + b"x" * 10)
+        def dump_half(obj, out):
+            data = pickle.dumps(obj)
+            out.write(data[:len(data) // 2])
+            out.flush()
             os._exit(1)
 
-        monkeypatch.setattr(cli, "_send_attempts", send_part)
-        assert cli._forked_map(lambda i: i, range(5)) == list(range(5))
-        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(pickle, "dump", dump_half)
+        out = cli._forked_map(lambda i: (i, os.getpid()), range(5))
+        assert out == [(i, os.getpid()) for i in range(5)]
+        no_child_left()
 
-    def test_child_exception_keeps_its_traceback(self, monkeypatch):
+    def test_interrupt_here_leaves_no_child(self, monkeypatch, deadline):
+        """An interrupt in this process's share ends the map at once: the
+        children keep no read end, so each one's write of a reply larger
+        than a pipe holds fails when this process closes its end, and each
+        is reaped."""
+        on_cpus(monkeypatch, 3)
+        parent = os.getpid()
+
+        def fn(i):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return bytes(1 << 20)
+
+        fds = open_fds()
+        with pytest.raises(KeyboardInterrupt):
+            cli._forked_map(fn, range(6))
+        assert open_fds() == fds
+        no_child_left()
+
+    def test_child_exception_keeps_its_traceback(self, monkeypatch, deadline):
         """An exception raised in a child is raised from a _ChildTraceback
         of the child's traceback, which names the line that failed; one
         raised in this process's own share has no such cause."""
@@ -1091,7 +1153,7 @@ class TestForkedMap:
         with pytest.raises(ConfigError, match="item 0") as own:
             cli._forked_map(fail_at({0}), range(3))
         assert own.value.__cause__ is None
-        assert multiprocessing.active_children() == []
+        no_child_left()
 
     def test_no_items(self, monkeypatch):
         on_cpus(monkeypatch, 2)
@@ -1104,76 +1166,10 @@ class TestForkedMap:
         with pytest.raises(ConfigError, match="item 1"):
             cli._forked_map(fail_at({1, 3}), range(5))
 
-    def test_second_round_runs_where_the_first_did(self, monkeypatch,
-                                                   deadline):
-        on_cpus(monkeypatch, 3)
-        planned = []
-        out = cli._forked_map(
-            lambda i: os.getpid(), range(7),
-            lambda pids: planned.append(pids) or len(pids),
-            lambda i, n: (i, n, os.getpid()))
-        (pids,) = planned
-        assert out == [(i, 7, pid) for i, pid in enumerate(pids)]
-        assert len(set(pids)) == 3 and pids[0::3] == [os.getpid()] * 3
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("bad,first", [({2, 4}, 2), ({1, 3}, 1),
-                                           ({3, 5}, 3)])
-    def test_first_error_in_item_order_in_the_second_round(
-            self, monkeypatch, deadline, bad, first):
-        on_cpus(monkeypatch, 3)
-        with pytest.raises(ConfigError, match=f"^item {first} is bad$"):
-            cli._forked_map(abs, range(7), len, lambda i, n: fail_at(bad)(i))
-        assert multiprocessing.active_children() == []
-
-    def test_plan_error_stops_the_children(self, monkeypatch, deadline):
-        """The children wait for a plan; when making it raises, they read
-        EOF on their pipes and are joined, and the error is raised."""
-        on_cpus(monkeypatch, 3)
-
-        def plan(results):
-            raise ConfigError("no plan")
-
-        with pytest.raises(ConfigError, match="^no plan$"):
-            cli._forked_map(abs, range(7), plan, lambda i, p: i)
-        assert multiprocessing.active_children() == []
-        with pytest.raises(ConfigError, match="^item 4 is bad$"):
-            cli._forked_map(fail_at({4}), range(7), len, lambda i, p: i)
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("dies_in", ["first", "second"])
-    def test_both_rounds_of_a_dead_child_are_redone(self, monkeypatch,
-                                                    deadline, dies_in):
-        """Child 1 (items 1 and 4) dies in the first or the second round;
-        both rounds of its share are then done here, and the first round
-        of the share of child 2 (items 2 and 5) is not."""
-        on_cpus(monkeypatch, 3)
-        parent, here = os.getpid(), []
-
-        def die_in(round_name, i):
-            if round_name == dies_in and i % 3 == 1 and os.getpid() != parent:
-                os._exit(1)
-
-        def fn(i):
-            die_in("first", i)
-            if os.getpid() == parent:
-                here.append(i)
-            return i
-
-        def then(i, n):
-            die_in("second", i)
-            return i * n, os.getpid()
-
-        out = cli._forked_map(fn, range(6), len, then)
-        assert [v for v, _ in out] == [6 * i for i in range(6)]
-        assert [pid == parent for _, pid in out] == [i % 3 != 2 for i in range(6)]
-        assert sorted(here) == [0, 1, 3, 4]
-        assert multiprocessing.active_children() == []
-
     def test_calibration_error_on_three_cpus(self, tmp_path, monkeypatch,
                                              capsys, deadline):
-        """A shot/dark error raised between the two rounds of analyze exits
-        2 with the message it gives on one CPU, and leaves no child."""
+        """A shot/dark error raised between the two maps of analyze exits 2
+        with the message it gives on one CPU, and leaves no child."""
         path = write_small_trace(tmp_path)
         grid = np.linspace(4e6, 6e6, 64)
         shot, dark = str(tmp_path / "shot.csv"), str(tmp_path / "dark.csv")
@@ -1185,16 +1181,16 @@ class TestForkedMap:
             assert main(["analyze", "--traces", path, "--shot", shot, "--dark",
                          dark, "--out", str(tmp_path / "o.json")]) == 2
             errors.append(capsys.readouterr().err)
-            assert multiprocessing.active_children() == []
+            no_child_left()
         assert errors[0] == errors[1] and "frequency grid" in errors[0]
 
     @pytest.mark.parametrize("channels", [("cavity_y", "cavity_z"),
                                           ("backscatter_y",)])
     def test_analyze_and_scanfit_bytes_on_three_cpus_and_one(
-            self, tmp_path, monkeypatch, channels):
-        """The detector response and each channel's hint reach every child:
-        analyze (diffcal, with the calibration traces found by the glob) and
-        scanfit write the same bytes on 3 CPUs as on 1."""
+            self, tmp_path, monkeypatch, deadline, channels):
+        """The detector response and each channel's hint reach every child
+        of the fit map: analyze (diffcal, with the calibration traces found
+        by the glob) and scanfit write the same bytes on 3 CPUs as on 1."""
         run = preset_scan(tmp_path, channels)
         trees = []
         for n in (1, 3):
@@ -1205,7 +1201,7 @@ class TestForkedMap:
                          "--method", "diffcal"]) == 0
             assert main(["scanfit", "--traces", run,
                          "--out", os.path.join(out, "scanfit.json")]) == 0
-            assert multiprocessing.active_children() == []
+            no_child_left()
             trees.append(tree_bytes(out))
         assert trees[0] == trees[1]
         assert len(trees[0]) == 2 + 10 * len(channels)
@@ -1355,9 +1351,10 @@ class TestTopLevel:
         assert out[1] == "[]"
 
     def test_cli_import_leaves_out_multiprocessing(self):
-        """Only a command that shares its files with forked children
-        imports multiprocessing, so the start-up time does not include it."""
-        code = "import sys, librotor.cli; print('multiprocessing' in sys.modules)"
+        """The forked map is built on os.fork, so neither importing the CLI
+        nor sharing work with forked children imports multiprocessing."""
+        code = ("import sys, librotor.cli; librotor.cli._forked_map(abs, range(4)); "
+                "print('multiprocessing' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], env=src_env(),
                              check=True, capture_output=True, text=True).stdout
         assert out.strip() == "False"

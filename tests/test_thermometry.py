@@ -363,8 +363,7 @@ class TestAnalyzeScan:
                              {k: v for k, v in first.meta.items()
                               if k != "het_freq_hz"})
         metas = [t.meta for t in traces]
-        hints = thermometry.channel_hints(
-            metas, [thermometry.trace_hint(t) for t in traces])
+        hints = thermometry.channel_hints(traces)
         (idx, results, _), = thermometry.channel_occupations(
             metas, [thermometry.sideband_pair(t, None, h)
                     for t, h in zip(traces, hints)], METHOD_RATIO).values()

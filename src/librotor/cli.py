@@ -126,13 +126,23 @@ def cmd_simulate(args) -> int:
     if not (grid[0] > 0 and np.all(grid[1:] > grid[:-1])):
         raise ConfigError(f"{args.config}: synthesis.span_factor {synth['span_factor']:g}: "
                           f"grid from {grid[0]:g} Hz; bins must be distinct and above 0")
+    # a trace file this run does not write would join its traces in analyze
+    # and scanfit: refuse it before writing anything
+    ours = {f"trace_{i:03d}_{channel}{ext}" for channel in synth["channels"]
+            for i in range(len(synth["detunings_hz"])) for ext in (".csv", ".meta.json")}
+    for path in sorted(glob.glob(os.path.join(glob.escape(args.out), "trace_*"))):
+        if path.endswith((".csv", ".meta.json")) and not path.endswith(".plotdata.csv") \
+                and os.path.basename(path) not in ours:
+            raise ConfigError(f"{path}: a trace file this run does not write; "
+                              f"remove it or choose another --out")
     # the optical setup rides in every sidecar, so scanfit can invert
     # couplings without the config
     extra_meta = io.optics_fields(cfg.optics)
 
     def point(channel, i, det_hz):
         """Detuning i of the channel's scan, synthesized at seed + i as
-        scan_series seeds it, and written: its summary and its files."""
+        scan_series seeds it, and written: its summary and its files.  An
+        invalid point removes its files of an earlier run."""
         (pt,) = scan_series(cfg.modes, cfg.optics, cfg.noise, None, grid,
                             synth["averages"], synth["het_freq_hz"], [det_hz],
                             area_scale_c=synth["area_scale_c"], seed=synth["seed"] + i,
@@ -140,10 +150,14 @@ def cmd_simulate(args) -> int:
                             channel=channel)
         summary = {"detuning_hz": det_hz, "channel": channel,
                    "valid": pt.trace is not None}
+        stem = os.path.join(args.out, f"trace_{i:03d}_{channel}")
         if pt.trace is None:
+            for ext in (".csv", ".meta.json"):
+                with suppress(FileNotFoundError):
+                    os.remove(stem + ext)
             return {**summary, "error": pt.error}, []
         return {**summary, "truth": pt.truth}, io.write_psd_csv(
-            os.path.join(args.out, f"trace_{i:03d}_{channel}.csv"),
+            stem + ".csv",
             PsdTrace(pt.trace.freq_hz, pt.trace.values, {**pt.trace.meta, **extra_meta}))
 
     def calibration(kind):

@@ -11,6 +11,7 @@ import json
 import math
 import numbers
 import os
+import sys
 import tempfile
 from dataclasses import MISSING, dataclass, replace
 from datetime import datetime, timezone
@@ -530,10 +531,13 @@ def config_from_scenario(scenario, detunings_hz, channels=(DEFAULT_CHANNEL,),
 def write_run_record(path: str, config: dict,
                      outputs: list[tuple[str, str]], summary: dict) -> None:
     """The run record: the config, each output as (path, sha256 hex digest
-    of its bytes) and the summary."""
+    of its bytes) and the summary, with the Python and numpy versions (the
+    traces are numpy's gamma stream)."""
     record = {
         "schema": RUN_SCHEMA,
         "tool_version": __version__,
+        "python_version": "%d.%d.%d" % sys.version_info[:3],
+        "numpy_version": np.__version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "config": config,
         "outputs": [{"path": os.path.basename(p), "sha256": sha256}

@@ -100,15 +100,28 @@ def default_grid(het_freq_hz: float, omega_max: float, n_bins: int = 2048,
     return np.linspace(het_freq_hz - span, het_freq_hz + span, n_bins)
 
 
+# mean_psd's one-entry cache: the last (grid bytes, noise profile) and its read-only
+# optical floor (shot level plus cavity-noise pedestal); a floor not finite is never kept.
+_floor_cache = ((b"", None), np.empty(0))
+
+
 def mean_psd(specs, noise: NoiseProfile, resp: DetectorResponse | None,
              grid_hz: np.ndarray, het_freq_hz: float,
              sideband_orientation: str = ORIENT_LO_BLUE) -> np.ndarray:
     """Noise-free (infinite-average) PSD on the given grid."""
+    global _floor_cache
     grid_hz = np.asarray(grid_hz, dtype=float)
-    omega = TWO_PI * grid_hz
-    gain = 1.0 if resp is None else detector_gain(resp, omega)
-    optical = np.full_like(grid_hz, noise.shot_level)
-    optical = optical + cavity_noise_background(noise, omega, phase_noise_psd(noise, omega))
+    gain = None if resp is None else detector_gain(resp, TWO_PI * grid_hz)
+    key = (grid_hz.tobytes(), noise)
+    cached, floor = _floor_cache
+    if cached != key:
+        omega = TWO_PI * grid_hz
+        floor = cavity_noise_background(noise, omega, phase_noise_psd(noise, omega)) \
+            + noise.shot_level
+        floor.flags.writeable = False
+        if np.isfinite(floor).all():
+            _floor_cache = (key, floor)
+    psd = floor.copy()
     for spec in specs:
         f_stokes, f_anti = sideband_frequencies(
             het_freq_hz, spec.center_or_bare / TWO_PI, sideband_orientation)
@@ -119,8 +132,11 @@ def mean_psd(specs, noise: NoiseProfile, resp: DetectorResponse | None,
                 raise SidebandOutsideBandError(
                     f"sideband outside analysis band: {f0:g} Hz")
             if area > 0.0:
-                optical = optical + lorentzian(grid_hz, f0, fwhm_hz, area)
-    return noise.dark_level + gain * optical
+                psd += lorentzian(grid_hz, f0, fwhm_hz, area)
+    if gain is not None:
+        psd *= gain
+    psd += noise.dark_level
+    return psd
 
 
 def periodogram_draw(mean: np.ndarray, averages: float, seed: int) -> np.ndarray:

@@ -294,6 +294,64 @@ class TestSimulate:
         for entry in record["outputs"]:
             assert hashlib.sha256(read_bytes(os.path.join(out, entry["path"]))) \
                 .hexdigest() == entry["sha256"]
+        # the traces are numpy's gamma stream under this interpreter
+        assert record["python_version"] == ".".join(map(str, sys.version_info[:3]))
+        assert record["numpy_version"] == np.__version__
+
+    @staticmethod
+    def scan_config(tmp_path, name, detunings, seed):
+        path = str(tmp_path / name)
+        io.atomic_write_text(path, io.format_json(io.config_from_scenario(
+            cluster_1d(), detunings, channels=("cavity_y",), averages=50,
+            seed=seed, n_bins=256)))
+        return path
+
+    @staticmethod
+    def tree(directory):
+        return {name: read_bytes(os.path.join(directory, name))
+                for name in sorted(os.listdir(directory))}
+
+    def test_out_holding_another_runs_traces_exit_2(self, tmp_path, capsys):
+        """8 detunings, then 5 at another seed into the same --out: the
+        second run names the first trace it would not write, exits 2 and
+        writes nothing, where it left trace_005 to trace_007 of the first
+        run for analyze and scanfit to mix in."""
+        first = self.scan_config(tmp_path, "eight.json",
+                                 np.linspace(1000e3, 1070e3, 8).tolist(), 1)
+        second = self.scan_config(tmp_path, "five.json",
+                                  np.linspace(1000e3, 1080e3, 5).tolist(), 2)
+        out = str(tmp_path / "r")
+        assert main(["simulate", "--config", first, "--out", out]) == 0
+        before = self.tree(out)
+        capsys.readouterr()
+        assert main(["simulate", "--config", second, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: {os.path.join(out, 'trace_005_cavity_y.csv')}: ")
+        assert self.tree(out) == before
+
+    def test_rerun_into_its_out_succeeds(self, tmp_path):
+        """The same config into the same --out writes the same bytes; an
+        analyze plot data file there is not a trace; an invalid point
+        removes its trace files of an earlier run."""
+        detunings = [1000e3, 1020e3, 1042e3]
+        path = self.scan_config(tmp_path, "c.json", detunings, 1)
+        out = str(tmp_path / "r")
+        assert main(["simulate", "--config", path, "--out", out]) == 0
+        before = self.tree(out)
+        del before["run_record.json"]  # carries a wall-clock timestamp
+        plot = os.path.join(out, "trace_009_cavity_y.plotdata.csv")
+        io.atomic_write_text(plot, "x\n")
+        assert main(["simulate", "--config", path, "--out", out]) == 0
+        after = self.tree(out)
+        del after["run_record.json"], after[os.path.basename(plot)]
+        assert after == before
+        # detuning 0 Hz cools nothing: point 1 is invalid this time
+        path = self.scan_config(tmp_path, "c0.json", [1000e3, 0.0, 1042e3], 1)
+        assert main(["simulate", "--config", path, "--out", out]) == 0
+        traces = {n for n in os.listdir(out) if n.startswith("trace_")}
+        assert traces == {f"trace_{i:03d}_cavity_y{ext}" for i in (0, 2)
+                          for ext in (".csv", ".meta.json")} | {os.path.basename(plot)}
 
     @pytest.mark.parametrize("settings,edit,invalid", [
         ((4096, 200, 11, ("cavity_y",), [0.0, 1020e3, 1042e3, 1060e3]), {},

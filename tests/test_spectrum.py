@@ -1,20 +1,24 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from librotor import physics
-from librotor.errors import SidebandOutsideBandError
+from librotor import physics, spectrum
+from librotor.errors import SidebandOutsideBandError, UncalibratedFrequencyError
 from librotor.fitting import fit_lorentzian, window_bins
-from librotor.noise import DetectorResponse, NoiseProfile, phase_noise_psd
+from librotor.noise import (DetectorResponse, NoiseProfile, cavity_noise_background,
+                            detector_gain, phase_noise_psd)
 from librotor.physics import LibrationMode
 from librotor.presets import cluster_1d
 from librotor.spectrum import (CAL_CHANNEL, CAL_KINDS, ORIENT_LO_BLUE,
                                ORIENT_LO_RED, PsdTrace, SidebandSpec,
                                calibration_trace, default_grid, lorentzian,
                                mean_psd, periodogram_draw, scan_series,
-                               synthesize_psd)
+                               sideband_frequencies, synthesize_psd)
 
 TWO_PI = 2.0 * math.pi
 
@@ -160,6 +164,184 @@ class TestMeanPsd:
         grid = default_grid(HET, TWO_PI * 1e6, 1024, span_factor=0.8)
         with pytest.raises(SidebandOutsideBandError):
             mean_psd([make_spec()], QUIET, None, grid, HET)
+
+
+def reference_mean_psd(specs, noise, resp, grid_hz, het_freq_hz,
+                       sideband_orientation=ORIENT_LO_BLUE):
+    """mean_psd as it was before the optical floor was cached: every term
+    recomputed per call, in the same order."""
+    grid_hz = np.asarray(grid_hz, dtype=float)
+    omega = TWO_PI * grid_hz
+    gain = 1.0 if resp is None else detector_gain(resp, omega)
+    optical = np.full_like(grid_hz, noise.shot_level)
+    optical = optical + cavity_noise_background(noise, omega, phase_noise_psd(noise, omega))
+    for spec in specs:
+        f_stokes, f_anti = sideband_frequencies(
+            het_freq_hz, spec.center_or_bare / TWO_PI, sideband_orientation)
+        fwhm_hz = spec.linewidth / TWO_PI
+        for f0, area in ((f_stokes, spec.area_scale_c * (spec.n_true + 1.0)),
+                         (f_anti, spec.area_scale_c * spec.n_true)):
+            if not grid_hz[0] <= f0 <= grid_hz[-1]:
+                raise SidebandOutsideBandError(
+                    f"sideband outside analysis band: {f0:g} Hz")
+            if area > 0.0:
+                optical = optical + lorentzian(grid_hz, f0, fwhm_hz, area)
+    return noise.dark_level + gain * optical
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# a pedestal on the grid with notches near both sidebands, so the floor
+# varies from bin to bin
+PEDESTAL = NoiseProfile(shot_level=1.0, dark_level=0.05, phase_noise_base=1e-3,
+                        notch_list=((TWO_PI * (HET + 1e6), 35.0, TWO_PI * 2e3),
+                                    (TWO_PI * (HET - 1.05e6), 10.0, TWO_PI * 50e3)),
+                        cavity_noise_center=TWO_PI * HET,
+                        cavity_noise_width=TWO_PI * 400e3)
+
+
+def sloped_response(grid):
+    omega = TWO_PI * grid
+    return DetectorResponse(omega, 1.0 + 0.2 * (omega - omega[0]) / (omega[-1] - omega[0]))
+
+
+class TestOpticalFloor:
+    """mean_psd computes the optical floor once per (grid, noise profile)
+    and keeps it in a one-entry, read-only cache."""
+
+    @pytest.mark.parametrize("noise", [QUIET, PEDESTAL, cluster_1d().noise],
+                             ids=["quiet", "pedestal", "cluster_1d"])
+    @pytest.mark.parametrize("specs", [[], [make_spec()],
+                                       [make_spec(n_true=0.0), make_spec(3.0, omega=TWO_PI * 1.1e6)]],
+                             ids=["none", "one", "two"])
+    @pytest.mark.parametrize("flat", [True, False], ids=["flat", "response"])
+    @pytest.mark.parametrize("orientation", [ORIENT_LO_BLUE, ORIENT_LO_RED])
+    def test_values_match_the_reference(self, noise, specs, flat, orientation):
+        """Cold and warm, each value has the reference's bits."""
+        grid = default_grid(HET, TWO_PI * 1.1e6, 2048)
+        resp = None if flat else sloped_response(grid)
+        want = reference_mean_psd(specs, noise, resp, grid, HET, orientation)
+        spectrum._floor_cache = ((b"", None), np.empty(0))
+        for _ in range(2):
+            assert same_bits(mean_psd(specs, noise, resp, grid, HET, orientation), want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shot=st.floats(1e-3, 1e3), dark=st.floats(0.0, 0.999),
+           base=st.floats(0.0, 1e-2), center_hz=st.floats(-1e7, 1e7),
+           width_hz=st.floats(1.0, 1e7), notch=st.tuples(st.floats(0.0, 2e6),
+                                                          st.floats(0.0, 60.0),
+                                                          st.floats(1.0, 1e6)),
+           n_true=st.floats(0.0, 50.0), n_bins=st.integers(16, 3000))
+    def test_random_profiles_match_the_reference(self, shot, dark, base, center_hz,
+                                                 width_hz, notch, n_true, n_bins):
+        noise = NoiseProfile(shot_level=shot, dark_level=dark * shot, phase_noise_base=base,
+                             notch_list=((TWO_PI * notch[0], notch[1], TWO_PI * notch[2]),),
+                             cavity_noise_center=TWO_PI * center_hz,
+                             cavity_noise_width=TWO_PI * width_hz)
+        grid = default_grid(HET, TWO_PI * 1e6, n_bins)
+        specs = [make_spec(n_true=n_true)]
+        want = reference_mean_psd(specs, noise, None, grid, HET)
+        for _ in range(2):
+            assert same_bits(mean_psd(specs, noise, None, grid, HET), want)
+
+    def test_changed_grid_or_profile_misses(self):
+        """A grid one bin of which moved by a millihertz, another grid of
+        the same span and a profile with one other field each get their own
+        floor."""
+        grid = default_grid(HET, TWO_PI * 1e6, 2048)
+        nudged = grid.copy()
+        nudged[1000] += 1e-3
+        cases = [(grid, PEDESTAL), (nudged, PEDESTAL),
+                 (default_grid(HET, TWO_PI * 1e6, 2049), PEDESTAL),
+                 (grid, replace(PEDESTAL, shot_level=2.0)),
+                 (grid, replace(PEDESTAL, cavity_noise_width=TWO_PI * 300e3)),
+                 (grid, replace(PEDESTAL, notch_list=PEDESTAL.notch_list[:1])),
+                 (grid, PEDESTAL)]
+        wants = [reference_mean_psd([], noise, None, g, HET) for g, noise in cases]
+        # the nudged bin's floor differs, so reusing the first floor would show
+        assert wants[1][1000] != wants[0][1000]
+        for (g, noise), want in zip(cases, wants):
+            assert same_bits(mean_psd([], noise, None, g, HET), want)
+            assert spectrum._floor_cache[0] == (g.tobytes(), noise)
+
+    @pytest.mark.parametrize("field", ["phase_noise_base", "cavity_noise_center",
+                                       "notch_center"])
+    def test_nan_field_never_reuses_a_floor(self, field):
+        """A NaN field makes a NaN floor, which is not kept: the profile
+        (which equals itself through the tuple's identity check) never
+        reads a cached floor, and the finite entry before it stays."""
+        grid = default_grid(HET, TWO_PI * 1e6, 256)
+        nan = math.nan
+        noise = (replace(PEDESTAL, notch_list=((nan, 35.0, TWO_PI * 2e3),))
+                 if field == "notch_center" else replace(PEDESTAL, **{field: nan}))
+        assert noise == noise
+        mean_psd([], PEDESTAL, None, grid, HET)
+        kept = spectrum._floor_cache
+        for _ in range(2):
+            assert np.isnan(mean_psd([], noise, None, grid, HET)).all()
+            assert spectrum._floor_cache is kept
+
+    @pytest.mark.parametrize("field", ["dark_level", "phase_noise_base",
+                                       "cavity_noise_center", "notch_center",
+                                       "notch_depth"])
+    def test_signed_zeros_give_one_floor(self, field):
+        """Profiles that differ only in the sign of a zero field give the
+        same bits, whichever of them fills the cache."""
+        grid = default_grid(HET, TWO_PI * 1e6, 512)
+
+        def profile(zero):
+            if field == "notch_center":
+                return replace(PEDESTAL, notch_list=((zero, 35.0, TWO_PI * 2e3),))
+            if field == "notch_depth":
+                return replace(PEDESTAL, notch_list=((TWO_PI * HET, zero, TWO_PI * 2e3),))
+            return replace(PEDESTAL, **{field: zero})
+
+        plus, minus = profile(0.0), profile(-0.0)
+        want = reference_mean_psd([make_spec()], plus, None, grid, HET)
+        assert same_bits(reference_mean_psd([make_spec()], minus, None, grid, HET), want)
+        for first, second in ((plus, minus), (minus, plus)):
+            spectrum._floor_cache = ((b"", None), np.empty(0))
+            assert same_bits(mean_psd([make_spec()], first, None, grid, HET), want)
+            assert same_bits(mean_psd([make_spec()], second, None, grid, HET), want)
+
+    def test_floor_is_read_only_and_results_are_fresh(self):
+        grid = default_grid(HET, TWO_PI * 1e6, 256)
+        first = mean_psd([], QUIET, None, grid, HET)
+        floor = spectrum._floor_cache[1]
+        assert not floor.flags.writeable
+        with pytest.raises(ValueError):
+            floor[0] = 0.0
+        second = mean_psd([], QUIET, None, grid, HET)
+        for psd in (first, second):
+            assert psd.flags.writeable and not np.shares_memory(psd, floor)
+        assert not np.shares_memory(first, second)
+
+    def test_mutated_trace_leaves_the_next(self):
+        """Writing into a returned mean or a trace's values changes no
+        later mean or trace."""
+        grid = default_grid(HET, TWO_PI * 1e6, 1024)
+        specs = [make_spec()]
+        want = reference_mean_psd(specs, QUIET, None, grid, HET)
+        for _ in range(2):
+            psd = mean_psd(specs, QUIET, None, grid, HET)
+            assert same_bits(psd, want)
+            psd *= 3.0
+            trace = synthesize_psd(specs, QUIET, None, grid, math.inf, HET)
+            assert same_bits(trace.values, want)
+            trace.values[:] = 0.0
+            empty = mean_psd([], QUIET, None, grid, HET)
+            empty += 1.0
+
+    def test_gain_range_is_checked_first(self):
+        """With a response that leaves the grid uncalibrated and a sideband
+        off the grid, both forms raise the detector's error."""
+        grid = default_grid(HET, TWO_PI * 1e6, 1024, span_factor=0.8)
+        resp = sloped_response(grid[1:])
+        for fn in (reference_mean_psd, mean_psd):
+            with pytest.raises(UncalibratedFrequencyError):
+                fn([make_spec()], QUIET, resp, grid, HET)
 
 
 class TestSynthesize:

@@ -153,8 +153,12 @@ def cmd_simulate(args) -> int:
         stem = os.path.join(args.out, f"trace_{i:03d}_{channel}")
         if pt.trace is None:
             for ext in (".csv", ".meta.json"):
-                with suppress(FileNotFoundError):
+                try:
                     os.remove(stem + ext)
+                except FileNotFoundError:
+                    pass
+                except OSError as exc:
+                    raise ConfigError(f"cannot remove {stem + ext}: {exc}") from None
             return {**summary, "error": pt.error}, []
         return {**summary, "truth": pt.truth}, io.write_psd_csv(
             stem + ".csv",

@@ -78,18 +78,22 @@ def format_json(obj) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Whole-file atomic write: temp file in the same directory, then rename."""
+    """Whole-file atomic write: temp file in the same directory, then rename.
+    A file that cannot be written is a ConfigError naming it."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -144,32 +144,6 @@ def zero_point_amplitude(inertia, omega):
     return math.sqrt(HBAR / (2.0 * inertia * omega))
 
 
-def zero_point_amplitudes(rotor: RotorModel, freqs: tuple[float, float]) -> tuple[float, float]:
-    """Ground-state angular widths of both modes."""
-    (_, i_al), (_, i_be) = rotor.branch_axes()
-    om_a, om_b = freqs
-    if om_a <= 0 or om_b <= 0:
-        raise ValueError("frequencies must be > 0")
-    return zero_point_amplitude(i_al, om_a), zero_point_amplitude(i_be, om_b)
-
-
-def coupling_rates(rotor: RotorModel, optics: OpticalSetup,
-                   freqs: tuple[float, float]) -> tuple[complex, complex]:
-    """Optomechanical coupling rates (g_alpha, g_beta) in rad/s (complex).
-
-    g_mu = zpf_mu * k_mu / hbar with
-    k_mu = (eps0 V / 4) (chi_c - chi_minor) E_c(0) E_tw*(0).
-    Zero cavity field gives zero coupling (valid, not an error).
-    """
-    (chi_al, _), (chi_be, _) = rotor.branch_axes()
-    zpf_a, zpf_b = zero_point_amplitudes(rotor, freqs)
-    prod = optics.e_cav0 * optics.e_tw0.conjugate()
-    pref = EPSILON_0 * rotor.volume / 4.0
-    k_alpha = pref * (rotor.chi_c - chi_al) * prod
-    k_beta = pref * (rotor.chi_c - chi_be) * prod
-    return zpf_a * k_alpha / HBAR, zpf_b * k_beta / HBAR
-
-
 def cavity_rates(g, omega, kappa, detuning):
     """(A_minus, A_plus): anti-Stokes (cooling) and Stokes (heating) rates.
 
@@ -261,8 +235,8 @@ def moment_of_inertia_from_coupling(g: complex, omega: float,
                                     optics: OpticalSetup) -> float:
     """Moment of inertia of a mode's libration axis from its fitted coupling.
 
-    Exact algebraic inverse of coupling_rates composed with the zero-point
-    amplitude: I = 8 hbar |g|^2 |E_tw(0)|^2 / (Omega^3 |E_c(0)|^2).
+    Exact algebraic inverse of the coupling build_modes gives a mode:
+    I = 8 hbar |g|^2 |E_tw(0)|^2 / (Omega^3 |E_c(0)|^2).
     """
     if omega <= 0:
         raise ValueError("omega must be > 0")
@@ -310,9 +284,21 @@ def derived_scalars(omega: float, n: float, inertia: float) -> DerivedScalars:
 def build_modes(rotor: RotorModel,
                 optics: OpticalSetup) -> tuple[LibrationMode, LibrationMode]:
     """Both modes of the trapped rotor, without heating (set it with
-    dataclasses.replace); a frequency 0 or not finite is a ValueError."""
-    freqs = libration_frequencies(rotor, optics)
-    zpfs = zero_point_amplitudes(rotor, freqs)
-    gs = coupling_rates(rotor, optics, freqs)
-    return tuple(LibrationMode(label=label, omega=freqs[i], g=gs[i], zpf=zpfs[i])
-                 for i, label in enumerate(("alpha", "beta")))
+    dataclasses.replace); a frequency 0 or not finite is a ValueError.
+
+    Omega from libration_frequencies, zpf = zero_point_amplitude(I, Omega)
+    and the coupling g = zpf k / hbar (rad/s, complex) with
+    k = (eps0 V / 4) (chi_c - chi_minor) E_c(0) E_tw*(0), (chi_minor, I) as
+    RotorModel.branch_axes pairs them; zero cavity field gives g = 0.
+    """
+    prod = optics.e_cav0 * optics.e_tw0.conjugate()
+    pref = EPSILON_0 * rotor.volume / 4.0
+    modes = []
+    for label, (chi, inertia), omega in zip(("alpha", "beta"), rotor.branch_axes(),
+                                            libration_frequencies(rotor, optics)):
+        if not omega > 0:
+            raise ValueError("frequencies must be > 0")
+        zpf = zero_point_amplitude(inertia, omega)
+        modes.append(LibrationMode(label=label, omega=omega, zpf=zpf,
+                                   g=zpf * (pref * (rotor.chi_c - chi) * prod) / HBAR))
+    return tuple(modes)

@@ -641,6 +641,16 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "small.csv" in err and "het_freq_hz" in err
 
+    def test_only_calibration_traces_exit_2(self, tmp_path, sim_dir, capsys):
+        """A glob that matches only shot.csv and dark.csv names no scan
+        trace."""
+        pattern = os.path.join(sim_dir, "[sd]*.csv")
+        assert main(["analyze", "--traces", pattern,
+                     "--out", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: no scan traces match {pattern!r}" in err
+        assert not os.path.exists(tmp_path / "o.json")
+
     def test_missing_calibration_file_exit_2(self, tmp_path, capsys):
         path = write_small_trace(tmp_path)
         nope = str(tmp_path / "nope.csv")
@@ -1036,6 +1046,16 @@ class TestScanfit:
         pattern = os.path.join(empty, "*.csv")
         assert f"no trace files match {pattern!r}" in capsys.readouterr().err
 
+    def test_only_calibration_traces_exit_2(self, tmp_path, sim_dir, capsys):
+        cal = str(tmp_path / "cal")
+        os.makedirs(cal)
+        for name in ("shot.csv", "shot.meta.json", "dark.csv", "dark.meta.json"):
+            os.rename(os.path.join(sim_dir, name), os.path.join(cal, name))
+        assert main(["scanfit", "--traces", cal,
+                     "--out", str(tmp_path / "o.json")]) == 2
+        pattern = os.path.join(cal, "*.csv")
+        assert f"error: no scan traces match {pattern!r}" in capsys.readouterr().err
+
     def test_empty_dir_exit_2(self, tmp_path):
         empty = str(tmp_path / "empty")
         os.makedirs(empty)
@@ -1288,6 +1308,62 @@ class TestForkedMap:
         assert records[0] == records[1]
         assert trees[0] == trees[1]
         assert len(trees[0]) == 2 * 7 + 5 + 2  # traces, plot data, results
+
+
+# ---------------------------------------------------------------------------
+# outputs that cannot be written
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("blocked,detunings,verb,index", [
+        ("out", [1000e3, 1042e3], "write", 0),
+        ("out", [0.0, 1042e3], "remove", 0),
+        ("trace", [1000e3, 1042e3], "write", 1),
+        ("trace", [1000e3, 0.0], "remove", 1)])
+    def test_simulate_exit_2(self, tmp_path, monkeypatch, capsys, deadline,
+                             cpus, blocked, detunings, verb, index):
+        """--out naming a regular file, or a directory where trace 1's file
+        would go: the trace cannot be written, or at a point that cools
+        nothing (0 Hz) its earlier file cannot be removed.  Exit 2 with a
+        message naming the file, on 1 CPU as on 2, where a forked child
+        raises the error for trace 1; no temporary file is left."""
+        on_cpus(monkeypatch, cpus)
+        path = TestSimulate.scan_config(tmp_path, "c.json", detunings, 1)
+        out = str(tmp_path / "out")
+        if blocked == "out":
+            io.atomic_write_text(out, "x\n")
+        else:
+            os.makedirs(os.path.join(out, "trace_001_cavity_y.csv"))
+        capsys.readouterr()
+        assert main(["simulate", "--config", path, "--out", out]) == 2
+        no_child_left()
+        err = capsys.readouterr().err
+        name = os.path.join(out, f"trace_{index:03d}_cavity_y.csv")
+        assert err.startswith(f"error: cannot {verb} {name}: ")
+        assert "Traceback" not in err
+        if blocked == "out":
+            assert read_bytes(out) == b"x\n"
+        else:
+            assert not [n for n in os.listdir(out) if n.endswith(".tmp")]
+
+    @pytest.mark.parametrize("command", ["analyze", "scanfit", "classify"])
+    def test_results_under_a_regular_file_exit_2(self, tmp_path, sim_dir,
+                                                 capsys, command):
+        """--out <regular file>/x.json: analyze's first plot data file or the
+        results file cannot be written; exit 2 naming it."""
+        blocker = str(tmp_path / "blocker")
+        io.atomic_write_text(blocker, "x\n")
+        geo = str(tmp_path / "geo.csv")
+        io.atomic_write_text(geo, "gamma_x,sigma_x,gamma_y,sigma_y\n100,1,100.5,1\n")
+        source = {"analyze": ["--traces", os.path.join(sim_dir, "trace_*.csv")],
+                  "scanfit": ["--traces", sim_dir],
+                  "classify": ["--input", geo]}[command]
+        capsys.readouterr()
+        assert main([command, *source, "--out", os.path.join(blocker, "x.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {blocker}{os.sep}" in err
+        assert "Traceback" not in err
+        assert read_bytes(blocker) == b"x\n"
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,29 @@ class TestLevenbergMarquardt:
         with pytest.raises(DegenerateFitError):
             levenberg_marquardt(model, jac, x, y, [0.5])
 
+    def test_stops_where_no_damping_keeps_the_cost_from_rising(self):
+        """A model finite only at p0 = (0, 0), with a finite Jacobian: each
+        of the 60 damped steps (the last about 1e-56 long, still off p0)
+        gives a NaN cost, so the fit stops at p0 with its start cost, not
+        converged."""
+        x = np.linspace(0.0, 1.0, 20)
+        y = 1.0 + x
+        p0 = np.zeros(2)
+        calls = []
+
+        def model(x, p):
+            calls.append(p.copy())
+            return p[0] + p[1] * x if np.array_equal(p, p0) else np.full_like(x, np.nan)
+
+        def jac(x, p):
+            return np.column_stack([np.ones_like(x), x])
+
+        p, cov, converged, cost = levenberg_marquardt(model, jac, x, y, p0)
+        assert converged is False
+        assert p.tobytes() == p0.tobytes()
+        assert cost == float(np.sum(y * y))
+        assert len(calls) == 61 and all(np.any(q != 0) for q in calls[1:])
+
     @pytest.mark.parametrize("weighted", [False, True])
     def test_singular_normal_matrix_raises_without_a_warning(self, weighted):
         """Two identical Jacobian columns with a positive diagonal: the

@@ -13,14 +13,12 @@ from librotor.errors import (LibrotorError, NoNetCoolingError,
                              SpringInstabilityError)
 from librotor.physics import (GAMMA_ZERO, LibrationMode, OpticalSetup,
                               RotorModel, backaction, build_modes,
-                              cavity_rates, coupling_rates,
-                              derived_scalars, effective_frequency,
+                              cavity_rates, derived_scalars, effective_frequency,
                               effective_linewidth, libration_frequencies,
                               minimum_occupation,
                               moment_of_inertia_from_coupling,
-                              sideband_rates, steady_state_occupation,
-                              zero_point_amplitudes)
-from librotor.presets import cluster_1d
+                              sideband_rates, steady_state_occupation)
+from librotor.presets import cluster_1d, dumbbell_2d
 
 TWO_PI = 2.0 * math.pi
 
@@ -136,29 +134,32 @@ class TestDriveAndModeChecks:
 
 class TestCouplings:
     def test_zpf_value(self):
+        """Each mode's zero-point amplitude is sqrt(hbar / 2 I Omega) with the
+        inertia of its libration axis; a tweezer field that puts alpha at
+        1030 kHz pins the value."""
         rotor = make_rotor()
-        freqs = (TWO_PI * 1030e3, TWO_PI * 612e3)
-        zpf_a, zpf_b = zero_point_amplitudes(rotor, freqs)
-        assert zpf_a == pytest.approx(
-            math.sqrt(hbar / (2.0 * 3.3e-32 * TWO_PI * 1030e3)), rel=1e-14)
-        assert zpf_a == pytest.approx(1.5712944127581658e-05, rel=1e-12)
-        assert zpf_b == pytest.approx(
-            math.sqrt(hbar / (2.0 * 4.5e-32 * TWO_PI * 612e3)), rel=1e-14)
+        e_tw = TWO_PI * 1030e3 / math.sqrt(physics.EPSILON_0 * rotor.volume
+                                           * (rotor.chi_c - rotor.chi_a) / (2.0 * 3.3e-32))
+        alpha, beta = build_modes(rotor, make_optics(e_tw=e_tw))
+        assert alpha.omega == pytest.approx(TWO_PI * 1030e3, rel=1e-14)
+        assert alpha.zpf == pytest.approx(
+            math.sqrt(hbar / (2.0 * 3.3e-32 * alpha.omega)), rel=1e-14)
+        assert alpha.zpf == pytest.approx(1.5712944127581658e-05, rel=1e-12)
+        assert beta.zpf == pytest.approx(
+            math.sqrt(hbar / (2.0 * 4.5e-32 * beta.omega)), rel=1e-14)
 
     def test_coupling_zero_cavity_field(self):
-        g_a, g_b = coupling_rates(make_rotor(), make_optics(e_cav=0.0),
-                                  (TWO_PI * 1e6, TWO_PI * 6e5))
-        assert g_a == 0.0 and g_b == 0.0
+        alpha, beta = build_modes(make_rotor(), make_optics(e_cav=0.0))
+        assert alpha.g == 0.0 and beta.g == 0.0
 
     def test_coupling_phase(self):
         rotor = make_rotor()
-        freqs = (TWO_PI * 1e6, TWO_PI * 6e5)
         optics_r = make_optics()
         optics_c = OpticalSetup(e_tw0=1e8 * np.exp(0.3j), e_cav0=1e6 + 0j,
                                 kappa=optics_r.kappa, detuning=optics_r.detuning,
                                 wavelength=1550e-9)
-        g_r, _ = coupling_rates(rotor, optics_r, freqs)
-        g_c, _ = coupling_rates(rotor, optics_c, freqs)
+        g_r = build_modes(rotor, optics_r)[0].g
+        g_c = build_modes(rotor, optics_c)[0].g
         assert abs(g_c) == pytest.approx(abs(g_r), rel=1e-14)
         assert g_c.imag != 0.0
 
@@ -171,9 +172,8 @@ class TestCouplings:
             rotor = make_rotor(inertia_b=inertia_b)
             optics = make_optics(e_tw=10 ** rng.uniform(6, 9),
                                  e_cav=10 ** rng.uniform(4, 8))
-            freqs = libration_frequencies(rotor, optics)
-            g_a, _ = coupling_rates(rotor, optics, freqs)
-            back = moment_of_inertia_from_coupling(g_a, freqs[0], optics)
+            alpha, _ = build_modes(rotor, optics)
+            back = moment_of_inertia_from_coupling(alpha.g, alpha.omega, optics)
             assert back == pytest.approx(inertia_b, rel=1e-12)
 
     def test_inertia_needs_cavity_field(self):
@@ -189,10 +189,10 @@ class TestCouplings:
        branch=st.sampled_from([GAMMA_ZERO, physics.GAMMA_HALF_PI]),
        fields=st.tuples(st.floats(6.0, 9.0), st.floats(4.0, 8.0)),
        phases=st.tuples(*[st.floats(-math.pi, math.pi)] * 2))
-def test_inertia_inversion_undoes_coupling_rates(inertias, chis, volume,
-                                                 branch, fields, phases):
+def test_inertia_inversion_undoes_build_modes(inertias, chis, volume,
+                                             branch, fields, phases):
     """For either mode on either Euler branch, the coupling that
-    coupling_rates gives is turned back into that mode's moment of inertia.
+    build_modes gives is turned back into that mode's moment of inertia.
     Exponents are drawn, the magnitudes are 10**x."""
     chi_a, chi_b, chi_c = sorted(chis)
     i_a, i_b, i_c = (10.0 ** x for x in inertias)
@@ -201,12 +201,9 @@ def test_inertia_inversion_undoes_coupling_rates(inertias, chis, volume,
                        volume=10.0 ** volume, gamma_euler_branch=branch)
     optics = make_optics(e_tw=10.0 ** fields[0] * np.exp(1j * phases[0]),
                          e_cav=10.0 ** fields[1] * np.exp(1j * phases[1]))
-    freqs = libration_frequencies(rotor, optics)
-    gs = coupling_rates(rotor, optics, freqs)
-    for (_, inertia), g, omega in zip(rotor.branch_axes(), gs, freqs):
-        back = moment_of_inertia_from_coupling(g, omega, optics)
+    for (_, inertia), mode in zip(rotor.branch_axes(), build_modes(rotor, optics)):
+        back = moment_of_inertia_from_coupling(mode.g, mode.omega, optics)
         assert back == pytest.approx(inertia, rel=1e-12)
-
 
 
 # (g, Omega, kappa, Delta, omega_eval) in Hz, plus the coupling phase
@@ -390,6 +387,40 @@ class TestDerived:
 # ---------------------------------------------------------------------------
 # build_modes
 
+def reference_zero_point_amplitudes(rotor, freqs):
+    """Both modes' zero-point amplitudes, as physics computed them before
+    build_modes did it per mode."""
+    (_, i_al), (_, i_be) = rotor.branch_axes()
+    om_a, om_b = freqs
+    if om_a <= 0 or om_b <= 0:
+        raise ValueError("frequencies must be > 0")
+    return (math.sqrt(physics.HBAR / (2.0 * i_al * om_a)),
+            math.sqrt(physics.HBAR / (2.0 * i_be * om_b)))
+
+
+def reference_coupling_rates(rotor, optics, freqs):
+    """(g_alpha, g_beta), as physics computed them before build_modes did
+    it per mode, in the same order of operations."""
+    (chi_al, _), (chi_be, _) = rotor.branch_axes()
+    zpf_a, zpf_b = reference_zero_point_amplitudes(rotor, freqs)
+    prod = optics.e_cav0 * optics.e_tw0.conjugate()
+    pref = physics.EPSILON_0 * rotor.volume / 4.0
+    k_alpha = pref * (rotor.chi_c - chi_al) * prod
+    k_beta = pref * (rotor.chi_c - chi_be) * prod
+    return zpf_a * k_alpha / physics.HBAR, zpf_b * k_beta / physics.HBAR
+
+
+def assert_modes_match_the_reference(rotor, optics):
+    """omega, g and zpf of both modes equal the reference bit for bit: the
+    repr of a float or complex tells each bit pattern but NaN's apart,
+    signed zeros included."""
+    freqs = libration_frequencies(rotor, optics)
+    want = zip(freqs, reference_coupling_rates(rotor, optics, freqs),
+               reference_zero_point_amplitudes(rotor, freqs))
+    got = [(m.omega, m.g, m.zpf) for m in build_modes(rotor, optics)]
+    assert repr(got) == repr(list(want))
+
+
 class TestBuildModes:
     def test_labels_and_consistency(self):
         rotor = make_rotor()
@@ -402,5 +433,38 @@ class TestBuildModes:
         assert alpha.label == "alpha" and beta.label == "beta"
         assert alpha.omega == freqs[0] and beta.omega == freqs[1]
         assert alpha.gamma_heating == pytest.approx(6.8e3)
-        gs = coupling_rates(rotor, optics, freqs)
+        gs = reference_coupling_rates(rotor, optics, freqs)
         assert alpha.g == gs[0] and beta.g == gs[1]
+
+    @pytest.mark.parametrize("preset", [cluster_1d, dumbbell_2d])
+    def test_presets_match_the_reference(self, preset):
+        sc = preset()
+        assert_modes_match_the_reference(sc.rotor, sc.optics)
+
+    def test_frequency_not_above_zero_raises(self):
+        with pytest.raises(ValueError, match="frequencies must be > 0"):
+            build_modes(make_rotor(), make_optics(e_tw=0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(inertias=st.tuples(*[st.floats(-34.0, -30.0)] * 3),
+       chis=st.lists(st.floats(1.0, 3.0), min_size=3, max_size=3, unique=True),
+       volume=st.floats(-23.0, -19.0),
+       branch=st.sampled_from([GAMMA_ZERO, physics.GAMMA_HALF_PI]),
+       e_tw=st.floats(6.0, 9.0),
+       e_cav=st.one_of(st.just(None), st.floats(4.0, 8.0)),
+       phases=st.tuples(*[st.floats(-math.pi, math.pi)] * 2))
+def test_build_modes_matches_the_reference(inertias, chis, volume, branch,
+                                           e_tw, e_cav, phases):
+    """omega, g and zpf of both modes, on either Euler branch with complex
+    fields, are the reference helpers' bits; e_cav None is a zero cavity
+    field, with the signed zeros its phase gives."""
+    chi_a, chi_b, chi_c = sorted(chis)
+    i_a, i_b, i_c = (10.0 ** x for x in inertias)
+    rotor = RotorModel(inertia_a=i_a, inertia_b=i_b, inertia_c=i_c,
+                       chi_a=chi_a, chi_b=chi_b, chi_c=chi_c,
+                       volume=10.0 ** volume, gamma_euler_branch=branch)
+    cav = 0.0 if e_cav is None else 10.0 ** e_cav
+    optics = make_optics(e_tw=10.0 ** e_tw * np.exp(1j * phases[0]),
+                         e_cav=cav * np.exp(1j * phases[1]))
+    assert_modes_match_the_reference(rotor, optics)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import median_filter
 
 from librotor import thermometry
 from librotor.errors import (CalibrationError, LibrotorError,
@@ -78,6 +79,29 @@ class TestCalibrateResponse:
         with pytest.raises(CalibrationError, match="frequency grid"):
             calibrate_response(PsdTrace(grid, 2.0 * np.ones(64), {}),
                                PsdTrace(grid + 10.0, np.ones(64), {}))
+
+    def test_few_bins_below_dark_are_interpolated(self):
+        """Fewer than 20% of the bins with shot <= dark (shot below dark,
+        and equal to it, at both ends and inside): the gain is the good
+        bins' shot - dark interpolated over the bad ones, median-filtered
+        over 5 bins with the end bins repeated, over its median."""
+        grid = np.linspace(3.5e6, 6.5e6, 256)
+        rng = np.random.default_rng(3)
+        dark = 0.05 * rng.gamma(100, 1 / 100, grid.size)
+        shot = dark + (1.0 + 0.3 * grid / grid[-1]) * rng.gamma(100, 1 / 100,
+                                                              grid.size)
+        bad = np.zeros(grid.size, dtype=bool)
+        bad[[0, 1, 40, 41, 42, 100, 177, 255]] = True
+        shot[bad] = dark[bad] * rng.uniform(0.5, 1.0, bad.sum())
+        shot[100] = dark[100]
+        assert 0 < bad.sum() < 0.2 * grid.size
+        diff = shot - dark
+        assert np.array_equal(diff <= 0, bad)
+        diff[bad] = np.interp(grid[bad], grid[~bad], diff[~bad])
+        want = median_filter(diff, size=5, mode="nearest")
+        resp = calibrate_response(PsdTrace(grid, shot, {}), PsdTrace(grid, dark, {}))
+        assert np.array_equal(resp.gain, want / np.median(want))
+        assert np.array_equal(resp.freq_grid, TWO_PI * grid)
 
     def test_shot_below_dark(self):
         grid = np.linspace(1e6, 2e6, 64)

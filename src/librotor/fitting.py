@@ -5,6 +5,8 @@ All models carry analytic Jacobians.  A fit converges when an accepted
 step is below STEP_SIGMA standard errors, measured in the metric of the
 undamped normal matrix; it stops unconverged after MAX_ITER iterations or
 when none of 60 dampings gives a step that keeps the cost from rising.
+The first pass of a weighted Lorentzian fit, which only draws the model the
+second pass is weighted from, stops sooner, at FIRST_PASS_SIGMA.
 """
 
 from __future__ import annotations
@@ -22,6 +24,13 @@ from .spectrum import _lorentzian_at
 # A step this many standard errors long (or shorter) ends a fit.
 STEP_SIGMA = 1e-4
 MAX_ITER = 200
+
+# The stop of a weighted Lorentzian fit's first pass, whose result nothing
+# reads but the re-weighting.  A first-pass model off by d standard errors
+# moves the second pass's optimum by about 2 d / sqrt(averages) standard
+# errors, the relative error of a bin: at 100 averages the final fit stays
+# within 2e-3 standard errors of a first pass run to STEP_SIGMA.
+FIRST_PASS_SIGMA = 1e-2
 
 # Scan-fit residual clipping: points beyond CLIP_SIGMA are dropped and the
 # fit repeated, at most MAX_CLIP_ROUNDS times.
@@ -54,7 +63,8 @@ def _nonsingular(out):
 # trial steps may explore huge centers and linewidths; an inf or nan in the
 # model or the Jacobian just makes the step rejectable or the window degenerate
 @np.errstate(over="ignore", invalid="ignore")
-def levenberg_marquardt(model, jacobian, x, y, p0, weights=None):
+def levenberg_marquardt(model, jacobian, x, y, p0, weights=None, *,
+                        stop=None):
     """Minimize sum(w (y - model(x, p))^2) with LM damping.
 
     weights are 1/sigma^2 per point.  Returns (params, covariance,
@@ -62,16 +72,18 @@ def levenberg_marquardt(model, jacobian, x, y, p0, weights=None):
     weights it is scaled by the reduced chi-square s2.
 
     converged: an accepted step ended the fit because step^T (J^T W J) step
-    <= STEP_SIGMA^2 s2, with J^T W J the undamped matrix the step was
-    solved from, i.e. the step is at most STEP_SIGMA standard errors long.
+    <= stop^2 s2, with J^T W J the undamped matrix the step was solved
+    from, i.e. the step is at most stop standard errors long (stop is
+    STEP_SIGMA when None).
     The test is scale-free, so it holds as well for a parameter near 0 as
     for a large one.  Weighted fits take s2 = 1; unit-weight fits take the
     reduced chi-square at the accepted point, floored at
-    (eps / STEP_SIGMA)^2 sum(y^2).  The floor is the rounding of y: a step's
+    (eps / stop)^2 sum(y^2).  The floor is the rounding of y: a step's
     step^T (J^T J) step never exceeds the cost it starts from, and on
     noise-free data the cost falls to about eps^2 sum(y^2), where steps are
     rounding noise.  Without the floor such a fit would run to MAX_ITER.
     """
+    stop = STEP_SIGMA if stop is None else stop
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     p = np.asarray(p0, dtype=float).copy()
@@ -79,7 +91,7 @@ def levenberg_marquardt(model, jacobian, x, y, p0, weights=None):
     w = np.ones_like(y) if unit_weights else np.asarray(weights, dtype=float)
     dof = max(y.size - p.size, 1)
     if unit_weights:
-        s2_floor = (np.finfo(float).eps / STEP_SIGMA) ** 2 * float(y @ y)
+        s2_floor = (np.finfo(float).eps / stop) ** 2 * float(y @ y)
 
     def cost_of(params):
         r = y - model(x, params)
@@ -112,7 +124,7 @@ def levenberg_marquardt(model, jacobian, x, y, p0, weights=None):
         p, r, cost = p_new, r_new, cost_new
         lam = max(lam / 10.0, 1e-14)
         s2 = max(cost / dof, s2_floor) if unit_weights else 1.0
-        if float(step @ a_mat @ step) <= STEP_SIGMA ** 2 * s2:
+        if float(step @ a_mat @ step) <= stop ** 2 * s2:
             converged = True
             break
 
@@ -240,6 +252,20 @@ def fifth_percentile(vals) -> float:
     return a + (b - a) * t if t < 0.5 else b - (b - a) * (1.0 - t)
 
 
+def weight_floor(vals) -> float:
+    """The least level a bin's weight, averages / level^2, is drawn from:
+    the fifth percentile of vals, or of its bins above 0 where that is not
+    above 0 (at least 5% of the bins at 0 or below), since a level of 0 has
+    no finite weight.  DegenerateFitError when no bin is above 0."""
+    floor = fifth_percentile(vals)
+    if floor > 0:
+        return floor
+    positive = vals[vals > 0]
+    if positive.size == 0:
+        raise DegenerateFitError("degenerate fit window: no bin above 0")
+    return fifth_percentile(positive)
+
+
 def _check_width(freq, p):
     """DegenerateFitError for a FWHM above 10 spans of the window freq: a
     tilt of the floor, not a peak, that can overflow the re-weighting."""
@@ -256,23 +282,34 @@ def fit_lorentzian(freq, vals, averages: float | None,
     With known averages (the periodogram averages behind vals; None when
     unknown or infinite) the weights follow the averaged-periodogram
     variance model sigma_i^2 = model_i^2 / averages, iterated once on the
-    fitted model; otherwise unit weights.  A pass that ends with a FWHM
-    above 10 window spans is a DegenerateFitError.
+    fitted model; otherwise unit weights, in one pass.  The first of the two
+    weighted passes, weighted from the data, stops at FIRST_PASS_SIGMA
+    standard errors, since its result only sets the second pass's weights;
+    the second stops at STEP_SIGMA.  The first pass floors the data a
+    weight is drawn from at floor = weight_floor(vals), the second its
+    model at eps * floor, so that every weight is finite.  A pass that ends
+    with a FWHM above 10 window spans is a DegenerateFitError.
     """
     if freq.size < 8:
         raise DegenerateFitError("degenerate fit window: fewer than 8 bins")
     p0 = np.asarray(init, float) if init is not None else initial_lorentzian_guess(freq, vals)
 
-    weights = None if averages is None else \
-        1.0 / (np.maximum(vals, fifth_percentile(vals)) ** 2 / averages)
+    if averages is None:
+        weights = stop = None
+    else:
+        floor = weight_floor(vals)
+        weights = 1.0 / (np.maximum(vals, floor) ** 2 / averages)
+        stop = FIRST_PASS_SIGMA
     # model and Jacobian at pass one's end serve re-weighting and pass two
     line = _Lorentzian()
     p, cov, converged, _ = levenberg_marquardt(line.model, line.jacobian, freq,
-                                               vals, p0, weights)
+                                               vals, p0, weights, stop=stop)
     _check_width(freq, p)
     if averages is not None:
-        # Re-weight from the fitted model to remove the data-weighting bias.
-        weights = averages / np.maximum(line.model(freq, p), 1e-300) ** 2
+        # Re-weight from the fitted model to remove the data-weighting bias;
+        # a model below eps * floor, 0 at the window's scale, weighs as that.
+        level = np.maximum(line.model(freq, p), floor * np.finfo(float).eps)
+        weights = averages / level ** 2
         p, cov, converged, _ = levenberg_marquardt(line.model, line.jacobian,
                                                    freq, vals, p, weights)
         _check_width(freq, p)

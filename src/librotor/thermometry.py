@@ -14,9 +14,9 @@ from . import physics
 from .errors import (CalibrationError, DegenerateFitError, LibrotorError,
                      UnderdeterminedScanError, UnphysicalAsymmetryError)
 from .fitting import (MIN_SCAN_POINTS, LorentzianFit, ScanFitResult,
-                      fifth_percentile, fit_lorentzian, fit_occupation_curve,
+                      fit_lorentzian, fit_occupation_curve,
                       fit_scan_frequency, fit_scan_linewidth, linear_lstsq,
-                      window_bins)
+                      weight_floor, window_bins)
 from .noise import DetectorResponse, detector_gain
 from .physics import TWO_PI, DerivedScalars, OpticalSetup
 from .spectrum import (CHANNEL_MODE, DEFAULT_CHANNEL, ORIENT_LO_BLUE, PsdTrace,
@@ -87,7 +87,7 @@ def _constrained_area_fit(freq, vals, center, fwhm, averages):
     design = np.column_stack([shape, np.ones_like(freq)])
     params, cov = linear_lstsq(design, vals)
     if averages is not None:
-        w = averages / np.maximum(design @ params, fifth_percentile(vals)) ** 2
+        w = averages / np.maximum(design @ params, weight_floor(vals)) ** 2
         params, cov = linear_lstsq(design, vals, w)
     full_cov = np.zeros((4, 4))
     full_cov[2, 2] = cov[0, 0]

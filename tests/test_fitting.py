@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from librotor import fitting
 from librotor.errors import DegenerateFitError, UnderdeterminedScanError
-from librotor.fitting import (MAX_ITER, fifth_percentile, fit_lorentzian,
-                              fit_occupation_curve, fit_scan_frequency,
-                              fit_scan_linewidth, initial_lorentzian_guess,
-                              levenberg_marquardt, linear_lstsq, window_bins)
+from librotor.fitting import (FIRST_PASS_SIGMA, MAX_ITER, fifth_percentile,
+                              fit_lorentzian, fit_occupation_curve,
+                              fit_scan_frequency, fit_scan_linewidth,
+                              initial_lorentzian_guess, levenberg_marquardt,
+                              linear_lstsq, weight_floor, window_bins)
 from librotor.physics import (LibrationMode, OpticalSetup, backaction,
                               cavity_rates)
 from librotor.spectrum import (PsdTrace, default_grid, lorentzian,
@@ -541,7 +542,7 @@ def sideband_window(seed, n_bins, fwhm, area, averages, shift):
 
 def first_pass_weights(vals, averages):
     """fit_lorentzian's first weights: floored data, averaged variance."""
-    return 1.0 / (np.maximum(vals, fifth_percentile(vals)) ** 2 / averages)
+    return 1.0 / (np.maximum(vals, weight_floor(vals)) ** 2 / averages)
 
 
 class TestLevenbergMarquardtReference:
@@ -737,9 +738,9 @@ def counted_fit(monkeypatch, freq, vals, averages):
         def jacobian(self, x, p):
             return computed("jac", p, super().jacobian(x, p))
 
-    def counted_lm(*args):
+    def counted_lm(*args, **kwargs):
         runs.append(1)
-        return levenberg_marquardt(*args)
+        return levenberg_marquardt(*args, **kwargs)
 
     monkeypatch.setattr(fitting, "_Lorentzian", Logged)
     monkeypatch.setattr(fitting, "levenberg_marquardt", counted_lm)
@@ -756,7 +757,8 @@ def assert_fit_is(fit, p, cov, converged):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_weighted_fit_shares_where_its_passes_meet(monkeypatch, seed):
     """Two plain levenberg_marquardt passes with the re-weighting between
-    them, composed by hand, give the fit's bits; the fit makes the same
+    them, composed by hand, give the fit's bits: pass one to
+    FIRST_PASS_SIGMA, pass two to STEP_SIGMA.  The fit makes the same
     computations but for the re-weighting model and pass two's starting
     model and Jacobian, which are pass one's last ones."""
     averages = 100
@@ -764,12 +766,13 @@ def test_weighted_fit_shares_where_its_passes_meet(monkeypatch, seed):
     log = []
     model = logged(reference_lorentz_model, "model", log)
     jac = logged(reference_lorentz_jac, "jac", log)
-    weights = 1.0 / (np.maximum(vals, fifth_percentile(vals)) ** 2 / averages)
     p, _, converged, _ = levenberg_marquardt(
-        model, jac, freq, vals, initial_lorentzian_guess(freq, vals), weights)
+        model, jac, freq, vals, initial_lorentzian_guess(freq, vals),
+        first_pass_weights(vals, averages), stop=FIRST_PASS_SIGMA)
     assert converged and log[-1] == ("jac", p.tobytes())
     first_pass = len(log)
-    weights = averages / np.maximum(model(freq, p), 1e-300) ** 2
+    floor = weight_floor(vals) * np.finfo(float).eps
+    weights = averages / np.maximum(model(freq, p), floor) ** 2
     p, cov, converged, _ = levenberg_marquardt(model, jac, freq, vals, p,
                                                weights)
     assert converged
@@ -778,6 +781,71 @@ def test_weighted_fit_shares_where_its_passes_meet(monkeypatch, seed):
     assert runs == 2
     assert fit_log == log[:first_pass] + log[first_pass + 3:]
     assert_fit_is(fit, p, cov, converged)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_bins=st.integers(64, 400),
+       fwhm=st.floats(5e3, 3e4), height=st.floats(3.0, 100.0),
+       averages=st.sampled_from([100, 1000]), shift=st.floats(-2e4, 2e4))
+def test_first_pass_stop_moves_the_fit_by_under_a_hundredth_sigma(
+        seed, n_bins, fwhm, height, averages, shift):
+    """Resolved peaks, weighted: the fit, whose first pass stops at
+    FIRST_PASS_SIGMA, lies within 1e-2 standard errors per parameter of
+    the fit whose first pass runs to STEP_SIGMA like its second.  (The
+    first pass's error reaches the final fit scaled by about
+    2 / sqrt(averages); at 10 averages, 64 bins and a peak 3 offsets high,
+    159 of 2982 windows move by more than 1e-2 standard errors, some to
+    another local optimum, so 10 averages are left out.)"""
+    area = height * math.pi * fwhm / 2.0
+    freq, vals = sideband_window(seed, n_bins, fwhm, area, averages, shift)
+    try:
+        fit = fit_lorentzian(freq, vals, averages)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fitting, "FIRST_PASS_SIGMA", fitting.STEP_SIGMA)
+            full = fit_lorentzian(freq, vals, averages)
+    except DegenerateFitError:
+        assume(False)
+    assume(full.converged)  # otherwise there is no optimum to compare with
+    assert fit.converged
+    params = [[f.center, f.linewidth_fwhm, f.area, f.offset] for f in (fit, full)]
+    assert np.all(np.abs(np.subtract(*params)) <= 1e-2 * full.errors())
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_bins=st.integers(8, 400),
+       fwhm=st.floats(500.0, 3e4), area=st.floats(0.0, 1e5),
+       shift=st.floats(-2e4, 2e4))
+def test_unit_weight_fit_makes_the_reference_calls(seed, n_bins, fwhm, area,
+                                                   shift):
+    """A unit-weight fit (averages None) is one pass to STEP_SIGMA: every
+    model and Jacobian call it makes, and its result, are reference_lm's
+    from the heuristic start, flat windows (area 0) included."""
+    freq, vals = sideband_window(seed, n_bins, fwhm, area, 100, shift)
+    log = []
+
+    class Logged(fitting._Lorentzian):
+        def model(self, x, p):
+            return logged(super().model, "model", log)(x, p)
+
+        def jacobian(self, x, p):
+            return logged(super().jacobian, "jac", log)(x, p)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitting, "_Lorentzian", Logged)
+        try:
+            fit = fit_lorentzian(freq, vals, None)
+        except DegenerateFitError as exc:
+            fit = exc
+    want, want_log = run_logged(reference_lm, reference_lorentz_model,
+                                reference_lorentz_jac, freq, vals,
+                                initial_lorentzian_guess(freq, vals), None)
+    assert log == want_log
+    if isinstance(want, DegenerateFitError):
+        assert isinstance(fit, DegenerateFitError)
+    elif isinstance(fit, DegenerateFitError):  # only for the width check
+        assert abs(want[0][1]) > 10.0 * (freq[-1] - freq[0])
+    else:
+        assert_fit_is(fit, *want[:3])
 
 
 def test_unit_weight_fit_is_one_pass(monkeypatch):
@@ -878,6 +946,47 @@ def test_flat_windows_reach_the_cap_less_often():
             continue
         capped += not converged and iterations == MAX_ITER
     assert capped < 76
+
+
+# ---------------------------------------------------------------------------
+# weights from a level of 0: floored, finite, without a warning
+
+def test_weight_floor():
+    """The fifth percentile, or that of the bins above 0 where at least 5%
+    of the bins are 0 or below; no bin above 0 is a degenerate window."""
+    vals = np.arange(1.0, 101.0)
+    assert weight_floor(vals) == fifth_percentile(vals) > 0
+    vals[:3] = [0.0, -1.0, 0.0]  # 3%: the fifth percentile still binds
+    assert weight_floor(vals) == fifth_percentile(vals) > 0
+    vals[:10] = 0.0
+    vals[4] = -2.0
+    assert fifth_percentile(vals) <= 0
+    assert weight_floor(vals) == fifth_percentile(np.arange(11.0, 101.0))
+    with pytest.raises(DegenerateFitError, match="no bin above 0"):
+        weight_floor(np.array([0.0, -1.0, 0.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_bins=st.integers(8, 300),
+       area=st.floats(0.0, 1e5), zero_share=st.floats(0.0, 1.0),
+       averages=st.sampled_from([5, 100, 1000]))
+@example(seed=0, n_bins=137, area=2e4, zero_share=0.22, averages=200)
+def test_window_with_zero_bins_fits_or_is_degenerate(seed, n_bins, area,
+                                                     zero_share, averages):
+    """A weighted window with exact-zero bins, from none to all of them (the
+    first pass's fifth percentile is 0 once 5% are): every weight stays
+    finite, so the fit ends in finite parameters or DegenerateFitError, and
+    nothing warns."""
+    freq, vals = sideband_window(seed, n_bins, 5e3, area, averages, 0.0)
+    vals[np.random.default_rng(seed).random(n_bins) < zero_share] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            fit = fit_lorentzian(freq, vals, averages)
+        except DegenerateFitError:
+            return
+    assert all(map(math.isfinite, [fit.center, fit.linewidth_fwhm, fit.area,
+                                   fit.offset]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -245,13 +246,17 @@ def pair_outcome(trace, resp, hint):
          anti_share=0.5, averages=100, gain=[0.5, 2.0])
 @example(seed=2, n_bins=40, window_bins=15, edge=1.0, fwhm_bins=2.0,
          anti_share=0.0, averages=math.inf, gain=[1.0, 0.4, 2.5])
+@example(seed=0, n_bins=16, window_bins=28, edge=0.9375, fwhm_bins=2.0,
+         anti_share=0.5, averages=5, gain=[1.5, 2.0])  # a model below 0
 def test_window_gain_correction_is_whole_trace_correction(
         seed, n_bins, window_bins, edge, fwhm_bins, anti_share, averages,
         gain):
     """Gain-correcting only the two sideband windows fits exactly what
     correcting the whole trace and fitting it without a response does, bit
     for bit: on windows of 8-15 bins, at the grid edge (edge = 1 puts a
-    sideband on the last bin), weighted or not, pinned or free."""
+    sideband on the last bin), weighted or not, pinned or free.  (At seed 0
+    and 5 averages the Stokes fit's first pass ends with a model below 0 at
+    some bins, which the re-weighting's floor keeps finite.)"""
     bin_hz = 2.0 * WINDOW_HALFWIDTH_HZ / window_bins
     freq = HET + bin_hz * (np.arange(n_bins) - (n_bins - 1) / 2.0)
     hint = edge * (freq[-1] - HET)
@@ -268,6 +273,28 @@ def test_window_gain_correction_is_whole_trace_correction(
     corrected = np.maximum(vals / detector_gain(resp, TWO_PI * freq), 0.0)
     assert pair_outcome(PsdTrace(freq, vals, meta), resp, hint) == \
         pair_outcome(PsdTrace(freq, corrected, meta), None, hint)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), start=st.integers(0, 136),
+       zeros=st.integers(0, 60), averages=st.sampled_from([5, 100]))
+@example(seed=0, start=61, zeros=15, averages=100)
+def test_pinned_fit_with_zero_bins_has_finite_weights(seed, start, zeros,
+                                                      averages):
+    """The pinned anti-Stokes fit of a window with a run of up to 60 of its
+    137 bins at exactly 0: finite area, offset and covariance, and no
+    warning.  A run over the pinned center fits a negative area, so the
+    model falls below 0 there."""
+    freq = np.linspace(4.95e6, 5.05e6, 137)
+    rng = np.random.default_rng(seed)
+    vals = lorentzian(freq, 5e6, 5e3, 1e3, 1.0) * rng.gamma(averages,
+                                                           1.0 / averages, 137)
+    vals[start:start + zeros] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = thermometry._constrained_area_fit(freq, vals, 5e6, 5e3, averages)
+    assert np.all(np.isfinite([fit.area, fit.offset]))
+    assert np.all(np.isfinite(fit.covariance))
 
 
 class TestCalibrateC:

@@ -128,21 +128,31 @@ def cmd_simulate(args) -> int:
                           f"grid from {grid[0]:g} Hz; bins must be distinct and above 0")
     # a trace file this run does not write would join its traces in analyze
     # and scanfit: refuse it before writing anything
-    ours = {f"trace_{i:03d}_{channel}{ext}" for channel in synth["channels"]
-            for i in range(len(synth["detunings_hz"])) for ext in (".csv", ".meta.json")}
+    points = [(channel, i, det_hz) for channel in synth["channels"]
+              for i, det_hz in enumerate(synth["detunings_hz"])]
+    stems = [f"trace_{i:03d}_{channel}" for channel, i, _ in points]
+    names = [stem + ext for stem in [*stems, *CAL_KINDS] for ext in (".csv", ".meta.json")]
     for path in sorted(glob.glob(os.path.join(glob.escape(args.out), "trace_*"))):
         if path.endswith((".csv", ".meta.json")) and not path.endswith(".plotdata.csv") \
-                and os.path.basename(path) not in ours:
+                and os.path.basename(path) not in names:
             raise ConfigError(f"{path}: a trace file this run does not write; "
                               f"remove it or choose another --out")
     # the optical setup rides in every sidecar, so scanfit can invert
     # couplings without the config
     extra_meta = io.optics_fields(cfg.optics)
 
-    def point(channel, i, det_hz):
+    def remove(names, strict=True):  # in --out; unlink never removes a directory
+        for path in [os.path.join(args.out, name) for name in names]:
+            try:
+                os.remove(path)
+            except OSError as exc:  # strict: the first file left is the error
+                if strict and not isinstance(exc, FileNotFoundError):
+                    raise ConfigError(f"cannot remove {path}: {exc}") from None
+
+    def point(channel, i, det_hz, stem):
         """Detuning i of the channel's scan, synthesized at seed + i as
-        scan_series seeds it, and written: its summary and its files.  An
-        invalid point removes its files of an earlier run."""
+        scan_series seeds it, and written at stem: its summary and files.
+        An invalid point removes its files of an earlier run."""
         (pt,) = scan_series(cfg.modes, cfg.optics, cfg.noise, None, grid,
                             synth["averages"], synth["het_freq_hz"], [det_hz],
                             area_scale_c=synth["area_scale_c"], seed=synth["seed"] + i,
@@ -150,18 +160,11 @@ def cmd_simulate(args) -> int:
                             channel=channel)
         summary = {"detuning_hz": det_hz, "channel": channel,
                    "valid": pt.trace is not None}
-        stem = os.path.join(args.out, f"trace_{i:03d}_{channel}")
         if pt.trace is None:
-            for ext in (".csv", ".meta.json"):
-                try:
-                    os.remove(stem + ext)
-                except FileNotFoundError:
-                    pass
-                except OSError as exc:
-                    raise ConfigError(f"cannot remove {stem + ext}: {exc}") from None
+            remove([stem + ".csv", stem + ".meta.json"])
             return {**summary, "error": pt.error}, []
         return {**summary, "truth": pt.truth}, io.write_psd_csv(
-            stem + ".csv",
+            os.path.join(args.out, stem + ".csv"),
             PsdTrace(pt.trace.freq_hz, pt.trace.values, {**pt.trace.meta, **extra_meta}))
 
     def calibration(kind):
@@ -170,18 +173,21 @@ def cmd_simulate(args) -> int:
         return None, io.write_psd_csv(os.path.join(args.out, f"{kind}.csv"), trace)
 
     # each point and calibration spectrum is drawn in the process that writes it
-    jobs = [partial(point, channel, i, det_hz) for channel in synth["channels"]
-            for i, det_hz in enumerate(synth["detunings_hz"])]
+    jobs = [partial(point, *pt, stem) for pt, stem in zip(points, stems)]
     jobs += [partial(calibration, kind) for kind in CAL_KINDS]
-    done = _forked_map(lambda job: job(), jobs)
-    summary = [entry for entry, _ in done if entry]
-    for entry in summary:
-        if not entry["valid"]:
-            _warn(f"detuning {entry['detuning_hz']:g} Hz on channel "
-                  f"{entry['channel']} is invalid: {entry['error']}")
-    io.write_run_record(os.path.join(args.out, "run_record.json"), cfg.data,
-                        [output for _, files in done for output in files],
-                        {"points": summary})
+    try:
+        done = _forked_map(lambda job: job(), jobs)
+        summary = [entry for entry, _ in done if entry]
+        for entry in summary:
+            if not entry["valid"]:
+                _warn(f"detuning {entry['detuning_hz']:g} Hz on channel "
+                      f"{entry['channel']} is invalid: {entry['error']}")
+        io.write_run_record(os.path.join(args.out, "run_record.json"), cfg.data,
+                            [output for _, files in done for output in files],
+                            {"points": summary})
+    except BaseException:  # analyze would read a failed run's files
+        remove([*names, "run_record.json"], strict=False)
+        raise
     return 0
 
 

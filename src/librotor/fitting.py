@@ -32,12 +32,7 @@ MAX_ITER = 200
 # within 2e-3 standard errors of a first pass run to STEP_SIGMA.
 FIRST_PASS_SIGMA = 1e-2
 
-# Scan-fit residual clipping: points beyond CLIP_SIGMA are dropped and the
-# fit repeated, at most MAX_CLIP_ROUNDS times.
-CLIP_SIGMA = 5.0
-MAX_CLIP_ROUNDS = 2
-
-# Fewest scan points (and inliers) a scan fit accepts.
+# Fewest scan points a scan fit accepts.
 MIN_SCAN_POINTS = 4
 
 
@@ -333,7 +328,6 @@ class ScanFitResult:
     gamma_total_heating: float | None = None  # phonons/s
     n_phase: float | None = None
     covariance: np.ndarray | None = None
-    inlier_mask: np.ndarray | None = None
     converged: bool = True
 
     def param_errors(self) -> np.ndarray:
@@ -348,44 +342,9 @@ def _prepare_scan_points(points):
                                        f"{MIN_SCAN_POINTS} points")
     if np.unique(pts[:, 0]).size != pts.shape[0]:
         raise UnderdeterminedScanError("underdetermined scan: duplicate detunings")
-    x, y, err = pts[:, 0], pts[:, 1], pts[:, 2]
+    x, y, err = pts.T.copy()  # contiguous: BLAS sums a strided column in another order
     # mixed or absent errors: fall back to unit weights
     return x, y, 1.0 / err ** 2 if np.all(err > 0) else None
-
-
-def _clipped_fit(solve, model, y, w, p0=None):
-    """Weighted fit with iterative residual clipping (the scan fits may see
-    occasional wild linewidth points).  solve(mask, p) fits the points under
-    mask, starting from p, and returns (params, covariance, converged);
-    model(p) predicts every point."""
-    mask = np.ones_like(y, dtype=bool)
-    p = p0
-    for round_idx in range(MAX_CLIP_ROUNDS + 1):
-        if np.count_nonzero(mask) < MIN_SCAN_POINTS:
-            raise UnderdeterminedScanError("underdetermined scan: fewer than "
-                                           f"{MIN_SCAN_POINTS} inliers")
-        p, cov, converged = solve(mask, p)
-        resid = y - model(p)
-        sig = 1.0 / np.sqrt(w) if w is not None else \
-            np.full_like(y, max(np.std(resid[mask]), 1e-300))
-        new_mask = np.abs(resid / sig) <= CLIP_SIGMA
-        if round_idx == MAX_CLIP_ROUNDS or np.array_equal(new_mask, mask):
-            break
-        mask = new_mask
-    return p, cov, converged, mask
-
-
-def _clipped_linear_fit(design, y, w, offset=0.0):
-    """Clipped weighted fit of the linear model y ~ design @ p + offset,
-    solved in closed form; returns (params, covariance, inlier mask)."""
-    target = y - offset
-
-    def solve(mask, _):
-        wm = None if w is None else w[mask]
-        return (*linear_lstsq(design[mask], target[mask], wm), True)
-
-    p, cov, _, mask = _clipped_fit(solve, lambda p: design @ p + offset, y, w)
-    return p, cov, mask
 
 
 def fit_scan_linewidth(points, omega: float, kappa: float) -> ScanFitResult:
@@ -399,7 +358,7 @@ def fit_scan_linewidth(points, omega: float, kappa: float) -> ScanFitResult:
     x, y, w = _prepare_scan_points(points)
     damping = physics.backaction(1.0, omega, kappa, x, omega)[0]
     design = np.column_stack([damping, np.ones_like(x)])
-    (g2, gamma0), cov, mask = _clipped_linear_fit(design, y, w)
+    (g2, gamma0), cov = linear_lstsq(design, y, w)
     if not g2 > 0:
         raise DegenerateFitError("linewidth scan fit gives no optical "
                                  f"damping (|g|^2 = {g2:.3g})")
@@ -407,7 +366,7 @@ def fit_scan_linewidth(points, omega: float, kappa: float) -> ScanFitResult:
     jac = np.diag([0.5 / g, 1.0])
     return ScanFitResult(g_abs=g, omega_bare=omega,
                          gamma_intrinsic=float(gamma0),
-                         covariance=jac @ cov @ jac, inlier_mask=mask)
+                         covariance=jac @ cov @ jac)
 
 
 def fit_scan_frequency(points, kappa: float) -> ScanFitResult:
@@ -436,14 +395,10 @@ def fit_scan_frequency(points, kappa: float) -> ScanFitResult:
         out[:, 1] = (2.0 * om0 - ds_dom) / (2.0 * val)
         return out
 
-    def solve(mask, p):
-        wm = None if w is None else w[mask]
-        return levenberg_marquardt(model, jac, x[mask], y[mask], p, wm)[:3]
-
     p0 = np.array([kappa * 0.1, float(np.max(y))])
-    p, cov, converged, mask = _clipped_fit(solve, lambda p: model(x, p), y, w, p0)
+    p, cov, converged, _ = levenberg_marquardt(model, jac, x, y, p0, w)
     return ScanFitResult(g_abs=abs(float(p[0])), omega_bare=float(p[1]),
-                         covariance=cov, inlier_mask=mask, converged=converged)
+                         covariance=cov, converged=converged)
 
 
 def fit_occupation_curve(points, omega: float, kappa: float,
@@ -471,7 +426,7 @@ def fit_occupation_curve(points, omega: float, kappa: float,
     y, w = y[valid], None if w is None else w[valid]
     net = am[valid] - ap[valid]
     design = np.column_stack([1.0 / net, np.ones_like(net)])
-    p, cov, mask = _clipped_linear_fit(design, y, w, ap[valid] / net)
+    p, cov = linear_lstsq(design, y - ap[valid] / net, w)
     return ScanFitResult(g_abs=g_fixed, omega_bare=omega,
                          gamma_total_heating=float(p[0]), n_phase=float(p[1]),
-                         covariance=cov, inlier_mask=mask)
+                         covariance=cov)

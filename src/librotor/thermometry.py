@@ -135,9 +135,12 @@ def fit_sideband_pair(trace: PsdTrace, resp: DetectorResponse | None,
     averages = trace_averages(trace)
     hw = WINDOW_HALFWIDTH_HZ
 
-    def window(f_center):  # the bins within hw of f_center, gain-corrected
+    def window(f_center):  # the bins within hw of f_center, gain-corrected,
         bins = window_bins(freq, (f_center - hw, f_center + hw))
-        return freq[bins], gain_corrected(freq[bins], trace.values[bins], resp)
+        v = gain_corrected(freq[bins], trace.values[bins], resp)
+        # but those at exactly 0, which no averaged periodogram draws
+        keep = v != 0.0 if np.count_nonzero(v) < v.size else slice(None)
+        return freq[bins][keep], v[keep]
 
     stokes = fit_lorentzian(*window(f_stokes), averages)
     bin_hz = (freq[-1] - freq[0]) / (freq.size - 1)

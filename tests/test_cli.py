@@ -1326,7 +1326,9 @@ class TestUnwritableOut:
         would go: the trace cannot be written, or at a point that cools
         nothing (0 Hz) its earlier file cannot be removed.  Exit 2 with a
         message naming the file, on 1 CPU as on 2, where a forked child
-        raises the error for trace 1; no temporary file is left."""
+        raises the error for trace 1.  The failed run leaves none of its
+        files, so --out holds only the obstacle: no other trace, no
+        shot, dark or sidecar, no run record and no temporary file."""
         on_cpus(monkeypatch, cpus)
         path = TestSimulate.scan_config(tmp_path, "c.json", detunings, 1)
         out = str(tmp_path / "out")
@@ -1344,7 +1346,25 @@ class TestUnwritableOut:
         if blocked == "out":
             assert read_bytes(out) == b"x\n"
         else:
-            assert not [n for n in os.listdir(out) if n.endswith(".tmp")]
+            assert os.listdir(out) == ["trace_001_cavity_y.csv"]
+            assert os.path.isdir(os.path.join(out, "trace_001_cavity_y.csv"))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_unwritable_run_record_exit_2(self, tmp_path, monkeypatch, capsys,
+                                          deadline, cpus):
+        """A directory where run_record.json would go: every trace is
+        written, then the record cannot be.  Exit 2 naming the record, and
+        --out holds only that directory, none of the run's files."""
+        on_cpus(monkeypatch, cpus)
+        path = TestSimulate.scan_config(tmp_path, "c.json", [1000e3, 1042e3], 1)
+        out = str(tmp_path / "out")
+        os.makedirs(os.path.join(out, "run_record.json"))
+        capsys.readouterr()
+        assert main(["simulate", "--config", path, "--out", out]) == 2
+        no_child_left()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {os.path.join(out, 'run_record.json')}: ")
+        assert os.listdir(out) == ["run_record.json"]
 
     @pytest.mark.parametrize("command", ["analyze", "scanfit", "classify"])
     def test_results_under_a_regular_file_exit_2(self, tmp_path, sim_dir,

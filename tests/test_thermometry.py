@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import median_filter
 
-from librotor import thermometry
+from librotor import fitting, io, thermometry
 from librotor.errors import (CalibrationError, LibrotorError,
                              UnderdeterminedScanError,
                              UnphysicalAsymmetryError)
@@ -22,7 +22,8 @@ from librotor.thermometry import (METHOD_DIFFCAL, METHOD_RATIO,
                                   WINDOW_HALFWIDTH_HZ,
                                   _occupation_from_areas, analyze_scan,
                                   calibrate_c, calibrate_response,
-                                  extract_occupation, fit_sideband_pair)
+                                  extract_occupation, fit_sideband_pair,
+                                  occupation_from_fits)
 
 TWO_PI = 2.0 * math.pi
 HET = 4.99814e6
@@ -295,6 +296,45 @@ def test_pinned_fit_with_zero_bins_has_finite_weights(seed, start, zeros,
         fit = thermometry._constrained_area_fit(freq, vals, 5e6, 5e3, averages)
     assert np.all(np.isfinite([fit.area, fit.offset]))
     assert np.all(np.isfinite(fit.covariance))
+
+
+def ci_config_trace():
+    """The first trace of the command-line CI's cluster_1d scan, drawn in
+    memory: 4096 bins, 200 averages, seed 11, detuning 1000 kHz."""
+    cfg = io.RunConfig.from_dict(io.config_from_scenario(
+        cluster_1d(), [1000e3], channels=("cavity_y",), averages=200, seed=11,
+        n_bins=4096))
+    synth = cfg.synthesis
+    grid = default_grid(synth["het_freq_hz"], max(m.omega for m in cfg.modes),
+                        n_bins=synth["n_bins"], span_factor=synth["span_factor"])
+    (point,) = scan_series(cfg.modes, cfg.optics, cfg.noise, None, grid,
+                           synth["averages"], synth["het_freq_hz"], [1000e3],
+                           area_scale_c=synth["area_scale_c"], seed=11,
+                           channel="cavity_y")
+    return point.trace
+
+
+@pytest.mark.parametrize("zeros", [0, 10, 30, 60])
+def test_exact_zero_bins_are_dropped(zeros):
+    """The first bins of the Stokes window set to exactly 0, which no
+    averaged periodogram draws: the pair is, bit for bit, the fits of the
+    trace without those bins, and n lies within 0.1 n_err of the untouched
+    trace's."""
+    trace = ci_config_trace()
+    hint = thermometry.channel_hints([trace])[0]
+    f_stokes = sideband_frequencies(trace.meta["het_freq_hz"], hint,
+                                    ORIENT_LO_BLUE)[0]
+    start = fitting.window_bins(trace.freq_hz, (f_stokes - WINDOW_HALFWIDTH_HZ,
+                                                f_stokes + WINDOW_HALFWIDTH_HZ)).start
+    dropped = np.arange(start, start + zeros)
+    zeroed = PsdTrace(trace.freq_hz, trace.values.copy(), trace.meta)
+    zeroed.values[dropped] = 0.0
+    removed = PsdTrace(np.delete(trace.freq_hz, dropped),
+                       np.delete(trace.values, dropped), trace.meta)
+    assert pair_outcome(zeroed, None, hint) == pair_outcome(removed, None, hint)
+    untouched = occupation_from_fits(*fit_sideband_pair(trace, None, hint))
+    occ = occupation_from_fits(*fit_sideband_pair(zeroed, None, hint))
+    assert abs(occ.n - untouched.n) <= 0.1 * untouched.n_err
 
 
 class TestCalibrateC:

@@ -6,7 +6,9 @@ step is below STEP_SIGMA standard errors, measured in the metric of the
 undamped normal matrix; it stops unconverged after MAX_ITER iterations or
 when none of 60 dampings gives a step that keeps the cost from rising.
 The first pass of a weighted Lorentzian fit, which only draws the model the
-second pass is weighted from, stops sooner, at FIRST_PASS_SIGMA.
+second pass is weighted from, stops sooner, at FIRST_PASS_SIGMA, and forms
+no covariance.  The Lorentzian Jacobian is column-major, as MINPACK's lmder
+keeps its own, so the normal-equation products read contiguous memory.
 """
 
 from __future__ import annotations
@@ -59,12 +61,14 @@ def _nonsingular(out):
 # model or the Jacobian just makes the step rejectable or the window degenerate
 @np.errstate(over="ignore", invalid="ignore")
 def levenberg_marquardt(model, jacobian, x, y, p0, weights=None, *,
-                        stop=None):
+                        stop=None, covariance=True):
     """Minimize sum(w (y - model(x, p))^2) with LM damping.
 
     weights are 1/sigma^2 per point.  Returns (params, covariance,
     converged, cost).  Covariance is (J^T W J)^-1 at the solution; with unit
-    weights it is scaled by the reduced chi-square s2.
+    weights it is scaled by the reduced chi-square s2.  With covariance False
+    it is None, but the Jacobian at the solution is still computed: a
+    caller's next fit from that point starts on it.
 
     converged: an accepted step ended the fit because step^T (J^T W J) step
     <= stop^2 s2, with J^T W J the undamped matrix the step was solved
@@ -124,6 +128,8 @@ def levenberg_marquardt(model, jacobian, x, y, p0, weights=None, *,
             break
 
     jac = jacobian(x, p)
+    if not covariance:
+        return p, None, converged, cost
     cov = _inv((jac.T * w) @ jac)
     if unit_weights:
         cov = cov * (cost / dof)
@@ -192,16 +198,16 @@ class _Lorentzian:
             half, scale = float(model_half), p.item(2) / math.pi
             if half * half != model_half ** 2:
                 den = dx2 + half * half
-            jac = np.empty((x.size, 4))
-            col0, col1, col2 = jac[:, 0], jac[:, 1], jac[:, 2]
+            cols = np.empty((4, x.size))  # J^T: BLAS reads J's columns contiguous
+            col0, col1, col2 = cols[0], cols[1], cols[2]
             den2 = den * den
             np.divide(np.multiply(dx, scale * half * 2.0, out=col0), den2, out=col0)
             np.multiply(np.subtract(dx2, half * half, out=col1), scale, out=col1)
             col1 /= den2
             col1 *= 0.5
             np.divide(half, np.multiply(den, math.pi, out=col2), out=col2)
-            jac[:, 3] = 1.0
-            self._jac_key, self._jac = key, jac
+            cols[3] = 1.0
+            self._jac_key, self._jac = key, cols.T
         return self._jac
 
 
@@ -282,8 +288,9 @@ def fit_lorentzian(freq, vals, averages: float | None,
     standard errors, since its result only sets the second pass's weights;
     the second stops at STEP_SIGMA.  The first pass floors the data a
     weight is drawn from at floor = weight_floor(vals), the second its
-    model at eps * floor, so that every weight is finite.  A pass that ends
-    with a FWHM above 10 window spans is a DegenerateFitError.
+    model at eps * floor, so that every weight is finite.  A pass that ends,
+    or gives up, at a FWHM above 10 window spans is a DegenerateFitError
+    that says so.
     """
     if freq.size < 8:
         raise DegenerateFitError("degenerate fit window: fewer than 8 bins")
@@ -297,17 +304,24 @@ def fit_lorentzian(freq, vals, averages: float | None,
         stop = FIRST_PASS_SIGMA
     # model and Jacobian at pass one's end serve re-weighting and pass two
     line = _Lorentzian()
-    p, cov, converged, _ = levenberg_marquardt(line.model, line.jacobian, freq,
-                                               vals, p0, weights, stop=stop)
-    _check_width(freq, p)
+
+    def fit_pass(p, weights, **kwargs):
+        try:
+            p, cov, converged, _ = levenberg_marquardt(
+                line.model, line.jacobian, freq, vals, p, weights, **kwargs)
+        except DegenerateFitError:  # given up at the last Jacobian's p
+            _check_width(freq, np.frombuffer(line._jac_key))
+            raise
+        _check_width(freq, p)
+        return p, cov, converged
+
+    p, cov, converged = fit_pass(p0, weights, stop=stop,
+                                 covariance=averages is None)
     if averages is not None:
         # Re-weight from the fitted model to remove the data-weighting bias;
         # a model below eps * floor, 0 at the window's scale, weighs as that.
         level = np.maximum(line.model(freq, p), floor * np.finfo(float).eps)
-        weights = averages / level ** 2
-        p, cov, converged, _ = levenberg_marquardt(line.model, line.jacobian,
-                                                   freq, vals, p, weights)
-        _check_width(freq, p)
+        p, cov, converged = fit_pass(p, averages / level ** 2)
     p[1] = abs(p[1])
     return LorentzianFit(center=float(p[0]), linewidth_fwhm=float(p[1]),
                          area=float(p[2]), offset=float(p[3]),

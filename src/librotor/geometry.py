@@ -32,8 +32,8 @@ class DampingMeasurement:
     def __post_init__(self):
         if not 0 < self.gamma_x < math.inf or not 0 < self.gamma_y < math.inf:
             raise ValueError("damping rates must be finite and > 0")
-        if not (self.sigma_x >= 0 and self.sigma_y >= 0):
-            raise ValueError("errors must be >= 0")
+        if not (0 <= self.sigma_x < math.inf and 0 <= self.sigma_y < math.inf):
+            raise ValueError("errors must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,20 @@ class GeometryClass:
 
 
 def ratio_error(m: DampingMeasurement) -> tuple[float, float]:
-    """Damping ratio gamma_y/gamma_x with first-order error propagation."""
+    """Damping ratio gamma_y/gamma_x with first-order error propagation.
+    ValueError, naming which, where the ratio or its error is not finite."""
     r = m.gamma_y / m.gamma_x
-    sigma = r * math.sqrt((m.sigma_x / m.gamma_x) ** 2
-                          + (m.sigma_y / m.gamma_y) ** 2)
+    rel_x, rel_y = m.sigma_x / m.gamma_x, m.sigma_y / m.gamma_y
+    if not math.isfinite(r):
+        raise ValueError(f"damping ratio gamma_y/gamma_x = {m.gamma_y:.3g} / "
+                         f"{m.gamma_x:.3g} is not finite")
+    try:
+        sigma = r * math.sqrt(rel_x ** 2 + rel_y ** 2)
+    except OverflowError:  # a relative error squared above the float range
+        sigma = math.inf
+    if not math.isfinite(sigma):
+        raise ValueError(f"damping ratio error is not finite (relative errors "
+                         f"{rel_x:.3g} in gamma_x, {rel_y:.3g} in gamma_y)")
     return r, sigma
 
 

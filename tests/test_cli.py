@@ -1442,6 +1442,22 @@ class TestClassify:
         rows = read_json(out)["rows"] if code == 0 else None
         return code, rows, path
 
+    @pytest.mark.parametrize("row, error", [
+        (b"1e-300,0,1e300,0",
+         "damping ratio gamma_y/gamma_x = 1e+300 / 1e-300 is not finite"),
+        (b"100,inf,126.6,1.2", "errors must be finite and >= 0"),
+        (b"1,1e160,1.27,0", "damping ratio error is not finite (relative "
+                            "errors 1e+160 in gamma_x, 0 in gamma_y)")])
+    def test_non_finite_ratio_is_a_row_error(self, tmp_path, row, error):
+        """Finite rates whose ratio or ratio error is not finite, or an
+        infinite error: that row's error names it, with no ratio, and the
+        next row is written as on its own."""
+        code, rows, _ = self.classify_bytes(tmp_path, row + b"\n100,1,126.6,1.2\n")
+        assert code == 0
+        assert rows[0] == {"line": 1, "error": error}
+        code, alone, _ = self.classify_bytes(tmp_path, b"100,1,126.6,1.2\n")
+        assert code == 0 and rows[1] == dict(alone[0], line=2)
+
     def test_trailing_comment_on_the_first_row(self, tmp_path):
         """A trailing comment is cut from the first data row, which is
         read, not taken for the column names."""

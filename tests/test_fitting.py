@@ -173,14 +173,28 @@ class TestLorentzianFit:
 
     def test_peakless_window_is_degenerate(self):
         """A window of Gamma noise about a flat mean (100 averages, seed 47)
-        at criterion 08's Stokes line: its fit tilts the floor with a FWHM
-        of 1.1e76 Hz that LM calls converged.  A FWHM above 10 window spans
-        is a DegenerateFitError instead."""
+        at criterion 08's Stokes line: its second pass tilts the floor, its
+        FWHM running out past 1e70 Hz, where LM either calls it converged or
+        gives up once the Jacobian underflows.  Which one turns on the last
+        bits of the normal equations; either way, a FWHM above 10 window
+        spans is a DegenerateFitError that says so."""
         grid = default_grid(4.99814e6, TWO_PI * 1e6, 8192)
         freq = grid[window_bins(grid, (3.94814e6, 4.04814e6))]
         vals = periodogram_draw(np.ones(freq.size), 100, 47)
         with pytest.raises(DegenerateFitError, match="above 10 window spans"):
             fit_lorentzian(freq, vals, 100)
+
+    @pytest.mark.parametrize("averages", [None, 100.0])
+    def test_giving_up_at_a_runaway_width_says_so(self, averages):
+        """A pass that gives up, its normal matrix degenerate, at a FWHM
+        above 10 window spans is the width's DegenerateFitError; one that
+        gives up at a width inside them keeps the plain message."""
+        freq, vals = np.linspace(-5e4, 5e4, 64), np.ones(64)
+        with pytest.raises(DegenerateFitError,
+                           match=r"FWHM 1e\+200 Hz is above 10 window spans"):
+            fit_lorentzian(freq, vals, averages, init=[0.0, 1e200, 1e4, 1.0])
+        with pytest.raises(DegenerateFitError, match="^degenerate fit window$"):
+            fit_lorentzian(freq, vals, averages, init=[0.0, 1e4, 0.0, 1.0])
 
     def test_rescale_invariance(self):
         """Scaling the data by c scales area and offset by c, leaves center
@@ -470,12 +484,14 @@ def reference_lorentz_model(x, p):
 
 
 def reference_lorentz_jac(x, p):
-    """The Lorentzian Jacobian written out column by column."""
+    """The Lorentzian Jacobian written out column by column, in the
+    production layout (F-ordered): BLAS sums J^T W J in an order that
+    depends on it."""
     c, fwhm, area, offset = p
     half = abs(fwhm) / 2.0
     dx = x - c
     den = dx * dx + half * half
-    jac = np.empty((x.size, 4))
+    jac = np.empty((x.size, 4), order="F")
     with np.errstate(over="ignore"):
         jac[:, 0] = (area / math.pi) * half * 2.0 * dx / den ** 2
         jac[:, 1] = (area / math.pi) * (dx * dx - half * half) / den ** 2 / 2.0
@@ -663,7 +679,7 @@ def test_lorentzian_model_and_jacobian_match_the_references(fwhm):
 
     def assert_jac(q):
         got = jac(freq, q)
-        assert got.shape == (freq.size, 4) and got.flags.c_contiguous
+        assert got.shape == (freq.size, 4) and got.flags.f_contiguous
         assert got.tobytes() == reference_lorentz_jac(freq, q).tobytes()
         assert jac(freq, q.copy()) is got
 
@@ -674,6 +690,60 @@ def test_lorentzian_model_and_jacobian_match_the_references(fwhm):
     assert_jac(fresh)  # the model last saw other
     assert_model(p)
     assert_jac(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_bins=st.integers(8, 400),
+       center=st.one_of(st.floats(4.9e6, 5.1e6), st.floats(-1e200, 1e200)),
+       fwhm=st.one_of(st.floats(-3e4, 3e4), st.floats(-1e160, 1e160)),
+       area=st.floats(-1e6, 1e6), offset=st.floats(-10.0, 10.0),
+       model_first=st.booleans())
+def test_lorentzian_jacobian_is_the_reference_column_major(
+        n_bins, center, fwhm, area, offset, model_first):
+    """At trial parameters an LM run can reach (negative widths, far
+    centers, squares that overflow), with or without the model at p first,
+    the Jacobian is reference_lorentz_jac value for value, signed zeros and
+    NaNs included, and F-contiguous: each column a contiguous row of J^T."""
+    freq = np.linspace(4.95e6, 5.05e6, n_bins)
+    p = np.array([center, fwhm, area, offset])
+    model, jac = lorentz_fns()
+    with np.errstate(all="ignore"):
+        if model_first:
+            model(freq, p)
+        got, want = jac(freq, p), reference_lorentz_jac(freq, p)
+    assert got.shape == (n_bins, 4) and got.flags.f_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_bins=st.integers(8, 400),
+       fwhm=st.floats(500.0, 3e4), area=st.floats(0.0, 1e5),
+       averages=st.sampled_from([None, 10, 100, 1000]),
+       shift=st.floats(-2e4, 2e4),
+       stop=st.sampled_from([None, FIRST_PASS_SIGMA]))
+def test_lm_without_covariance_makes_the_same_calls(seed, n_bins, fwhm, area,
+                                                    averages, shift, stop):
+    """covariance=False makes the same model and Jacobian calls, the
+    Jacobian at the solution included, and returns the same p, converged
+    flag and cost, bit for bit, with None for the covariance."""
+    freq, vals = sideband_window(seed, n_bins, fwhm, area, averages or 100,
+                                 shift)
+    weights = None if averages is None else first_pass_weights(vals, averages)
+    p0 = initial_lorentzian_guess(freq, vals)
+    (with_cov, log), (without, log_without) = (
+        run_logged(lambda *args, c=c: levenberg_marquardt(
+            *args, stop=stop, covariance=c), *lorentz_fns(), freq, vals, p0,
+            weights) for c in (True, False))
+    assert log_without == log
+    if isinstance(without, DegenerateFitError):
+        assert isinstance(with_cov, DegenerateFitError)
+        return
+    p, cov, converged, cost = without
+    assert cov is None
+    if not isinstance(with_cov, DegenerateFitError):  # its inversion can fail
+        assert p.tobytes() == with_cov[0].tobytes()
+        assert converged is with_cov[2]
+        assert np.float64(cost).tobytes() == np.float64(with_cov[3]).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -717,8 +787,8 @@ def test_helpers_match_numpy_linalg(seed, n, kind, log_cond, log_lam, log_ill):
 
 def counted_fit(monkeypatch, freq, vals, averages):
     """fit_lorentzian's fit, the log of its model and Jacobian computations
-    (the calls that do not give their last result again) and its number of
-    levenberg_marquardt runs."""
+    (the calls that do not give their last result again) and the covariance
+    flag of each of its levenberg_marquardt runs."""
     log, runs, last = [], [], {}
 
     def computed(kind, p, out):
@@ -735,12 +805,12 @@ def counted_fit(monkeypatch, freq, vals, averages):
             return computed("jac", p, super().jacobian(x, p))
 
     def counted_lm(*args, **kwargs):
-        runs.append(1)
+        runs.append(kwargs.get("covariance", True))
         return levenberg_marquardt(*args, **kwargs)
 
     monkeypatch.setattr(fitting, "_Lorentzian", Logged)
     monkeypatch.setattr(fitting, "levenberg_marquardt", counted_lm)
-    return fit_lorentzian(freq, vals, averages), log, len(runs)
+    return fit_lorentzian(freq, vals, averages), log, runs
 
 
 def assert_fit_is(fit, p, cov, converged):
@@ -756,7 +826,8 @@ def test_weighted_fit_shares_where_its_passes_meet(monkeypatch, seed):
     them, composed by hand, give the fit's bits: pass one to
     FIRST_PASS_SIGMA, pass two to STEP_SIGMA.  The fit makes the same
     computations but for the re-weighting model and pass two's starting
-    model and Jacobian, which are pass one's last ones."""
+    model and Jacobian, which are pass one's last ones: pass one, which
+    forms no covariance, still computes its last Jacobian."""
     averages = 100
     freq, vals = sideband_window(seed, 265, 5e3, 2e4, averages, 0.0)
     log = []
@@ -774,7 +845,7 @@ def test_weighted_fit_shares_where_its_passes_meet(monkeypatch, seed):
     assert converged
 
     fit, fit_log, runs = counted_fit(monkeypatch, freq, vals, averages)
-    assert runs == 2
+    assert runs == [False, True]
     assert fit_log == log[:first_pass] + log[first_pass + 3:]
     assert_fit_is(fit, p, cov, converged)
 
@@ -852,7 +923,7 @@ def test_unit_weight_fit_is_one_pass(monkeypatch):
         logged(reference_lorentz_jac, "jac", log), freq, vals,
         initial_lorentzian_guess(freq, vals))
     fit, fit_log, runs = counted_fit(monkeypatch, freq, vals, None)
-    assert runs == 1 and fit_log == log
+    assert runs == [True] and fit_log == log
     assert_fit_is(fit, p, cov, converged)
 
 

@@ -55,6 +55,23 @@ class TestRatioError:
             DampingMeasurement(**{"gamma_x": 100.0, "gamma_y": 127.0,
                                   field: math.inf})
 
+    @pytest.mark.parametrize("field", ["sigma_x", "sigma_y"])
+    def test_infinite_error_rejected(self, field):
+        with pytest.raises(ValueError, match="finite"):
+            DampingMeasurement(**{"gamma_x": 100.0, "gamma_y": 127.0,
+                                  field: math.inf})
+
+    @pytest.mark.parametrize("kw, match", [
+        ({"gamma_x": 1e-300, "gamma_y": 1e300}, "damping ratio gamma_y/gamma_x"),
+        ({"gamma_x": 1.0, "gamma_y": 1.27, "sigma_x": 1e160}, "ratio error"),
+        ({"gamma_x": 1e-300, "gamma_y": 1e-10, "sigma_y": 1e10}, "ratio error")])
+    def test_non_finite_ratio_or_error_raises(self, kw, match):
+        """Finite rates and errors whose ratio, or whose propagated error,
+        is not finite (an overflow of the ratio, of a relative error
+        squared, or of the product): a ValueError that names which."""
+        with pytest.raises(ValueError, match=match):
+            ratio_error(DampingMeasurement(**kw))
+
 
 class TestClassify:
     def test_golden_ratios(self):

@@ -1,14 +1,17 @@
 """Weighted nonlinear least squares (damped Gauss-Newton) and the model
 fitters used by the thermometry and scan pipelines.
 
-All models carry analytic Jacobians.  A fit converges when an accepted
-step is below STEP_SIGMA standard errors, measured in the metric of the
-undamped normal matrix; it stops unconverged after MAX_ITER iterations or
-when none of 60 dampings gives a step that keeps the cost from rising.
-The first pass of a weighted Lorentzian fit, which only draws the model the
-second pass is weighted from, stops sooner, at FIRST_PASS_SIGMA, and forms
-no covariance.  The Lorentzian Jacobian is column-major, as MINPACK's lmder
-keeps its own, so the normal-equation products read contiguous memory.
+A fit converges when an accepted step is below STEP_SIGMA standard errors,
+measured in the metric of the undamped normal matrix; it stops unconverged
+after MAX_ITER iterations or when none of LAMBDA_TRIES dampings gives a
+step that keeps the cost from rising.  levenberg_marquardt does this for a
+model with an analytic Jacobian (the optical-spring scan fit).  A
+Lorentzian fit does it by variable projection (Golub & Pereyra 1973, with
+Kaufman's 1975 normal matrix): its steps move center and width only, and
+area and offset are solved in closed form at every trial point, all from
+one weighted Gram of five rows.  The first pass of a weighted Lorentzian
+fit, which only draws the model the second pass is weighted from, stops
+sooner, at FIRST_PASS_SIGMA, and forms no covariance.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from numpy.linalg import _umath_linalg  # private: tests pin it to numpy.linalg
 
 from . import physics
 from .errors import DegenerateFitError, UnderdeterminedScanError
-from .spectrum import _lorentzian_at
+from .spectrum import lorentzian
 
 # A step this many standard errors long (or shorter) ends a fit.
 STEP_SIGMA = 1e-4
@@ -33,6 +36,14 @@ MAX_ITER = 200
 # errors, the relative error of a bin: at 100 averages the final fit stays
 # within 2e-3 standard errors of a first pass run to STEP_SIGMA.
 FIRST_PASS_SIGMA = 1e-2
+
+# The damping schedule of both Gauss-Newton loops (levenberg_marquardt's
+# and a Lorentzian pass's): the first trial's lam, how many trials, each at
+# 10 times the last lam, a step gets before the fit gives up, and the least
+# lam an accepted step leaves for the next.
+LAMBDA_START = 1e-3
+LAMBDA_TRIES = 60
+LAMBDA_FLOOR = 1e-14
 
 # Fewest scan points a scan fit accepts.
 MIN_SCAN_POINTS = 4
@@ -60,29 +71,24 @@ def _nonsingular(out):
 # trial steps may explore huge centers and linewidths; an inf or nan in the
 # model or the Jacobian just makes the step rejectable or the window degenerate
 @np.errstate(over="ignore", invalid="ignore")
-def levenberg_marquardt(model, jacobian, x, y, p0, weights=None, *,
-                        stop=None, covariance=True):
+def levenberg_marquardt(model, jacobian, x, y, p0, weights=None):
     """Minimize sum(w (y - model(x, p))^2) with LM damping.
 
     weights are 1/sigma^2 per point.  Returns (params, covariance,
     converged, cost).  Covariance is (J^T W J)^-1 at the solution; with unit
-    weights it is scaled by the reduced chi-square s2.  With covariance False
-    it is None, but the Jacobian at the solution is still computed: a
-    caller's next fit from that point starts on it.
+    weights it is scaled by the reduced chi-square s2.
 
     converged: an accepted step ended the fit because step^T (J^T W J) step
-    <= stop^2 s2, with J^T W J the undamped matrix the step was solved
-    from, i.e. the step is at most stop standard errors long (stop is
-    STEP_SIGMA when None).
+    <= STEP_SIGMA^2 s2, with J^T W J the undamped matrix the step was solved
+    from, i.e. the step is at most STEP_SIGMA standard errors long.
     The test is scale-free, so it holds as well for a parameter near 0 as
     for a large one.  Weighted fits take s2 = 1; unit-weight fits take the
     reduced chi-square at the accepted point, floored at
-    (eps / stop)^2 sum(y^2).  The floor is the rounding of y: a step's
+    (eps / STEP_SIGMA)^2 sum(y^2).  The floor is the rounding of y: a step's
     step^T (J^T J) step never exceeds the cost it starts from, and on
     noise-free data the cost falls to about eps^2 sum(y^2), where steps are
     rounding noise.  Without the floor such a fit would run to MAX_ITER.
     """
-    stop = STEP_SIGMA if stop is None else stop
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     p = np.asarray(p0, dtype=float).copy()
@@ -90,14 +96,14 @@ def levenberg_marquardt(model, jacobian, x, y, p0, weights=None, *,
     w = np.ones_like(y) if unit_weights else np.asarray(weights, dtype=float)
     dof = max(y.size - p.size, 1)
     if unit_weights:
-        s2_floor = (np.finfo(float).eps / stop) ** 2 * float(y @ y)
+        s2_floor = (np.finfo(float).eps / STEP_SIGMA) ** 2 * float(y @ y)
 
     def cost_of(params):
         r = y - model(x, params)
         return r, float(np.add.reduce(w * r * r))  # .sum() minus its wrapper
 
     r, cost = cost_of(p)
-    lam = 1e-3
+    lam = LAMBDA_START
     converged = False
     for _ in range(MAX_ITER):
         jac = jacobian(x, p)
@@ -109,7 +115,7 @@ def levenberg_marquardt(model, jacobian, x, y, p0, weights=None, *,
             raise DegenerateFitError("degenerate fit window")
         damped = a_mat + 0.0  # a + lam diag(d) off the diagonal; on it, set per lam
         damped_diag = damped.reshape(-1)[::p.size + 1]
-        for _ in range(60):
+        for _ in range(LAMBDA_TRIES):
             np.multiply(diag, lam, out=damped_diag)
             damped_diag += diag
             step = _solve(damped, grad)
@@ -118,18 +124,16 @@ def levenberg_marquardt(model, jacobian, x, y, p0, weights=None, *,
             if math.isfinite(cost_new) and cost_new <= cost:
                 break
             lam *= 10.0
-        else:  # no step in 60 was accepted
+        else:  # no trial was accepted
             break
         p, r, cost = p_new, r_new, cost_new
-        lam = max(lam / 10.0, 1e-14)
+        lam = max(lam / 10.0, LAMBDA_FLOOR)
         s2 = max(cost / dof, s2_floor) if unit_weights else 1.0
-        if float(step @ a_mat @ step) <= stop ** 2 * s2:
+        if float(step @ a_mat @ step) <= STEP_SIGMA ** 2 * s2:
             converged = True
             break
 
     jac = jacobian(x, p)
-    if not covariance:
-        return p, None, converged, cost
     cov = _inv((jac.T * w) @ jac)
     if unit_weights:
         cov = cov * (cost / dof)
@@ -171,44 +175,172 @@ class LorentzianFit:
         return np.sqrt(np.maximum(np.diag(self.covariance), 0.0))
 
 
-class _Lorentzian:
-    """The Lorentzian model of one fit and its Jacobian at p = (center, fwhm,
-    area, offset), width |fwhm|, each giving its last result again for the
-    same p (x fixed).  The Jacobian takes x - c and (x - c)^2 from the model
-    at p, and the denominator too where half * half is the model's half ** 2."""
+def _gram(x, y, sw, c, h):
+    """The Gram of five rows at center c and half-width h > 0, each times
+    sw = sqrt(w):
 
-    _model_key = _jac_key = None
+        L, 1, y, dL/dc, dL/dh - L / h,
 
-    def model(self, x, p):
-        key = p.tobytes()
-        if key != self._model_key:
-            c, fwhm, area, offset = p.tolist()
-            dx = x - c
-            dx2, half = dx * dx, np.float64(abs(fwhm) / 2.0)  # ** 2: inf, not OverflowError
-            self._value, den = _lorentzian_at(dx2, half, area, offset)
-            self._model_key, self._at_model = key, (dx, dx2, den, half)
-        return self._value
+    with L the unit-area Lorentzian (h / pi) / ((x - c)^2 + h^2), so that
+    the model area L + offset is spectrum.lorentzian at FWHM 2 h.  The last
+    row, -2 h L / ((x - c)^2 + h^2), is the part of dL/dh off L, all that a
+    step sees once L is projected out; taking L / h off analytically keeps
+    that part's digits where the line is narrower than a bin.  Row-major in
+    Python floats: entry (i, j) is item 5 i + j."""
+    dx = x - c
+    den = dx * dx + h * h
+    lor = (h / math.pi) / den
+    q = 2.0 * lor / den
+    rows = np.array([lor, np.ones_like(x), y, q * dx, q * -h]) * sw
+    return (rows @ rows.T).ravel().tolist()
 
-    def jacobian(self, x, p):
-        key = p.tobytes()
-        if key != self._jac_key:
-            if key != self._model_key:
-                self.model(x, p)
-            dx, dx2, den, model_half = self._at_model
-            half, scale = float(model_half), p.item(2) / math.pi
-            if half * half != model_half ** 2:
-                den = dx2 + half * half
-            cols = np.empty((4, x.size))  # J^T: BLAS reads J's columns contiguous
-            col0, col1, col2 = cols[0], cols[1], cols[2]
-            den2 = den * den
-            np.divide(np.multiply(dx, scale * half * 2.0, out=col0), den2, out=col0)
-            np.multiply(np.subtract(dx2, half * half, out=col1), scale, out=col1)
-            col1 /= den2
-            col1 *= 0.5
-            np.divide(half, np.multiply(den, math.pi, out=col2), out=col2)
-            cols[3] = 1.0
-            self._jac_key, self._jac = key, cols.T
-        return self._jac
+
+# The least share of sum(w L^2) that L keeps once centred on the constant
+# row: below it L and 1 are collinear to half the digits, and the cost,
+# whose rounding grows as the inverse of that share, is no longer sound.
+_COLLINEAR = math.sqrt(np.finfo(float).eps)
+
+
+def _linear(g):
+    """(area, offset, cost, ss_c) of the linear solve y ~ area L + offset in
+    the Gram g, or None where its 2x2 system is singular: L centred on the
+    constant row, whose weighted sum of squares is ss_c, keeps at most
+    _COLLINEAR of sum(w L^2).  Every product is centred first, so the cost
+    rounds in proportion to the centred sum(w y^2), not to area or offset."""
+    ll, l1, ly, oo, oy, yy = g[0], g[1], g[2], g[6], g[7], g[12]
+    if not oo > 0.0:
+        return None
+    ss_c = ll - l1 * l1 / oo
+    if not ss_c > _COLLINEAR * ll:
+        return None
+    sy_c = ly - l1 * oy / oo
+    area = sy_c / ss_c
+    return area, (oy - area * l1) / oo, (yy - oy * oy / oo) - area * sy_c, ss_c
+
+
+def _cost(g, area, offset):
+    """The cost sum(w (y - area L - offset)^2) from the Gram g."""
+    return (g[12] - 2.0 * (area * g[2] + offset * g[7])
+            + area * (area * g[0] + 2.0 * offset * g[1])
+            + offset * offset * g[6])
+
+
+def _reduced(g, area, ss_c):
+    """Kaufman's reduced normal matrix (a00, a01, a11) and gradient (g0, g1)
+    over (c, h) at the linear solution (area, ss_c) of the Gram g: the
+    model's derivatives area dL/dc and area dL/dh, each projected off L and
+    1 (which leaves of dL/dh only the Gram's last row), in products with
+    each other and with y.  Each product is centred on the constant row
+    first."""
+    oo = g[6]
+
+    def centred(i, j):
+        return g[5 * i + j] - g[5 * i + 1] * g[5 * j + 1] / oo
+
+    lc, lh = centred(3, 0), centred(4, 0)
+    a2 = area * area
+    return ((a2 * (centred(3, 3) - lc * lc / ss_c),
+             a2 * (centred(3, 4) - lc * lh / ss_c),
+             a2 * (centred(4, 4) - lh * lh / ss_c)),
+            (area * (centred(3, 2) - area * lc),
+             area * (centred(4, 2) - area * lh)))
+
+
+def _check_width(freq, fwhm):
+    """DegenerateFitError for a FWHM above 10 spans of the window freq: a
+    tilt of the floor, not a peak, that can overflow the re-weighting."""
+    if fwhm > 10.0 * (freq[-1] - freq[0]):
+        raise DegenerateFitError(f"degenerate fit window: fitted FWHM "
+                                 f"{fwhm:.3g} Hz is above 10 window spans")
+
+
+# trial points may reach huge centres and widths, or a width that puts a
+# bin's denominator at 0: an inf or nan in the Gram just makes a trial
+# rejectable or the window degenerate
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _line_pass(x, y, w, c, h, stop, start=None):
+    """One weighted pass of a Lorentzian fit by variable projection: damped
+    Gauss-Newton over (c, h >= 0), (area, offset) solved at each point.
+
+    Steps, damping and stop are levenberg_marquardt's on the reduced
+    problem: a step solves (A + lam diag(A)) step = g, with A Kaufman's
+    reduced normal matrix and g the gradient; the trial point is
+    (c + step_c, |h + step_h|); a trial is accepted when its cost is finite
+    and not above the current one; the pass converges when an accepted step
+    has step^T A step <= stop^2 s2 (A undamped, s2 as in
+    levenberg_marquardt).  A trial whose linear or damped 2x2 system is
+    singular is rejected.  start, the fit's starting (area, offset), is
+    degenerate where its cost at (c, h) is not finite.  Returns (c, h, the
+    Gram and _linear's result there, converged).  A DegenerateFitError
+    gives the width's message where its point lies above 10 window spans."""
+    sw = 1.0 if w is None else np.sqrt(w)
+
+    def degenerate():
+        _check_width(x, 2.0 * h)
+        return DegenerateFitError("degenerate fit window")
+
+    if not (h > 0.0 and math.isfinite(h)):
+        raise degenerate()
+    g = _gram(x, y, sw, c, h)
+    lin = _linear(g)
+    if lin is None or not math.isfinite(lin[2]):
+        raise degenerate()
+    if start is not None and not math.isfinite(_cost(g, *start)):
+        raise degenerate()
+    dof = max(x.size - 4, 1)
+    s2 = 1.0
+    if w is None:
+        s2_floor = (np.finfo(float).eps / stop) ** 2 * g[12]
+    lam = LAMBDA_START
+    converged = False
+    for _ in range(MAX_ITER):
+        area, _, cost, ss_c = lin
+        (a00, a01, a11), (g0, g1) = _reduced(g, area, ss_c)
+        if not (a00 > 0.0 and a11 > 0.0
+                and all(map(math.isfinite, (a00, a01, a11, g0, g1)))):
+            raise degenerate()
+        for _ in range(LAMBDA_TRIES):
+            d00, d11 = a00 * lam + a00, a11 * lam + a11
+            ddet = d00 * d11 - a01 * a01
+            if ddet > 0.0:
+                s0 = (d11 * g0 - a01 * g1) / ddet
+                s1 = (d00 * g1 - a01 * g0) / ddet
+                c_new, h_new = c + s0, abs(h + s1)
+                if h_new > 0.0:
+                    g_new = _gram(x, y, sw, c_new, h_new)
+                    lin_new = _linear(g_new)
+                    if (lin_new is not None and math.isfinite(lin_new[2])
+                            and lin_new[2] <= cost):
+                        break
+            lam *= 10.0
+        else:  # no trial was accepted
+            break
+        c, h, g, lin = c_new, h_new, g_new, lin_new
+        lam = max(lam / 10.0, LAMBDA_FLOOR)
+        if w is None:
+            s2 = max(lin[2] / dof, s2_floor)
+        size2 = s0 * (a00 * s0 + a01 * s1) + s1 * (a01 * s0 + a11 * s1)
+        if size2 <= stop * stop * s2:
+            converged = True
+            break
+    _check_width(x, 2.0 * h)
+    return c, h, g, lin, converged
+
+
+# a line narrower than a bin can leave J^T W J singular: its inverse's NaN
+# is a DegenerateFitError, not a warning
+@np.errstate(over="ignore", invalid="ignore")
+def _line_covariance(g, area, h):
+    """(J^T W J)^-1 over (center, fwhm, area, offset) at the point (c, h) of
+    the Gram g, whose linear solve gave area.  J's columns are area dL/dc,
+    (area / 2) (L / h + the Gram's last row), L and 1, each a combination v
+    of the Gram's rows, so J^T W J is v^T g v.  DegenerateFitError where it
+    is singular."""
+    v = np.zeros((5, 4))
+    v[3, 0] = area
+    v[0, 1], v[4, 1] = area / (2.0 * h), area / 2.0
+    v[0, 2] = v[1, 3] = 1.0
+    return _inv(v.T @ np.reshape(g, (5, 5)) @ v)
 
 
 def initial_lorentzian_guess(freq, vals):
@@ -267,18 +399,17 @@ def weight_floor(vals) -> float:
     return fifth_percentile(positive)
 
 
-def _check_width(freq, p):
-    """DegenerateFitError for a FWHM above 10 spans of the window freq: a
-    tilt of the floor, not a peak, that can overflow the re-weighting."""
-    if abs(p[1]) > 10.0 * (freq[-1] - freq[0]):
-        raise DegenerateFitError(f"degenerate fit window: fitted FWHM "
-                                 f"{abs(p[1]):.3g} Hz is above 10 window spans")
-
-
 def fit_lorentzian(freq, vals, averages: float | None,
                    init=None) -> LorentzianFit:
     """Fit a single Lorentzian to the bins of one window: increasing
     frequencies freq (Hz) and their PSD values vals.
+
+    Each pass is a variable-projection fit (_line_pass): damped Gauss-Newton
+    over center and width, with area and offset solved in closed form at
+    every trial point from one weighted Gram.  init (default
+    initial_lorentzian_guess) gives the start's center and width; its area
+    and offset serve only to turn away a start whose own cost is not
+    finite, a DegenerateFitError.
 
     With known averages (the periodogram averages behind vals; None when
     unknown or infinite) the weights follow the averaged-periodogram
@@ -290,42 +421,39 @@ def fit_lorentzian(freq, vals, averages: float | None,
     weight is drawn from at floor = weight_floor(vals), the second its
     model at eps * floor, so that every weight is finite.  A pass that ends,
     or gives up, at a FWHM above 10 window spans is a DegenerateFitError
-    that says so.
+    that says so.  On a window that holds no line, the fit can instead
+    narrow onto its highest bin: a converged line narrower than a bin,
+    whose area is within its error of 0.  Callers judge such a fit (as
+    thermometry.fit_sideband_pair does); fit_lorentzian returns it.
     """
     if freq.size < 8:
         raise DegenerateFitError("degenerate fit window: fewer than 8 bins")
-    p0 = np.asarray(init, float) if init is not None else initial_lorentzian_guess(freq, vals)
-
+    p0 = (initial_lorentzian_guess(freq, vals) if init is None
+          else np.asarray(init, float)).tolist()
+    c, h = p0[0], abs(p0[1]) / 2.0
     if averages is None:
-        weights = stop = None
+        c, h, g, lin, converged = _line_pass(freq, vals, None, c, h,
+                                             STEP_SIGMA, p0[2:])
+        # the reduced chi-square from the residuals: the Gram's cost rounds
+        # to eps sum(y^2), far above the cost of a noise-free window
+        r = vals - lorentzian(freq, c, 2.0 * h, lin[0], lin[1])
+        scale = float(r @ r) / max(freq.size - 4, 1)
     else:
         floor = weight_floor(vals)
         weights = 1.0 / (np.maximum(vals, floor) ** 2 / averages)
-        stop = FIRST_PASS_SIGMA
-    # model and Jacobian at pass one's end serve re-weighting and pass two
-    line = _Lorentzian()
-
-    def fit_pass(p, weights, **kwargs):
-        try:
-            p, cov, converged, _ = levenberg_marquardt(
-                line.model, line.jacobian, freq, vals, p, weights, **kwargs)
-        except DegenerateFitError:  # given up at the last Jacobian's p
-            _check_width(freq, np.frombuffer(line._jac_key))
-            raise
-        _check_width(freq, p)
-        return p, cov, converged
-
-    p, cov, converged = fit_pass(p0, weights, stop=stop,
-                                 covariance=averages is None)
-    if averages is not None:
+        c, h, _, lin, _ = _line_pass(freq, vals, weights, c, h,
+                                     FIRST_PASS_SIGMA, p0[2:])
         # Re-weight from the fitted model to remove the data-weighting bias;
         # a model below eps * floor, 0 at the window's scale, weighs as that.
-        level = np.maximum(line.model(freq, p), floor * np.finfo(float).eps)
-        p, cov, converged = fit_pass(p, averages / level ** 2)
-    p[1] = abs(p[1])
-    return LorentzianFit(center=float(p[0]), linewidth_fwhm=float(p[1]),
-                         area=float(p[2]), offset=float(p[3]),
-                         covariance=cov, converged=bool(converged))
+        level = np.maximum(lorentzian(freq, c, 2.0 * h, lin[0], lin[1]),
+                           floor * np.finfo(float).eps)
+        c, h, g, lin, converged = _line_pass(freq, vals, averages / level ** 2,
+                                             c, h, STEP_SIGMA)
+        scale = 1.0
+    return LorentzianFit(center=c, linewidth_fwhm=2.0 * h, area=lin[0],
+                         offset=lin[1],
+                         covariance=_line_covariance(g, lin[0], h) * scale,
+                         converged=converged)
 
 
 # ---------------------------------------------------------------------------

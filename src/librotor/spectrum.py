@@ -76,13 +76,9 @@ class SidebandSpec:
 
 def lorentzian(x, center, fwhm, area, offset=0.0):
     """Area-normalized Lorentzian: offset + (area/pi)(w/2)/((x-c)^2+(w/2)^2)."""
-    return _lorentzian_at((np.asarray(x, float) - center) ** 2, fwhm / 2.0, area, offset)[0]
-
-
-def _lorentzian_at(dx2, half, area, offset):
-    """lorentzian at dx2 = (x - c)^2 with half = w/2, and its denominator."""
-    den = dx2 + half ** 2
-    return offset + (area / math.pi) * half / den, den
+    half = fwhm / 2.0
+    den = (np.asarray(x, float) - center) ** 2 + half ** 2
+    return offset + (area / math.pi) * half / den
 
 
 def sideband_frequencies(het_hz: float, f_mode_hz: float,

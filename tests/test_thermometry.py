@@ -16,8 +16,8 @@ from librotor.physics import LibrationMode
 from librotor.presets import cluster_1d
 from librotor.spectrum import (ORIENT_LO_BLUE, ORIENT_LO_RED, PsdTrace,
                                SidebandSpec, default_grid, lorentzian,
-                               mean_psd, scan_series, sideband_frequencies,
-                               synthesize_psd)
+                               mean_psd, periodogram_draw, scan_series,
+                               sideband_frequencies, synthesize_psd)
 from librotor.thermometry import (METHOD_DIFFCAL, METHOD_RATIO,
                                   WINDOW_HALFWIDTH_HZ,
                                   _occupation_from_areas, analyze_scan,
@@ -205,6 +205,31 @@ class TestExtractOccupation:
         _, anti = fit_sideband_pair(make_trace(0.73, averages=200, seed=2),
                                     None, 1e6)
         assert not anti.pinned
+
+    @pytest.mark.parametrize("orientation", [ORIENT_LO_RED, ORIENT_LO_BLUE])
+    def test_peakless_window_in_a_pair(self, orientation):
+        """The peakless window of test_fitting.py's
+        test_peakless_window_is_degenerate (Gamma noise about a flat mean,
+        100 averages, seed 47, below the carrier), on which fit_lorentzian
+        narrows onto one bin, is turned away by fit_sideband_pair: as the
+        Stokes window it is an unresolved sideband; as the anti-Stokes
+        window, against a resolved Stokes line above the carrier, the free
+        fit gives way to the pinned one."""
+        grid = default_grid(HET, TWO_PI * 1e6, 8192)
+        vals = lorentzian(grid, HET + 1e6, 5e3, 2e3, 1.0)
+        low = HET - 1e6  # the window's centre, as fit_sideband_pair forms it
+        bins = fitting.window_bins(grid, (low - WINDOW_HALFWIDTH_HZ,
+                                          low + WINDOW_HALFWIDTH_HZ))
+        vals[bins] = periodogram_draw(np.ones(bins.stop - bins.start), 100, 47)
+        trace = PsdTrace(grid, vals, {"het_freq_hz": HET, "averages": 100,
+                                      "sideband_orientation": orientation})
+        if orientation == ORIENT_LO_RED:  # the Stokes line below the carrier
+            with pytest.raises(LibrotorError, match="^unresolved sideband"):
+                fit_sideband_pair(trace, None, 1e6)
+        else:
+            stokes, anti = fit_sideband_pair(trace, None, 1e6)
+            assert not stokes.pinned and anti.pinned
+            assert abs(anti.area) < 3.0 * anti.errors()[2]
 
     def test_diffcal_needs_c(self):
         with pytest.raises(ValueError, match="requires a C"):

@@ -9,9 +9,10 @@ model with an analytic Jacobian (the optical-spring scan fit).  A
 Lorentzian fit does it by variable projection (Golub & Pereyra 1973, with
 Kaufman's 1975 normal matrix): its steps move center and width only, and
 area and offset are solved in closed form at every trial point, all from
-one weighted Gram of five rows.  The first pass of a weighted Lorentzian
-fit, which only draws the model the second pass is weighted from, stops
-sooner, at FIRST_PASS_SIGMA, and forms no covariance.
+one weighted Gram of five rows, written in place into a buffer the pass
+owns.  The first pass of a weighted Lorentzian fit, which only draws the
+model the second pass is weighted from, stops sooner, at FIRST_PASS_SIGMA,
+and forms no covariance.
 """
 
 from __future__ import annotations
@@ -175,9 +176,9 @@ class LorentzianFit:
         return np.sqrt(np.maximum(np.diag(self.covariance), 0.0))
 
 
-def _gram(x, y, sw, c, h):
-    """The Gram of five rows at center c and half-width h > 0, each times
-    sw = sqrt(w):
+def _gram(x, y, sw):
+    """A pass's gram(c, h): the Gram of five rows at center c and half-width
+    h > 0, each times sw = sqrt(w) (1.0 for unit weights):
 
         L, 1, y, dL/dc, dL/dh - L / h,
 
@@ -186,13 +187,29 @@ def _gram(x, y, sw, c, h):
     row, -2 h L / ((x - c)^2 + h^2), is the part of dL/dh off L, all that a
     step sees once L is projected out; taking L / h off analytically keeps
     that part's digits where the line is narrower than a bin.  Row-major in
-    Python floats: entry (i, j) is item 5 i + j."""
-    dx = x - c
-    den = dx * dx + h * h
-    lor = (h / math.pi) / den
-    q = 2.0 * lor / den
-    rows = np.array([lor, np.ones_like(x), y, q * dx, q * -h]) * sw
-    return (rows @ rows.T).ravel().tolist()
+    Python floats: entry (i, j) is item 5 i + j.
+
+    The pass owns one 5 x n buffer: its rows 1 and y are filled here, and
+    each gram(c, h) writes L, dL/dc and the last row in place by the same
+    operations, in the same order, as rows built afresh at each point, so
+    its Gram is theirs bit for bit."""
+    rows = np.empty((5, x.size))
+    lor, l_c, l_h = rows[0], rows[3], rows[4]
+    dx, den = np.empty(x.size), np.empty(x.size)
+    rows[1] = sw
+    np.multiply(y, sw, out=rows[2])
+
+    def gram(c, h):
+        np.subtract(x, c, out=dx)
+        np.add(np.multiply(dx, dx, out=den), h * h, out=den)
+        np.divide(h / math.pi, den, out=lor)
+        np.divide(np.multiply(lor, 2.0, out=l_h), den, out=l_h)  # q = 2 L / den
+        np.multiply(l_h, dx, out=l_c)
+        np.multiply(l_h, -h, out=l_h)
+        for row in (lor, l_c, l_h):
+            np.multiply(row, sw, out=row)
+        return (rows @ rows.T).ravel().tolist()
+    return gram
 
 
 # The least share of sum(w L^2) that L keeps once centred on the constant
@@ -232,18 +249,14 @@ def _reduced(g, area, ss_c):
     1 (which leaves of dL/dh only the Gram's last row), in products with
     each other and with y.  Each product is centred on the constant row
     first."""
-    oo = g[6]
-
-    def centred(i, j):
-        return g[5 * i + j] - g[5 * i + 1] * g[5 * j + 1] / oo
-
-    lc, lh = centred(3, 0), centred(4, 0)
+    oo, c1, c2, c3, c4 = g[6], g[1], g[11], g[16], g[21]  # row i's g[5 i + 1]
+    lc, lh = g[15] - c3 * c1 / oo, g[20] - c4 * c1 / oo
     a2 = area * area
-    return ((a2 * (centred(3, 3) - lc * lc / ss_c),
-             a2 * (centred(3, 4) - lc * lh / ss_c),
-             a2 * (centred(4, 4) - lh * lh / ss_c)),
-            (area * (centred(3, 2) - area * lc),
-             area * (centred(4, 2) - area * lh)))
+    return ((a2 * ((g[18] - c3 * c3 / oo) - lc * lc / ss_c),
+             a2 * ((g[19] - c3 * c4 / oo) - lc * lh / ss_c),
+             a2 * ((g[24] - c4 * c4 / oo) - lh * lh / ss_c)),
+            (area * ((g[17] - c3 * c2 / oo) - area * lc),
+             area * ((g[22] - c4 * c2 / oo) - area * lh)))
 
 
 def _check_width(freq, fwhm):
@@ -269,11 +282,12 @@ def _line_pass(x, y, w, c, h, stop, start=None):
     and not above the current one; the pass converges when an accepted step
     has step^T A step <= stop^2 s2 (A undamped, s2 as in
     levenberg_marquardt).  A trial whose linear or damped 2x2 system is
-    singular is rejected.  start, the fit's starting (area, offset), is
+    singular is rejected.  Every point's Gram comes from the one buffer of
+    the pass's _gram.  start, the fit's starting (area, offset), is
     degenerate where its cost at (c, h) is not finite.  Returns (c, h, the
     Gram and _linear's result there, converged).  A DegenerateFitError
     gives the width's message where its point lies above 10 window spans."""
-    sw = 1.0 if w is None else np.sqrt(w)
+    gram = _gram(x, y, 1.0 if w is None else np.sqrt(w))
 
     def degenerate():
         _check_width(x, 2.0 * h)
@@ -281,7 +295,7 @@ def _line_pass(x, y, w, c, h, stop, start=None):
 
     if not (h > 0.0 and math.isfinite(h)):
         raise degenerate()
-    g = _gram(x, y, sw, c, h)
+    g = gram(c, h)
     lin = _linear(g)
     if lin is None or not math.isfinite(lin[2]):
         raise degenerate()
@@ -307,7 +321,7 @@ def _line_pass(x, y, w, c, h, stop, start=None):
                 s1 = (d00 * g1 - a01 * g0) / ddet
                 c_new, h_new = c + s0, abs(h + s1)
                 if h_new > 0.0:
-                    g_new = _gram(x, y, sw, c_new, h_new)
+                    g_new = gram(c_new, h_new)
                     lin_new = _linear(g_new)
                     if (lin_new is not None and math.isfinite(lin_new[2])
                             and lin_new[2] <= cost):

@@ -682,7 +682,7 @@ def assert_reduced_gradient(freq, vals, weights, c, h):
     sqrt(A_ii cost), the Cauchy-Schwarz bound on its entry i (A the reduced
     normal matrix); each difference step is 1e-4 / sqrt(A_ii)."""
     sw = 1.0 if weights is None else np.sqrt(weights)
-    g = fitting._gram(freq, vals, sw, c, h)
+    g = fitting._gram(freq, vals, sw)(c, h)
     area, _, _, ss_c = fitting._linear(g)
     (a00, _, a11), grads = fitting._reduced(g, area, ss_c)
     cost = profiled_cost(freq, vals, weights, c, h)
@@ -763,9 +763,84 @@ def test_singular_linear_systems_are_degenerate_without_a_warning(init,
         with pytest.raises(DegenerateFitError):
             fit_lorentzian(freq, vals, averages, init=init)
     with np.errstate(all="ignore"):
-        g = fitting._gram(freq, vals, 1.0, init[0], init[1] / 2.0)
+        g = fitting._gram(freq, vals, 1.0)(init[0], init[1] / 2.0)
     assert fitting._linear(g) is None
-    assert fitting._linear(fitting._gram(freq, vals, 0.0, 5e6, 2.5e3)) is None
+    assert fitting._linear(fitting._gram(freq, vals, 0.0)(5e6, 2.5e3)) is None
+
+
+# ---------------------------------------------------------------------------
+# a pass's in-place Gram against one-shot rows
+
+def one_shot_gram(x, y, sw, c, h):
+    """The Gram of the five rows L, 1, y, dL/dc, dL/dh - L / h, each times
+    sw, from a new 5 x n array."""
+    dx = x - c
+    den = dx * dx + h * h
+    lor = (h / math.pi) / den
+    q = 2.0 * lor / den
+    rows = np.array([lor, np.ones_like(x), y, q * dx, q * -h]) * sw
+    return (rows @ rows.T).ravel().tolist()
+
+
+def centred_reduced(g, area, ss_c):
+    """Kaufman's reduced matrix and gradient as _reduced gives them, with
+    each centred product from one closure."""
+    oo = g[6]
+
+    def centred(i, j):
+        return g[5 * i + j] - g[5 * i + 1] * g[5 * j + 1] / oo
+
+    lc, lh = centred(3, 0), centred(4, 0)
+    a2 = area * area
+    return ((a2 * (centred(3, 3) - lc * lc / ss_c),
+             a2 * (centred(3, 4) - lc * lh / ss_c),
+             a2 * (centred(4, 4) - lh * lh / ss_c)),
+            (area * (centred(3, 2) - area * lc),
+             area * (centred(4, 2) - area * lh)))
+
+
+def float_bits(values):
+    """Each float's bytes, or None for any NaN."""
+    return [None if math.isnan(v) else np.float64(v).tobytes() for v in values]
+
+
+def reduced_bits(reduced, g, area, ss_c):
+    try:
+        (a00, a01, a11), (g0, g1) = reduced(g, area, ss_c)
+    except ZeroDivisionError:
+        return "ZeroDivisionError"
+    return float_bits([a00, a01, a11, g0, g1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_bins=st.integers(8, 600),
+       weights=st.sampled_from(["scalar unit", "unit", "zero", "random"]),
+       points=st.lists(st.tuples(st.floats(-3.0, 4.0), st.floats(-300.0, 300.0)),
+                       min_size=1, max_size=6))
+@example(seed=0, n_bins=8, weights="random", points=[(0.0, -300.0), (1 / 7, 300.0)])
+def test_pass_gram_is_the_one_shot_gram(seed, n_bins, weights, points):
+    """A pass's gram(c, h), which rewrites one buffer in place, gives the
+    one-shot rows' Gram bit for bit (NaN for NaN), at half-widths from
+    1e-300 to 1e300 and centres from 3 window spans below the window to 3
+    above it (at a bin, where 1e-300 leaves a denominator of 0); a Gram
+    returned earlier keeps its values through later calls.  _reduced gives
+    the closure form's bits at each point's linear solution."""
+    rng = np.random.default_rng(seed)
+    freq = np.linspace(4.95e6, 5.05e6, n_bins)
+    vals = rng.gamma(2.0, 0.5, n_bins)
+    sw = {"scalar unit": 1.0, "unit": np.ones(n_bins), "zero": np.zeros(n_bins),
+          "random": np.sqrt(rng.uniform(0.0, 10.0, n_bins))}[weights]
+    at = [(freq[0] + t * (freq[-1] - freq[0]), 10.0 ** e) for t, e in points]
+    with np.errstate(all="ignore"):
+        gram = fitting._gram(freq, vals, sw)
+        got = [gram(c, h) for c, h in at]
+        want = [one_shot_gram(freq, vals, sw, c, h) for c, h in at]
+    for g, g_ref in zip(got, want):
+        assert float_bits(g) == float_bits(g_ref)
+        lin = fitting._linear(g)
+        area, ss_c = (1.0, g[0]) if lin is None else (lin[0], lin[3])
+        assert (reduced_bits(fitting._reduced, g, area, ss_c)
+                == reduced_bits(centred_reduced, g, area, ss_c))
 
 
 @pytest.mark.parametrize("seed", [121, 214])

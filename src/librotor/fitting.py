@@ -1,18 +1,18 @@
-"""Weighted nonlinear least squares (damped Gauss-Newton) and the model
-fitters used by the thermometry and scan pipelines.
+"""Weighted least squares by variable projection (Golub & Pereyra 1973,
+with Kaufman's 1975 normal matrix): the fitters of the thermometry and scan
+pipelines.
 
-A fit converges when an accepted step is below STEP_SIGMA standard errors,
-measured in the metric of the undamped normal matrix; it stops unconverged
-after MAX_ITER iterations or when none of LAMBDA_TRIES dampings gives a
-step that keeps the cost from rising.  levenberg_marquardt does this for a
-model with an analytic Jacobian (the optical-spring scan fit).  A
-Lorentzian fit does it by variable projection (Golub & Pereyra 1973, with
-Kaufman's 1975 normal matrix): its steps move center and width only, and
-area and offset are solved in closed form at every trial point, all from
-one weighted Gram of five rows, written in place into a buffer the pass
-owns.  The first pass of a weighted Lorentzian fit, which only draws the
-model the second pass is weighted from, stops sooner, at FIRST_PASS_SIGMA,
-and forms no covariance.
+A nonlinear fit takes damped Gauss-Newton steps over the parameters its
+model is not linear in, and solves the others in closed form at each trial
+point: a Lorentzian pass steps center and width, the spring scan fit
+Omega_0.  A step solves (A + lam diag(A)) step = g, A the reduced normal
+matrix and g the gradient, and is accepted where the cost is finite and not
+above the current one.  A fit converges when an accepted step has
+step^T A step <= STEP_SIGMA^2 s2 (A undamped), and stops unconverged after
+MAX_ITER iterations or when none of LAMBDA_TRIES dampings is accepted.
+Weighted fits take s2 = 1, unit-weight fits the reduced chi-square floored
+at (eps / STEP_SIGMA)^2 sum(y^2): the rounding of y, below which the steps
+of a noise-free fit are rounding noise that would run to MAX_ITER.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ MAX_ITER = 200
 # within 2e-3 standard errors of a first pass run to STEP_SIGMA.
 FIRST_PASS_SIGMA = 1e-2
 
-# The damping schedule of both Gauss-Newton loops (levenberg_marquardt's
-# and a Lorentzian pass's): the first trial's lam, how many trials, each at
+# The damping schedule of both Gauss-Newton loops (a Lorentzian pass's and
+# the spring fit's): the first trial's lam, how many trials, each at
 # 10 times the last lam, a step gets before the fit gives up, and the least
 # lam an accepted step leaves for the next.
 LAMBDA_START = 1e-3
@@ -51,7 +51,7 @@ MIN_SCAN_POINTS = 4
 
 
 # ---------------------------------------------------------------------------
-# core optimizer
+# linear algebra
 
 # numpy.linalg's solve and inv on float64 minus their costly per-call wrapper:
 # a singular matrix gives all NaN (and the invalid flag, which callers ignore).
@@ -67,78 +67,6 @@ def _nonsingular(out):
     if any(map(math.isnan, out.ravel().tolist())):
         raise DegenerateFitError("degenerate fit window")
     return out
-
-
-# trial steps may explore huge centers and linewidths; an inf or nan in the
-# model or the Jacobian just makes the step rejectable or the window degenerate
-@np.errstate(over="ignore", invalid="ignore")
-def levenberg_marquardt(model, jacobian, x, y, p0, weights=None):
-    """Minimize sum(w (y - model(x, p))^2) with LM damping.
-
-    weights are 1/sigma^2 per point.  Returns (params, covariance,
-    converged, cost).  Covariance is (J^T W J)^-1 at the solution; with unit
-    weights it is scaled by the reduced chi-square s2.
-
-    converged: an accepted step ended the fit because step^T (J^T W J) step
-    <= STEP_SIGMA^2 s2, with J^T W J the undamped matrix the step was solved
-    from, i.e. the step is at most STEP_SIGMA standard errors long.
-    The test is scale-free, so it holds as well for a parameter near 0 as
-    for a large one.  Weighted fits take s2 = 1; unit-weight fits take the
-    reduced chi-square at the accepted point, floored at
-    (eps / STEP_SIGMA)^2 sum(y^2).  The floor is the rounding of y: a step's
-    step^T (J^T J) step never exceeds the cost it starts from, and on
-    noise-free data the cost falls to about eps^2 sum(y^2), where steps are
-    rounding noise.  Without the floor such a fit would run to MAX_ITER.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    p = np.asarray(p0, dtype=float).copy()
-    unit_weights = weights is None
-    w = np.ones_like(y) if unit_weights else np.asarray(weights, dtype=float)
-    dof = max(y.size - p.size, 1)
-    if unit_weights:
-        s2_floor = (np.finfo(float).eps / STEP_SIGMA) ** 2 * float(y @ y)
-
-    def cost_of(params):
-        r = y - model(x, params)
-        return r, float(np.add.reduce(w * r * r))  # .sum() minus its wrapper
-
-    r, cost = cost_of(p)
-    lam = LAMBDA_START
-    converged = False
-    for _ in range(MAX_ITER):
-        jac = jacobian(x, p)
-        jtw = jac.T * w
-        a_mat = jtw @ jac
-        grad = jtw @ r
-        diag, entries = a_mat.diagonal(), a_mat.ravel().tolist()
-        if min(entries[::p.size + 1]) <= 0 or not all(map(math.isfinite, entries)):
-            raise DegenerateFitError("degenerate fit window")
-        damped = a_mat + 0.0  # a + lam diag(d) off the diagonal; on it, set per lam
-        damped_diag = damped.reshape(-1)[::p.size + 1]
-        for _ in range(LAMBDA_TRIES):
-            np.multiply(diag, lam, out=damped_diag)
-            damped_diag += diag
-            step = _solve(damped, grad)
-            p_new = p + step
-            r_new, cost_new = cost_of(p_new)
-            if math.isfinite(cost_new) and cost_new <= cost:
-                break
-            lam *= 10.0
-        else:  # no trial was accepted
-            break
-        p, r, cost = p_new, r_new, cost_new
-        lam = max(lam / 10.0, LAMBDA_FLOOR)
-        s2 = max(cost / dof, s2_floor) if unit_weights else 1.0
-        if float(step @ a_mat @ step) <= STEP_SIGMA ** 2 * s2:
-            converged = True
-            break
-
-    jac = jacobian(x, p)
-    cov = _inv((jac.T * w) @ jac)
-    if unit_weights:
-        cov = cov * (cost / dof)
-    return p, cov, converged, cost
 
 
 def linear_lstsq(design, y, w=None):
@@ -275,18 +203,14 @@ def _line_pass(x, y, w, c, h, stop, start=None):
     """One weighted pass of a Lorentzian fit by variable projection: damped
     Gauss-Newton over (c, h >= 0), (area, offset) solved at each point.
 
-    Steps, damping and stop are levenberg_marquardt's on the reduced
-    problem: a step solves (A + lam diag(A)) step = g, with A Kaufman's
-    reduced normal matrix and g the gradient; the trial point is
-    (c + step_c, |h + step_h|); a trial is accepted when its cost is finite
-    and not above the current one; the pass converges when an accepted step
-    has step^T A step <= stop^2 s2 (A undamped, s2 as in
-    levenberg_marquardt).  A trial whose linear or damped 2x2 system is
-    singular is rejected.  Every point's Gram comes from the one buffer of
-    the pass's _gram.  start, the fit's starting (area, offset), is
-    degenerate where its cost at (c, h) is not finite.  Returns (c, h, the
-    Gram and _linear's result there, converged).  A DegenerateFitError
-    gives the width's message where its point lies above 10 window spans."""
+    Steps, damping and stop are the module's, with stop for STEP_SIGMA; the
+    trial point is (c + step_c, |h + step_h|), and a trial whose linear or
+    damped 2x2 system is singular is rejected.  Every point's Gram comes
+    from the one buffer of the pass's _gram.  start, the fit's starting
+    (area, offset), is degenerate where its cost at (c, h) is not finite.
+    Returns (c, h, the Gram and _linear's result there, converged).  A
+    DegenerateFitError gives the width's message where its point lies above
+    10 window spans."""
     gram = _gram(x, y, 1.0 if w is None else np.sqrt(w))
 
     def degenerate():
@@ -418,9 +342,7 @@ def fit_lorentzian(freq, vals, averages: float | None,
     """Fit a single Lorentzian to the bins of one window: increasing
     frequencies freq (Hz) and their PSD values vals.
 
-    Each pass is a variable-projection fit (_line_pass): damped Gauss-Newton
-    over center and width, with area and offset solved in closed form at
-    every trial point from one weighted Gram.  init (default
+    Each pass is a _line_pass.  init (default
     initial_lorentzian_guess) gives the start's center and width; its area
     and offset serve only to turn away a start whose own cost is not
     finite, a DegenerateFitError.
@@ -503,58 +425,92 @@ def _prepare_scan_points(points):
     return x, y, 1.0 / err ** 2 if np.all(err > 0) else None
 
 
+def _coupling(g2, cov, message, **fields):
+    """The ScanFitResult of fields with |g| from a scan fit's |g|^2 and the
+    covariance of (|g|, p) from cov, that of (|g|^2, p).  A |g|^2 not above
+    0 is a DegenerateFitError: message, then |g|^2."""
+    if not g2 > 0:
+        raise DegenerateFitError(f"{message} (|g|^2 = {g2:.3g})")
+    jac = np.diag([0.5 / math.sqrt(g2), 1.0])
+    return ScanFitResult(g_abs=math.sqrt(g2), covariance=jac @ cov @ jac,
+                         **fields)
+
+
 def fit_scan_linewidth(points, omega: float, kappa: float) -> ScanFitResult:
     """Fit gamma_eff(Delta) measured at omega with free (|g|, gamma_intrinsic).
 
     The model gamma_intrinsic + |g|^2 D(Delta), with D the optical damping
     at unit coupling, is linear in (|g|^2, gamma_intrinsic) and is solved in
-    closed form; the covariance of (|g|, gamma_intrinsic) follows through
-    the Jacobian diag(1 / 2|g|, 1).
+    closed form.
     """
     x, y, w = _prepare_scan_points(points)
     damping = physics.backaction(1.0, omega, kappa, x, omega)[0]
     design = np.column_stack([damping, np.ones_like(x)])
     (g2, gamma0), cov = linear_lstsq(design, y, w)
-    if not g2 > 0:
-        raise DegenerateFitError("linewidth scan fit gives no optical "
-                                 f"damping (|g|^2 = {g2:.3g})")
-    g = math.sqrt(g2)
-    jac = np.diag([0.5 / g, 1.0])
-    return ScanFitResult(g_abs=g, omega_bare=omega,
-                         gamma_intrinsic=float(gamma0),
-                         covariance=jac @ cov @ jac)
+    return _coupling(g2, cov, "linewidth scan fit gives no optical damping",
+                     omega_bare=omega, gamma_intrinsic=float(gamma0))
 
 
+# a trial Omega_0 may overflow K, and a weight or K's sum of squares may not
+# be finite: a trial is then rejected, or the scan is degenerate
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def fit_scan_frequency(points, kappa: float) -> ScanFitResult:
-    """Fit the optical-spring curve Omega_eff(Delta) with free (|g|, Omega_bare)."""
+    """Fit the optical-spring curve Omega_eff(Delta) with free (|g|, Omega_bare).
+
+    Variable projection over Omega_0 on Omega_eff^2 = Omega_0^2 - |g|^2 K,
+    K the spring shift of physics.backaction at unit coupling, each point
+    weighted w / (4 Omega_eff^2) (w = 1 for unit weights).  At each Omega_0,
+    |g|^2 >= 0 is solved in closed form; Omega_0 takes the module's steps
+    from the highest Omega_eff, with dK/dOmega_0 from a complex step.  The
+    covariance of (|g|^2, Omega_0) is the inverse 2x2 normal matrix; a fit
+    that ends at |g|^2 = 0 is an unresolved spring.
+    """
     x, y, w = _prepare_scan_points(points)
-    half2 = (kappa / 2.0) ** 2
+    v = (1.0 if w is None else w) / (4.0 * y * y)
 
-    def model(det, p):
-        g, om0 = p
-        shift = physics.backaction(g, om0, kappa, det, om0)[1]
-        return np.sqrt(np.maximum(om0 * om0 - shift, 0.0))
+    def project(om0):  # (|g|^2, cost, curvature, gradient, t, kk), or None
+        probe = complex(om0, om0 * np.finfo(float).eps)  # a complex step
+        shift = physics.backaction(1.0, probe, kappa, x, probe)[1]
+        k, vk, b = shift.real, v * shift.real, om0 * om0 - y * y
+        kk = float(vk @ k) or math.nan  # 0 where every K^2 underflows
+        g2 = max(float(vk @ b) / kk, 0.0)  # |g|^2 >= 0, as in the model
+        r = g2 * k - b  # Omega_eff^2 less the model
+        j = 2.0 * om0 - g2 * (shift.imag / probe.imag)  # the model's dOmega_0
+        t = float(vk @ j) / kk if g2 > 0.0 else 0.0  # none: |g|^2 held at 0
+        jr = j - t * k  # the part of j off K
+        out = (g2, float(v @ (r * r)), float(v @ (jr * jr)),
+               float(v @ (jr * r)), t, kk)
+        return out if out[2] > 0.0 and all(map(math.isfinite, out)) else None
 
-    def jac(det, p):
-        g, om0 = p
-        num = half2 - om0 * om0 + det * det
-        d1 = half2 + (om0 + det) ** 2
-        d2 = half2 + (om0 - det) ** 2
-        s_val = physics.backaction(g, om0, kappa, det, om0)[1]
-        val = np.sqrt(np.maximum(om0 * om0 - s_val, 1e-300))
-        ds_dg = 2.0 * s_val / g
-        # d(s)/d(om0) via logarithmic derivative of each factor
-        ds_dom = s_val * (1.0 / om0 - 2.0 * om0 / num
-                          - 2.0 * (om0 + det) / d1 + 2.0 * (det - om0) / d2)
-        out = np.empty((det.size, 2))
-        out[:, 0] = -ds_dg / (2.0 * val)
-        out[:, 1] = (2.0 * om0 - ds_dom) / (2.0 * val)
-        return out
-
-    p0 = np.array([kappa * 0.1, float(np.max(y))])
-    p, cov, converged, _ = levenberg_marquardt(model, jac, x, y, p0, w)
-    return ScanFitResult(g_abs=abs(float(p[0])), omega_bare=float(p[1]),
-                         covariance=cov, converged=converged)
+    om0 = float(np.max(y))
+    at = project(om0)
+    if at is None:
+        raise DegenerateFitError("degenerate fit window")
+    dof = max(x.size - 2, 1)
+    floor = (np.finfo(float).eps / STEP_SIGMA) ** 2 * float(y @ y)
+    lam = LAMBDA_START
+    converged = False
+    for _ in range(MAX_ITER):
+        _, cost, a, grad, _, _ = at
+        for _ in range(LAMBDA_TRIES):
+            step = grad / (a * lam + a)
+            trial = project(om0 + step)
+            if trial is not None and trial[1] <= cost:
+                break
+            lam *= 10.0
+        else:  # no trial was accepted
+            break
+        om0, at = om0 + step, trial
+        lam = max(lam / 10.0, LAMBDA_FLOOR)
+        s2 = 1.0 if w is not None else max(at[1] / dof, floor)
+        if step * a * step <= STEP_SIGMA ** 2 * s2:
+            converged = True
+            break
+    g2, cost, a, _, t, kk = at
+    cov = np.array([[1.0 / kk + t * t / a, t / a], [t / a, 1.0 / a]])
+    return _coupling(g2, cov * (1.0 if w is not None else cost / dof),
+                     "frequency scan fit gives no optical spring",
+                     omega_bare=om0, converged=converged)
 
 
 def fit_occupation_curve(points, omega: float, kappa: float,

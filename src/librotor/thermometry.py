@@ -113,6 +113,11 @@ def _het_freq_hz(meta: dict) -> float:
     return het
 
 
+def _measured(fit: LorentzianFit) -> bool:
+    """Whether every variance of the fit is above 0."""
+    return all(v > 0.0 for v in fit.covariance.diagonal().tolist())
+
+
 def fit_sideband_pair(trace: PsdTrace, resp: DetectorResponse | None,
                       mode_freq_hint_hz: float) -> tuple[LorentzianFit, LorentzianFit]:
     """Gain-correct the two sideband windows and fit the Stokes and
@@ -123,7 +128,10 @@ def fit_sideband_pair(trace: PsdTrace, resp: DetectorResponse | None,
     center and width pinned to the Stokes values (area stays free, so a
     vanishing peak gives area ~ 0 with a finite error).  A Stokes line
     narrower than a quarter of the bin spacing is not resolved: its fit
-    measures noise, so the pair is rejected.
+    measures noise, so the pair is rejected.  A free fit with a variance
+    not above 0, which would read as an error of 0, measures nothing: as
+    the Stokes fit it is a DegenerateFitError, as the anti-Stokes fit it
+    gives way to the pinned one.
     """
     het = _het_freq_hz(trace.meta)
     freq = trace.freq_hz
@@ -148,13 +156,16 @@ def fit_sideband_pair(trace: PsdTrace, resp: DetectorResponse | None,
         raise LibrotorError(
             f"unresolved sideband: fitted width {stokes.linewidth_fwhm:.3g} Hz "
             f"is below a quarter of the {bin_hz:.3g} Hz bin spacing")
+    if not _measured(stokes):
+        raise DegenerateFitError("degenerate fit window: a variance of the "
+                                 "Stokes fit is not above 0")
     mirror = 2.0 * het - stokes.center
     init = np.array([mirror, stokes.linewidth_fwhm, stokes.area * 0.5,
                      stokes.offset])
     anti_freq, anti_vals = window(f_anti)
     try:
         anti = fit_lorentzian(anti_freq, anti_vals, averages, init=init)
-        ok = (anti.converged
+        ok = (anti.converged and _measured(anti)
               and 0.25 * stokes.linewidth_fwhm <= anti.linewidth_fwhm
               <= 4.0 * stokes.linewidth_fwhm
               and abs(anti.center - mirror) <= 3.0 * stokes.linewidth_fwhm)

@@ -1,4 +1,5 @@
 import errno
+import glob
 import hashlib
 import json
 import math
@@ -928,6 +929,25 @@ class TestScanfit:
             pytest.approx(6.8e3, rel=0.15)
         assert mode["inertia_kg_m2"] == pytest.approx(3.3e-32, rel=0.1)
         assert mode["derived"]["sigma_rad"] == pytest.approx(17.4e-6, rel=0.15)
+
+    def test_unresolved_spring_is_the_modes_error(self, tmp_path, sim_dir):
+        """Sidecars that give the traces their detunings in reverse order
+        turn the optical spring over: the frequency fit ends at |g|^2 = 0,
+        and scanfit writes its error as the mode's, with no scan fits, and
+        exits 0 with the mode's occupations."""
+        paths = sorted(glob.glob(os.path.join(sim_dir, "trace_*.meta.json")))
+        metas = [read_json(path) for path in paths]
+        for path, meta, det in zip(paths, metas,
+                                   [m["detuning_hz"] for m in metas][::-1]):
+            io.atomic_write_text(path, io.format_json({**meta,
+                                                       "detuning_hz": det}))
+        out = str(tmp_path / "scan.json")
+        assert main(["scanfit", "--traces", sim_dir, "--out", out]) == 0
+        (mode,) = read_json(out)["modes"]
+        assert mode["error"] == ("frequency scan fit gives no optical spring "
+                                 "(|g|^2 = 0)")
+        assert mode["frequency_fit"] is None and mode["linewidth_fit"] is None
+        assert mode["n_best"] is not None
 
     def test_underdetermined_exit_3(self, tmp_path, sim_dir, capsys):
         small = str(tmp_path / "small")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from scipy.ndimage import median_filter
 
 from librotor import fitting, io, thermometry
-from librotor.errors import (CalibrationError, LibrotorError,
-                             UnderdeterminedScanError,
+from librotor.errors import (CalibrationError, DegenerateFitError,
+                             LibrotorError, UnderdeterminedScanError,
                              UnphysicalAsymmetryError)
 from librotor.noise import DetectorResponse, NoiseProfile, detector_gain
 from librotor.physics import LibrationMode
@@ -230,6 +231,44 @@ class TestExtractOccupation:
             stokes, anti = fit_sideband_pair(trace, None, 1e6)
             assert not stokes.pinned and anti.pinned
             assert abs(anti.area) < 3.0 * anti.errors()[2]
+
+    def test_stokes_fit_with_a_variance_below_0_is_degenerate(self):
+        """The 142-bin Gamma(2) window of test_fitting.py's
+        test_singular_covariance_is_degenerate_without_a_warning at seed 15
+        fits, at 2 averages, a 2989 Hz line whose area variance is -3.6e30:
+        an error of 0.  As the Stokes window of a pair (the first 142 bins of
+        a grid of its bin spacing, below the carrier) it passes the
+        quarter-bin check, and is a DegenerateFitError, not a measurement."""
+        grid = np.linspace(4.95e6, 7.95e6, 4231)
+        assert grid[141] == 5.05e6  # the window's bins, bit for bit
+        vals = lorentzian(grid, 7e6, 5e3, 2e3, 1.0)
+        vals[:142] = np.random.default_rng(15).gamma(2, 0.5, 142)
+        trace = PsdTrace(grid, vals, {"het_freq_hz": 6e6, "averages": 2,
+                                      "sideband_orientation": ORIENT_LO_RED})
+        with pytest.raises(DegenerateFitError,
+                           match="variance of the Stokes fit is not above 0"):
+            fit_sideband_pair(trace, None, 1e6)
+
+    def test_free_anti_fit_with_a_variance_below_0_gives_way(self,
+                                                             monkeypatch):
+        """A free anti-Stokes fit with a variance below 0 fails the pair's
+        checks like an unconverged one: the pinned fit takes its place."""
+        fits = []
+
+        def fit_lorentzian(*args, **kwargs):
+            fit = fitting.fit_lorentzian(*args, **kwargs)
+            if fits:  # the anti-Stokes fit
+                cov = fit.covariance.copy()
+                cov[1, 1] = -cov[1, 1]
+                fit = dataclasses.replace(fit, covariance=cov)
+            fits.append(fit)
+            return fit
+
+        monkeypatch.setattr(thermometry, "fit_lorentzian", fit_lorentzian)
+        stokes, anti = fit_sideband_pair(make_trace(0.73, averages=200,
+                                                    seed=2), None, 1e6)
+        assert not fits[1].pinned and fits[1].converged
+        assert anti.pinned and anti.center == 2.0 * HET - stokes.center
 
     def test_diffcal_needs_c(self):
         with pytest.raises(ValueError, match="requires a C"):
